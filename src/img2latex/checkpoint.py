@@ -3,7 +3,8 @@
 Layout (all integers little-endian):
 
     magic   8 bytes  b"I2LCKPT\\0"
-    version u32
+    version u32      2; version 1 held per-gate LSTM matrices, which
+                     the fused decoder layout replaced (no converter)
     meta    u64 length + UTF-8 JSON (config, seed, step, vocab, ...)
     params  named-array section
     buffers named-array section (batchnorm running statistics)
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAGIC = b"I2LCKPT\x00"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {0: np.float64, 1: np.float32}
@@ -117,7 +118,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")
         (version,) = struct.unpack("<I", _read_exact(f, 4))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version} "
+                                  f"(this build reads version {VERSION})")
         (mlen,) = struct.unpack("<Q", _read_exact(f, 8))
         meta = json.loads(_read_exact(f, mlen).decode("utf-8"))
         params = _read_arrays(f)

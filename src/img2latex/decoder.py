@@ -19,10 +19,18 @@ state from before the current update; attend_current_hidden=True queries
 with the updated one instead.
 
 All weights use the (in, out) convention and are applied as x @ W.
+
+Each LSTM layer keeps its four gates fused (Luong et al. 2015 layout):
+dec.lstm{l}.w has shape (n_in + hidden, 4 * hidden) and dec.lstm{l}.b
+shape (4 * hidden,), so one [x ; h] @ w + b yields every gate's
+pre-activation.  Rows [0, n_in) multiply the layer input x, rows
+[n_in, n_in + hidden) the previous hidden state; column block k (width
+hidden) belongs to gate k in the order i, f, o, c.  Layer 1's input is
+[embedding ; O_{t-1}], so n_in = d_emb + out_dim; layer 2's is h1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +71,9 @@ class StepOutput:
     state: DecoderState
 
 
-_GATES = ("i", "f", "o", "c")
+# gate blocks per LSTM layer; their order i, f, o, c is set by the column
+# slicing in tensor.lstm_cell
+_N_GATES = 4
 
 
 class Decoder:
@@ -84,10 +94,16 @@ class Decoder:
         in_sizes = {1: config.d_emb + config.out_dim, 2: h}
         for layer in (1, 2):
             n_in = in_sizes[layer]
-            for g in _GATES:
-                add(f"dec.lstm{layer}.w_{g}x", (n_in, h), n_in, h)
-                add(f"dec.lstm{layer}.w_{g}h", (h, h), h, h)
-                add_zeros(f"dec.lstm{layer}.b_{g}", (h,))
+            # glorot draws per gate block, each over its own (fan_in, h):
+            # gate by gate, input rows then recurrent rows
+            blocks = []
+            for _ in range(_N_GATES):
+                wx = T.glorot_uniform((n_in, h), n_in, h, rng, dt)
+                wh = T.glorot_uniform((h, h), h, h, rng, dt)
+                blocks.append(np.concatenate([wx, wh], axis=0))
+            self.params[f"dec.lstm{layer}.w"] = Parameter(
+                f"dec.lstm{layer}.w", np.concatenate(blocks, axis=1))
+            add_zeros(f"dec.lstm{layer}.b", (_N_GATES * h,))
         for layer in (1, 2):
             add(f"dec.init.h{layer}.w", (config.d, h), config.d, h)
             add_zeros(f"dec.init.h{layer}.b", (h,))
@@ -116,18 +132,11 @@ class Decoder:
         return DecoderState(h=hs, c=cs, o_prev=o0)
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
-        p = self._p
-        i = T.sigmoid(x @ p(f"dec.lstm{layer}.w_ix") + h @ p(f"dec.lstm{layer}.w_ih")
-                      + p(f"dec.lstm{layer}.b_i"))
-        f = T.sigmoid(x @ p(f"dec.lstm{layer}.w_fx") + h @ p(f"dec.lstm{layer}.w_fh")
-                      + p(f"dec.lstm{layer}.b_f"))
-        o = T.sigmoid(x @ p(f"dec.lstm{layer}.w_ox") + h @ p(f"dec.lstm{layer}.w_oh")
-                      + p(f"dec.lstm{layer}.b_o"))
-        g = T.tanh(x @ p(f"dec.lstm{layer}.w_cx") + h @ p(f"dec.lstm{layer}.w_ch")
-                   + p(f"dec.lstm{layer}.b_c"))
-        c_new = f * c + i * g
-        h_new = o * (T.tanh(c_new) if self.config.standard_cell_output else c_new)
-        return h_new, c_new
+        z = (T.concat([x, h], axis=1) @ self._p(f"dec.lstm{layer}.w")
+             + self._p(f"dec.lstm{layer}.b"))
+        hc = T.lstm_cell(z, c, self.config.standard_cell_output)
+        n = self.config.hidden
+        return T.slice_cols(hc, 0, n), T.slice_cols(hc, n, 2 * n)
 
     def _attend(self, bank: MemoryBank, query: Tensor):
         b, length, d = bank.entries.shape
@@ -142,8 +151,7 @@ class Decoder:
         scores = T.reshape(act @ T.reshape(self._p("dec.attn.beta"), (a, 1)),
                            (b, length))
         alpha = T.softmax(scores)                                        # (B, L)
-        ctx = T.reduce_sum(T.reshape(alpha, (b, length, 1)) * bank.entries, axis=1)
-        return ctx, alpha
+        return T.attention_context(alpha, bank.entries), alpha
 
     def step(self, bank: MemoryBank, state: DecoderState, tokens,
              train: bool = False, rng: np.random.Generator | None = None) -> StepOutput:

@@ -7,8 +7,13 @@ the implicit tape (one `_OpRecord` per executed op, in execution order);
 `backward()` replays the records in reverse and accumulates gradients
 into every tensor that requires them.
 
-Float64 is the default dtype and is what all gradient checks run in;
-float32 is supported as a runtime mode for speed.
+Dtype contract: an op computes in the dtype of its floating inputs and
+returns that dtype, and every VJP returns gradients in the dtype of the
+input it differentiates.  A float32 model therefore runs its forward
+pass, its backward pass and its parameter gradients in float32 from end
+to end, provided callers build masks, weights and constants in the
+model dtype (a float64 operand promotes everything downstream of it).
+Float64 is the default dtype and is what the gradient checks run in.
 """
 from __future__ import annotations
 
@@ -172,47 +177,32 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
-class Tape:
-    """Ordered record of the ops that produced a tensor.
-
-    Replaying the records in reverse visits every op exactly once; a
-    tape can be consumed by backward() only once.
-    """
-
-    def __init__(self, records):
-        self.records = records
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        records = []
-        seen = set()
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            rec = t._op
-            if rec is None or id(rec) in seen:
-                continue
-            seen.add(id(rec))
-            records.append(rec)
-            stack.extend(rec.inputs)
-        records.sort(key=lambda r: r.seq)
-        return cls(records)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    Intermediate tensors only hold their gradient transiently; the graph
-    is torn down record by record as it is consumed.
+    The records that produced loss are replayed in reverse execution
+    order, so every op is visited once.  Intermediate tensors only hold
+    their gradient transiently; the graph is torn down record by record
+    as it is consumed, so backward may run only once per forward pass.
     """
     if loss.size != 1:
         raise TensorError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
-    if any(rec.consumed for rec in tape.records):
-        raise TensorError("tape already consumed; backward may run only once per forward pass")
+    records = []
+    seen = set()
+    stack = [loss]
+    while stack:
+        rec = stack.pop()._op
+        if rec is None or id(rec) in seen:
+            continue
+        if rec.consumed:
+            raise TensorError("tape already consumed; backward may run only once per forward pass")
+        seen.add(id(rec))
+        records.append(rec)
+        stack.extend(rec.inputs)
+    records.sort(key=lambda r: r.seq)
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
+    for rec in reversed(records):
         rec.consumed = True
         out_grad = rec.out.grad
         if out_grad is not None:
@@ -299,7 +289,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
-    return _record("matmul", out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+    def bwd(g):
+        # with one output column (the attention score against beta) da is
+        # an outer product, which a broadcast multiply computes several
+        # times faster than BLAS
+        da = g * bd.T if bd.shape[1] == 1 else g @ bd.T
+        return da, ad.T @ g
+
+    return _record("matmul", out, (a, b), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -354,6 +352,21 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
     return _record("repeat_rows", out, (a,), bwd)
 
 
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns [start, stop) of a 2-D tensor; backward zero-pads the rest."""
+    if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
+        raise ShapeError(f"slice_cols: columns [{start}, {stop}) invalid for {a.shape}")
+    out = Tensor(a.data[:, start:stop])
+    in_shape = a.shape
+
+    def bwd(g):
+        da = np.zeros(in_shape, dtype=g.dtype)
+        da[:, start:stop] = g
+        return (da,)
+
+    return _record("slice_cols", out, (a,), bwd)
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     in_shape = a.shape
@@ -367,7 +380,10 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
+    if axis is None:
+        n = a.size
+    else:
+        n = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     in_shape = a.shape
 
@@ -389,12 +405,16 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _logistic(x: np.ndarray) -> np.ndarray:
     # exp overflow on very negative inputs saturates to exactly 0, which
     # is the right limit; keep the one-branch form so values stay
     # bit-identical across runs
     with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-a.data))
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _logistic(a.data)
     out = Tensor(y)
     return _record("sigmoid", out, (a,), lambda g: (g * y * (1.0 - y),))
 
@@ -417,6 +437,55 @@ def softmax(a: Tensor) -> Tensor:
         return ((g - dot) * y,)
 
     return _record("softmax", out, (a,), bwd)
+
+
+def lstm_cell(z: Tensor, c: Tensor, standard_output: bool = False) -> Tensor:
+    """One LSTM update from fused gate pre-activations; returns [h' | c'].
+
+    z is (B, 4h) with gate blocks in the order i, f, o, c and c is the
+    (B, h) cell state.  With i, f, o = sigmoid and g = tanh of the blocks,
+    c' = f * c + i * g and h' = o * c' (o * tanh(c') when
+    standard_output).  The output is (B, 2h); slice_cols splits it.
+    """
+    if z.ndim != 2 or c.ndim != 2 or z.shape != (c.shape[0], 4 * c.shape[1]):
+        raise ShapeError(f"lstm_cell: expects z (B, 4h) and c (B, h), got {z.shape} and {c.shape}")
+    h = c.shape[1]
+    ifo = _logistic(z.data[:, :3 * h])
+    i, f, o = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
+    g = np.tanh(z.data[:, 3 * h:])
+    c_prev = c.data
+    c_new = f * c_prev + i * g
+    s = np.tanh(c_new) if standard_output else c_new
+    out = Tensor(np.concatenate([o * s, c_new], axis=1))
+
+    def bwd(grad):
+        gh, gc = grad[:, :h], grad[:, h:]
+        ds = gh * o
+        dc = gc + (ds * (1.0 - s * s) if standard_output else ds)
+        dz = np.empty_like(z.data)
+        dz[:, :h] = dc * g * i * (1.0 - i)
+        dz[:, h:2 * h] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * h:3 * h] = gh * s * o * (1.0 - o)
+        dz[:, 3 * h:] = dc * i * (1.0 - g * g)
+        return dz, dc * f
+
+    return _record("lstm_cell", out, (z, c), bwd)
+
+
+def attention_context(alpha: Tensor, entries: Tensor) -> Tensor:
+    """Attention-weighted sum of memory entries: (B, L) x (B, L, d) -> (B, d)."""
+    if alpha.ndim != 2 or entries.ndim != 3 or alpha.shape != entries.shape[:2]:
+        raise ShapeError(
+            f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
+    ad, ed = alpha.data, entries.data
+    out = Tensor(np.matmul(ad[:, None, :], ed)[:, 0, :])
+
+    def bwd(g):
+        # the entries VJP is an outer product per row; a matmul with an
+        # inner size of 1 would be slower than the broadcast multiply
+        return np.matmul(ed, g[:, :, None])[:, :, 0], ad[:, :, None] * g[:, None, :]
+
+    return _record("attention_context", out, (alpha, entries), bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -514,13 +583,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     def bwd(g):
         gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
         dk = (gm.T @ mat).reshape(O, C, kh, kw)
-        dmat = gm @ wmat
-        dcols = dmat.reshape(B, Ho, Wo, C, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[:, :, i, j]
-        dx = dxp[:, :, ph:ph + H, pw:pw + W]
+        dx = None
+        if x.requires_grad:
+            # col2im scattered channels-last, so each window add writes
+            # contiguous channel runs; every dx element still sums its
+            # windows in (i, j) order
+            dcols = (gm @ wmat).reshape(B, Ho, Wo, C, kh, kw)
+            dxp = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[..., i, j]
+            dx = dxp[:, ph:ph + H, pw:pw + W].transpose(0, 3, 1, 2)
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(0, 2, 3))

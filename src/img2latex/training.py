@@ -68,7 +68,7 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
         out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
         state = out.state
         ce = T.cross_entropy(out.logits, seq[:, t])
-        step_loss = (ce * Tensor(mask.astype(np.float64))).sum()
+        step_loss = (ce * Tensor(mask.astype(ce.dtype))).sum()
         total = step_loss if total is None else total + step_loss
         n_tokens += int(mask.sum())
     return total * (1.0 / b), n_tokens
@@ -132,7 +132,7 @@ def _sample_rollout(model: Model, bank, max_len: int, rngs,
         sampled[finished] = PAD_ID
         active = ~finished
         ce = T.cross_entropy(out.logits, sampled)
-        step_nll = ce * Tensor(active.astype(np.float64))
+        step_nll = ce * Tensor(active.astype(ce.dtype))
         nll_total = step_nll if nll_total is None else nll_total + step_nll
         columns.append(sampled.copy())
         finished = finished | (sampled == END_ID)
@@ -190,8 +190,12 @@ def reinforce_weights(rewards: np.ndarray, leave_one_out: bool = False) -> np.nd
 
 
 def reinforce_loss(nll: Tensor, weights: np.ndarray) -> Tensor:
-    """Minimization objective: mean of (R - baseline) * nll over all samples."""
-    return (nll * Tensor(weights)).sum() * (1.0 / weights.size)
+    """Minimization objective: mean of (R - baseline) * nll over all samples.
+
+    The weights are cast to nll's dtype so a float32 model keeps its
+    backward pass in float32.
+    """
+    return (nll * Tensor(weights.astype(nll.dtype))).sum() * (1.0 / weights.size)
 
 
 def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]],
@@ -268,16 +272,6 @@ def greedy_bleu(model: Model, examples, vocab: Vocabulary, max_len: int) -> floa
         cand = [vocab.token_of(i) for i in result.tokens]
         scores.append(sentence_bleu4(cand, ex.tokens))
     return float(np.mean(scores)) if scores else 0.0
-
-
-def sequence_match_rate(model: Model, examples, vocab: Vocabulary, max_len: int) -> float:
-    """Fraction of examples whose greedy decode equals the reference exactly."""
-    hits = 0
-    for ex in examples:
-        result = greedy_decode(model, pad_to_multiple(ex.image), max_len=max_len)
-        if [vocab.token_of(i) for i in result.tokens] == ex.tokens:
-            hits += 1
-    return hits / len(examples) if examples else 0.0
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from img2latex.checkpoint import MAGIC, CheckpointError
 from img2latex.cli import build_parser, main
 from img2latex.config import SCHEMA, desk_defaults, full_defaults, load_config
 from img2latex.data import read_pgm_raw
@@ -163,6 +165,22 @@ def test_predict_missing_manifest_is_an_io_error(ws, tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys):
+    # version 1 stored per-gate LSTM matrices; there is no converter
+    blob = bytearray(open(ws["ckpt"], "rb").read())
+    blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 1)
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        Model.load(str(old))
+    rc = main(["predict", "--checkpoint", str(old), "--manifest", ws["manifest"],
+               "--out", str(tmp_path / "o.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "version 1" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------

@@ -22,14 +22,28 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def gate_block(w, name, n_in):
+    """Per-gate block of a fused LSTM matrix: name is e.g. "ix" or "fh".
+
+    Columns hold the gates i, f, o, c in that order; rows [0, n_in) take
+    the layer input x and the rest the previous hidden state.
+    """
+    hidden = w.shape[1] // 4
+    k = "ifoc".index(name[0])
+    cols = w[:, k * hidden:(k + 1) * hidden]
+    if len(name) == 1:
+        return cols
+    return cols[:n_in] if name[1] == "x" else cols[n_in:]
+
+
 def step_reference(dec, entries, h, c, o_prev, tokens, standard_cell):
     """The documented step, re-derived with plain numpy end to end."""
     P = {k: p.data for k, p in dec.params.items()}
     x = np.concatenate([P["dec.embed"][tokens], o_prev], axis=1)
     hs, cs = [], []
     for layer in (1, 2):
-        w = lambda g: P[f"dec.lstm{layer}.w_{g}"]
-        b = lambda g: P[f"dec.lstm{layer}.b_{g}"]
+        w = lambda g: gate_block(P[f"dec.lstm{layer}.w"], g, x.shape[1])
+        b = lambda g: gate_block(P[f"dec.lstm{layer}.b"][None], g, 1)[0]
         hin, cin = h[layer - 1], c[layer - 1]
         i = sigmoid(x @ w("ix") + hin @ w("ih") + b("i"))
         f = sigmoid(x @ w("fx") + hin @ w("fh") + b("f"))
@@ -140,9 +154,12 @@ def test_dropout_only_active_in_train():
 def test_input_feeding_dimensions():
     # layer-1 input is [embedding | previous output head]
     dec, cfg = make()
-    assert dec.params["dec.lstm1.w_ix"].data.shape == (cfg.d_emb + cfg.out_dim,
-                                                       cfg.hidden)
-    assert dec.params["dec.lstm2.w_ix"].data.shape == (cfg.hidden, cfg.hidden)
+    n_in1 = cfg.d_emb + cfg.out_dim
+    assert gate_block(dec.params["dec.lstm1.w"].data, "ix", n_in1).shape == (n_in1, cfg.hidden)
+    assert gate_block(dec.params["dec.lstm2.w"].data, "ix", cfg.hidden).shape == (cfg.hidden,
+                                                                                cfg.hidden)
+    assert dec.params["dec.lstm1.w"].data.shape == (n_in1 + cfg.hidden, 4 * cfg.hidden)
+    assert dec.params["dec.lstm2.b"].data.shape == (4 * cfg.hidden,)
     assert dec.params["dec.w3"].data.shape == (cfg.hidden + cfg.d, cfg.out_dim)
     assert dec.params["dec.w4"].data.shape == (cfg.out_dim, cfg.vocab_size)
 
@@ -155,3 +172,23 @@ def test_f32_decoder_stays_f32():
     bank = MemoryBank(entries=Tensor(entries), h_prime=1, w_prime=3)
     out = dec32.step(bank, dec32.init_state(bank), np.array([2]))
     assert out.logits.dtype == np.float32
+
+
+def test_fused_gates_keep_the_per_gate_initial_draws():
+    # gate by gate (i, f, o, c), input block then recurrent block: the
+    # draw order of the per-gate layout, so a fresh model computes the
+    # same function in either layout
+    dec, cfg = make(vocab=6, d=8, hidden=8, out=8, emb=4)
+    rng = np.random.default_rng(0)
+    a = np.sqrt(6.0 / (6 + cfg.d_emb))
+    rng.uniform(-a, a, size=(6, cfg.d_emb))                  # dec.embed
+    for layer, n_in in ((1, cfg.d_emb + cfg.out_dim), (2, cfg.hidden)):
+        w = dec.params[f"dec.lstm{layer}.w"].data
+        for gate in "ifoc":
+            a = np.sqrt(6.0 / (n_in + cfg.hidden))
+            want_x = rng.uniform(-a, a, size=(n_in, cfg.hidden))
+            a = np.sqrt(6.0 / (2 * cfg.hidden))
+            want_h = rng.uniform(-a, a, size=(cfg.hidden, cfg.hidden))
+            assert np.array_equal(gate_block(w, gate + "x", n_in), want_x)
+            assert np.array_equal(gate_block(w, gate + "h", n_in), want_h)
+        assert not dec.params[f"dec.lstm{layer}.b"].data.any()

@@ -65,6 +65,11 @@ def test_matmul(seed):
     b = rng.standard_normal((5, 2))
     loss = _proj(rng, (3, 2))
     _check(lambda x, y: loss(x @ y), [a, b], f"matmul seed={seed}")
+    # one output column takes the outer-product VJP path; one row the general one
+    col, row = rng.standard_normal((5, 1)), rng.standard_normal((1, 5))
+    l_col, l_row = _proj(rng, (3, 1)), _proj(rng, (1, 2))
+    _check(lambda x, y: l_col(x @ y), [a.copy(), col], f"matmul-col seed={seed}")
+    _check(lambda x, y: l_row(x @ y), [row, b.copy()], f"matmul-row seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -103,6 +108,37 @@ def test_reduce_sum_mean(seed):
     _check(lambda x: l1(T.reduce_sum(x, axis=1)), [a.copy()], f"sum seed={seed}")
     _check(lambda x: l2(T.reduce_mean(x, axis=0)), [a.copy()], f"mean seed={seed}")
     _check(lambda x: T.reduce_sum(x), [a.copy()], f"sum-all seed={seed}")
+    l3 = _proj(rng, (4,))
+    _check(lambda x: l3(T.reduce_mean(x, axis=(0, 2))), [a.copy()], f"mean-tuple seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slice_cols(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 7))
+    loss = _proj(rng, (3, 4))
+    _check(lambda x: loss(T.slice_cols(x, 2, 6)), [a], f"slice_cols seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("standard", [False, True])
+def test_lstm_cell(seed, standard):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, 4 * 5)) * 2.0
+    c = rng.standard_normal((3, 5))
+    loss = _proj(rng, (3, 2 * 5))
+    _check(lambda zz, cc: loss(T.lstm_cell(zz, cc, standard)), [z, c],
+           f"lstm_cell standard={standard} seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attention_context(seed):
+    rng = np.random.default_rng(seed)
+    alpha = rng.random((2, 5))
+    entries = rng.standard_normal((2, 5, 3))
+    loss = _proj(rng, (2, 3))
+    _check(lambda a, e: loss(T.attention_context(a, e)), [alpha, entries],
+           f"attention_context seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -184,6 +220,26 @@ def test_conv2d_strided(seed):
     loss = _proj(rng, (1, 3, 4, 4))
     _check(lambda xx, kk: loss(T.conv2d(xx, kk, stride=2, padding=1)),
            [x, k], f"conv2d-strided seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_constant_input_skips_dx(seed):
+    # an input that needs no gradient (the image) gets no dx, and the
+    # kernel and bias gradients are bit-equal to the full path's
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 6, 5))
+    k = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    g = rng.standard_normal((2, 4, 6, 5))
+    vjps = {}
+    for x_grad in (True, False):
+        out = T.conv2d(T.Tensor(x, requires_grad=x_grad), T.Tensor(k, requires_grad=True),
+                       T.Tensor(b, requires_grad=True), stride=1, padding=1)
+        vjps[x_grad] = out._op.backward_fn(g)
+    assert vjps[True][0].shape == x.shape
+    assert vjps[False][0] is None
+    assert np.array_equal(vjps[False][1], vjps[True][1])
+    assert np.array_equal(vjps[False][2], vjps[True][2])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

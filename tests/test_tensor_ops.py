@@ -75,6 +75,7 @@ def test_reductions_match_numpy():
     a = rng(10).normal(size=(3, 4, 5))
     assert np.allclose(T.reduce_sum(Tensor(a), axis=1).data, a.sum(axis=1))
     assert np.allclose(T.reduce_mean(Tensor(a), axis=2).data, a.mean(axis=2))
+    assert np.allclose(T.reduce_mean(Tensor(a), axis=(0, 2)).data, a.mean(axis=(0, 2)))
     assert np.allclose(T.reduce_sum(Tensor(a)).data, a.sum())
 
 

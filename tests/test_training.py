@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from img2latex import tensor as T
+from img2latex import training
 from img2latex.config import full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED, Vocabulary,
                             bucket_and_pad, build_vocab, load_dataset)
@@ -110,6 +111,35 @@ def test_empty_batch_rejected():
         mle_loss(model, np.zeros((0, 8, 8)), np.zeros((0, 3), dtype=int))
     with pytest.raises(TrainError, match="empty batch"):
         mle_loss(model, np.zeros((1, 8, 8)), np.zeros((1, 0), dtype=int))
+
+
+def test_f32_model_trains_in_float32(monkeypatch):
+    # masks and REINFORCE weights are built in the model dtype, so no
+    # float64 operand promotes the loss or any gradient
+    model = tiny_model(seed=2, dtype="f32")
+    images = np.random.default_rng(2).random((2, 1, 16, 24))
+    seq = np.array([[4, 5, END_ID, PAD_ID], [6, END_ID, PAD_ID, PAD_ID]])
+    loss, _ = mle_loss(model, images, seq, train=False)
+    assert loss.dtype == np.float32
+    model.zero_grad()
+    loss.backward()
+    for p in model.parameters():
+        assert p.grad.dtype == p.data.dtype == np.float32, p.name
+
+    seen = []
+    real_loss = training.reinforce_loss
+
+    def spy(nll, weights):
+        out = real_loss(nll, weights)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(training, "reinforce_loss", spy)
+    opt = Adam(model.parameters(), lr=1e-3)
+    reinforce_step(model, images, [[4, 5], [6]], opt, k=2, seed=0, step=1, max_len=6)
+    assert seen == [np.float32]
+    for p in model.parameters():
+        assert p.grad.dtype == p.data.dtype == np.float32, p.name
 
 
 # ---------------------------------------------------------------------
