@@ -16,11 +16,14 @@ u32 per dim, then the raw array payload.  Arrays round-trip bit-exactly
 because payloads are written in their native dtype.
 
 Files are written to a temp path and moved into place, so an interrupted
-save never clobbers the previous checkpoint.
+save never clobbers the previous checkpoint.  The reader checks every
+length field against the bytes left in the file and maps every decode
+failure to CheckpointError, so a corrupt file fails with one line.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -64,10 +67,13 @@ def _write_arrays(f, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes at offset {f.tell() - len(data)}")
-    return data
+    # a length field is checked against the bytes left before reading, so
+    # a corrupt one can neither ask for a huge allocation nor read short
+    at = f.tell()
+    left = os.fstat(f.fileno()).st_size - at
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes at offset {at}, {left} left")
+    return f.read(n)
 
 
 def _read_arrays(f) -> dict[str, np.ndarray]:
@@ -75,14 +81,21 @@ def _read_arrays(f) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", _read_exact(f, 2))
-        name = _read_exact(f, nlen).decode("utf-8")
+        at = f.tell()
+        try:
+            name = _read_exact(f, nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"array name at offset {at} is not UTF-8") from None
         code, ndim = struct.unpack("<BB", _read_exact(f, 2))
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"array '{name}' has unknown dtype code {code}")
         shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
         dtype = np.dtype(_CODE_DTYPES[code]).newbyteorder("<")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(_read_exact(f, n_bytes), dtype=dtype).reshape(shape)
+        payload = _read_exact(f, math.prod(shape) * dtype.itemsize)
+        try:
+            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except ValueError as exc:       # more dimensions than numpy supports
+            raise CheckpointError(f"array '{name}' has shape {shape}: {exc}") from None
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="))
     return arrays
 
@@ -121,7 +134,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version} "
                                   f"(this build reads version {VERSION})")
         (mlen,) = struct.unpack("<Q", _read_exact(f, 8))
-        meta = json.loads(_read_exact(f, mlen).decode("utf-8"))
+        raw = _read_exact(f, mlen)
+        try:
+            meta = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:       # UnicodeDecodeError or JSONDecodeError
+            raise CheckpointError(f"{path}: corrupt meta block: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: meta block is not a JSON object")
         params = _read_arrays(f)
         buffers = _read_arrays(f)
         (flag,) = struct.unpack("<B", _read_exact(f, 1))

@@ -320,7 +320,6 @@ def pad_image(image: np.ndarray, height: int, width: int) -> np.ndarray:
 class Batch:
     ids: list[str]
     images: np.ndarray            # (B, 1, H, W)
-    token_rows: list[list[str]]
     seq: np.ndarray | None = None  # (B, T) int ids: [tokens END PAD...]
 
     def __len__(self) -> int:
@@ -368,8 +367,7 @@ def bucket_and_pad(examples, buckets, batch_size: int = 16,
                     ids = vocab.encode(r)
                     seq[j, :len(ids)] = ids
                     seq[j, len(ids)] = END_ID
-            batches.append(Batch(ids=[ex.id for ex, _ in chunk], images=images,
-                                 token_rows=rows, seq=seq))
+            batches.append(Batch(ids=[ex.id for ex, _ in chunk], images=images, seq=seq))
     return batches, dropped
 
 

@@ -142,8 +142,10 @@ class Model:
     def load(cls, path):
         """Rebuild a model from a checkpoint; returns (model, checkpoint)."""
         ckpt = load_checkpoint(path)
-        cfg = ModelConfig(**ckpt.meta["config"])
-        model = cls(cfg, ckpt.meta["vocab"])
+        try:
+            model = cls(ModelConfig(**ckpt.meta["config"]), ckpt.meta["vocab"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: meta does not describe a model: {exc!r}") from None
         model.load_params(ckpt.params)
         for name, arr in ckpt.buffers.items():
             if name not in model.buffers:

@@ -202,17 +202,27 @@ def backward(loss: Tensor) -> None:
     records.sort(key=lambda r: r.seq)
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
+    # A tensor's first gradient may alias a VJP output (or a view of one),
+    # so it is never written to.  The second allocates a sum that backward
+    # owns; later ones are added into that buffer in place, in the same
+    # order, so the result is bit-equal to the out-of-place sum.
+    owned: dict[int, np.ndarray] = {}
     for rec in reversed(records):
         rec.consumed = True
         out_grad = rec.out.grad
+        owned.pop(id(rec.out), None)
         if out_grad is not None:
             grads = rec.backward_fn(out_grad)
             for inp, g in zip(rec.inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
-                # grads are never mutated in place, so aliasing upstream
-                # arrays or views is safe here
-                inp.grad = g if inp.grad is None else inp.grad + g
+                acc = inp.grad
+                if acc is None:
+                    inp.grad = g
+                elif owned.get(id(inp)) is acc and acc.dtype == g.dtype and acc.shape == g.shape:
+                    np.add(acc, g, out=acc)
+                else:
+                    inp.grad = owned[id(inp)] = acc + g
             rec.out.grad = None
         # Drop activations, closures and the record->tensor back edge the
         # moment the record is consumed.  The graph otherwise survives as
@@ -554,7 +564,15 @@ def _pair(v):
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
-    """2-D convolution over (B, C, H, W) with an (O, C, kh, kw) kernel."""
+    """2-D convolution over (B, C, H, W) with an (O, C, kh, kw) kernel.
+
+    im2col: the zero-padded input is unrolled into a (B, C, kh, kw, Ho, Wo)
+    column buffer, viewed as (B, C*kh*kw, Ho*Wo) and multiplied by the
+    (O, C*kh*kw) kernel matrix in one stacked matmul.  The product is
+    (B, O, Ho*Wo), so the output is C-contiguous NCHW with no transpose
+    copy, and every later op reads contiguous memory.  The backward pass
+    forms dcols the same way and scatters it back (col2im) in NCHW.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
     sh, sw = _pair(stride)
@@ -572,28 +590,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-    mat = cols.transpose(0, 4, 5, 1, 2, 3).reshape(B * Ho * Wo, C * kh * kw)
+    cols = cols.reshape(B, C * kh * kw, Ho * Wo)
     wmat = kernel.data.reshape(O, C * kh * kw)
-    y = mat @ wmat.T
+    y = np.matmul(wmat, cols)
     if bias is not None:
-        y += bias.data
-    out = Tensor(y.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2))
+        y += bias.data[:, None]
+    out = Tensor(y.reshape(B, O, Ho, Wo))
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
-        dk = (gm.T @ mat).reshape(O, C, kh, kw)
+        g3 = g.reshape(B, O, Ho * Wo)
+        dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, kh, kw)
         dx = None
         if x.requires_grad:
-            # col2im scattered channels-last, so each window add writes
-            # contiguous channel runs; every dx element still sums its
-            # windows in (i, j) order
-            dcols = (gm @ wmat).reshape(B, Ho, Wo, C, kh, kw)
-            dxp = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=x.dtype)
+            # col2im: every dx element sums its windows in (i, j) order
+            dcols = np.matmul(wmat.T, g3).reshape(B, C, kh, kw, Ho, Wo)
+            dxp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[..., i, j]
-            dx = dxp[:, ph:ph + H, pw:pw + W].transpose(0, 3, 1, 2)
+                    dxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[:, :, i, j]
+            dx = dxp[:, :, ph:ph + H, pw:pw + W]
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(0, 2, 3))
@@ -602,29 +618,45 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
 
 def maxpool2d(x: Tensor, kernel, stride=None) -> Tensor:
-    """Max pooling over (B, C, H, W); stride defaults to the kernel."""
+    """Max pooling over (B, C, H, W) with non-overlapping windows.
+
+    The stride must equal the kernel (its default); any other stride
+    raises ShapeError.  Sizes that the kernel does not divide are floored:
+    trailing rows and columns are dropped, and get a zero gradient.  The
+    forward pass takes np.maximum over the kh*kw strided sub-views of the
+    input, so no window is copied, and the output is C-contiguous NCHW.
+    The backward pass routes each window's gradient to its first maximal
+    element in (i, j) order, the tie-break of an argmax over the window.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: expects 4-D input, got {x.shape}")
     kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else (kh, kw))
+    if stride is not None and _pair(stride) != (kh, kw):
+        raise ShapeError(f"maxpool2d: stride {_pair(stride)} must equal the kernel ({kh}, {kw})")
     B, C, H, W = x.shape
-    Ho = (H - kh) // sh + 1
-    Wo = (W - kw) // sw + 1
+    Ho, Wo = H // kh, W // kw
     if Ho < 1 or Wo < 1:
-        raise ShapeError(f"maxpool2d: input {H}x{W} too small for k=({kh},{kw}) s=({sh},{sw})")
-    windows = np.empty((kh * kw, B, C, Ho, Wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            windows[i * kw + j] = x.data[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
-    arg = windows.argmax(axis=0)
-    out = Tensor(windows.max(axis=0))
+        raise ShapeError(f"maxpool2d: input {H}x{W} too small for k=({kh},{kw})")
+    xd = x.data
+    # (rows, cols) slices that pick offset (i, j) of every window from x
+    offsets = [(slice(i, kh * Ho, kh), slice(j, kw * Wo, kw))
+               for i in range(kh) for j in range(kw)]
+    rows, cols = offsets[0]
+    y = xd[:, :, rows, cols].copy()
+    for rows, cols in offsets[1:]:
+        np.maximum(y, xd[:, :, rows, cols], out=y)
+    out = Tensor(y)
 
     def bwd(g):
-        dx = np.zeros_like(x.data)
-        for i in range(kh):
-            for j in range(kw):
-                mask = arg == (i * kw + j)
-                dx[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += g * mask
+        dx = np.zeros_like(xd)
+        free = np.ones(y.shape, dtype=bool)     # window's max not yet taken
+        for rows, cols in offsets:
+            hit = (xd[:, :, rows, cols] == y) & free
+            np.multiply(g, hit, out=dx[:, :, rows, cols])
+            free ^= hit
+        # g * False is -0.0 where g < 0; adding +0.0 makes it +0.0, so dx
+        # is bit-equal to summing the routed gradients into zeros
+        dx += 0.0
         return (dx,)
 
     return _record("maxpool2d", out, (x,), bwd)

@@ -1,5 +1,6 @@
 """Binary checkpoint format: bit-exact round trips and corruption errors."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -90,3 +91,91 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
 def test_magic_is_stable():
     # freezing the on-disk layout: the header is part of the contract
     assert MAGIC == b"I2LCKPT\x00"
+
+
+def _full_checkpoint(path):
+    params = sample_params()
+    opt = {"step_count": 3,
+           "m": {k: np.zeros_like(a) for k, a in params.items()},
+           "v": {k: np.ones_like(a) for k, a in params.items()}}
+    save_checkpoint(path, {"step": 3, "config": {"d": 8}, "vocab": ["a", "b"]},
+                    params, {"enc.bn1.running_mean": np.linspace(0, 1, 4)}, opt)
+    return bytearray(open(path, "rb").read())
+
+
+def _first_dims_offset(blob):
+    """Byte offset of the first dimension field of the first parameter."""
+    (mlen,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
+    record = len(MAGIC) + 12 + mlen + 4
+    (nlen,) = struct.unpack_from("<H", blob, record)
+    return record + 2 + nlen + 2
+
+
+def _overflowing_dims(blob):
+    # (2**32 - 1)**2 elements: a product in int64 wraps to a negative length
+    struct.pack_into("<II", blob, _first_dims_offset(blob), 0xFFFFFFFF, 0xFFFFFFFF)
+
+
+def _huge_dim(blob):
+    struct.pack_into("<I", blob, _first_dims_offset(blob), 0xFFFFFFFF)
+
+
+def _bad_meta_byte(blob):
+    blob[len(MAGIC) + 12] = 0xFF                        # not UTF-8
+
+
+def _huge_meta_length(blob):
+    struct.pack_into("<Q", blob, len(MAGIC) + 4, 1 << 60)
+
+
+def _broken_meta_json(blob):
+    blob[len(MAGIC) + 12] = ord("[")
+
+
+def _meta_not_an_object(blob):
+    (mlen,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
+    blob[len(MAGIC) + 12:len(MAGIC) + 12 + mlen] = b" " * (mlen - 1) + b"7"
+
+
+@pytest.mark.parametrize("corrupt", [_overflowing_dims, _huge_dim, _bad_meta_byte,
+                                     _huge_meta_length, _broken_meta_json,
+                                     _meta_not_an_object])
+def test_corrupt_field_is_a_one_line_checkpoint_error(tmp_path, corrupt):
+    path = str(tmp_path / "m.ckpt")
+    blob = _full_checkpoint(path)
+    corrupt(blob)
+    with open(path, "wb") as f:
+        f.write(blob)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)
+
+
+def test_fuzzed_checkpoints_raise_only_checkpoint_error(tmp_path):
+    # seeded truncations and byte flips: a truncated file always fails, a
+    # flipped one loads (the damage hit a payload) or fails, and every
+    # failure is a one-line CheckpointError
+    blob = bytes(_full_checkpoint(str(tmp_path / "good.ckpt")))
+    rng = np.random.default_rng(20261018)
+    path = str(tmp_path / "bad.ckpt")
+
+    def load(case):
+        with open(path, "wb") as f:
+            f.write(case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert "\n" not in str(exc)
+            return False
+        return True
+
+    for n in rng.integers(0, len(blob), size=60):
+        assert not load(blob[:n])
+    for _ in range(400):
+        b = bytearray(blob)
+        for pos in rng.integers(0, len(b), size=rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                b[pos] ^= 1 << int(rng.integers(0, 8))
+            else:
+                b[pos] = int(rng.integers(0, 256))
+        load(bytes(b))

@@ -183,6 +183,33 @@ def test_version_1_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _overflow_first_dims(blob):
+    # both dimensions of the first parameter set to 2**32 - 1
+    (mlen,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
+    record = len(MAGIC) + 12 + mlen + 4
+    (nlen,) = struct.unpack_from("<H", blob, record)
+    struct.pack_into("<II", blob, record + 2 + nlen + 2, 0xFFFFFFFF, 0xFFFFFFFF)
+    return blob
+
+
+def _rename_meta_key(blob):
+    # still valid JSON, but the model config lacks a field
+    return blob.replace(b'"vocab_size"', b'"vocab_sizE"', 1)
+
+
+@pytest.mark.parametrize("corrupt,message", [(_overflow_first_dims, "truncated checkpoint"),
+                                             (_rename_meta_key, "does not describe a model")])
+def test_corrupted_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys, corrupt, message):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(corrupt(bytearray(open(ws["ckpt"], "rb").read()))))
+    rc = main(["predict", "--checkpoint", str(bad), "--manifest", ws["manifest"],
+               "--out", str(tmp_path / "o.tsv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------

@@ -148,6 +148,29 @@ def test_pgm_trailing_bytes_rejected(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+def test_fuzzed_pgm_raises_only_pgm_error(tmp_path, binary):
+    # seeded truncations and byte flips over a small image with a comment
+    path = str(tmp_path / "x.pgm")
+    img = np.random.default_rng(5).random((5, 7))
+    write_pgm(path, img, comments=("fuzz",), binary=binary)
+    blob = open(path, "rb").read()
+    rng = np.random.default_rng(20261018 + binary)
+    cases = [blob[:n] for n in rng.integers(0, len(blob), size=40)]
+    for _ in range(300):
+        b = bytearray(blob)
+        for pos in rng.integers(0, len(b), size=rng.integers(1, 4)):
+            b[pos] = int(rng.integers(0, 256))
+        cases.append(bytes(b))
+    for case in cases:
+        with open(path, "wb") as f:
+            f.write(case)
+        try:
+            read_pgm(path)
+        except PgmError as exc:
+            assert "\n" not in str(exc)
+
+
 def test_pgm_write_is_deterministic(tmp_path):
     img = np.random.default_rng(0).random((5, 9))
     a, b = str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")

@@ -252,6 +252,11 @@ def test_maxpool2d(seed):
     _check(lambda xx: loss(T.maxpool2d(xx, 2, 2)), [x], f"maxpool seed={seed}")
     loss2 = _proj(rng, (2, 2, 6, 4))
     _check(lambda xx: loss2(T.maxpool2d(xx, (1, 2))), [x.copy()], f"maxpool-1x2 seed={seed}")
+    # an odd size is floored: the last row and column get a zero gradient
+    n = 2 * 2 * 7 * 9
+    odd = (rng.permutation(n).astype(np.float64) / n).reshape(2, 2, 7, 9)
+    loss3 = _proj(rng, (2, 2, 3, 4))
+    _check(lambda xx: loss3(T.maxpool2d(xx, 2, 2)), [odd], f"maxpool-7x9 seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -170,6 +170,7 @@ def test_conv2d_matches_loop_reference(stride, padding):
     b = rng(19).normal(size=(4,))
     got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
     assert np.allclose(got.data, conv2d_loops(x, k, b, stride, padding), atol=1e-12)
+    assert got.data.flags.c_contiguous
 
 
 def test_conv2d_channel_mismatch():
@@ -191,11 +192,31 @@ def maxpool_loops(x, kh, kw, sh, sw):
 @pytest.mark.parametrize("kernel,stride", [((2, 2), None), ((2, 1), (2, 1)),
                                            ((1, 2), (1, 2))])
 def test_maxpool2d_matches_loop_reference(kernel, stride):
-    x = rng(20).normal(size=(2, 3, 6, 8))
-    got = T.maxpool2d(Tensor(x), kernel, stride)
     kh, kw = kernel
     sh, sw = stride if stride else kernel
-    assert np.array_equal(got.data, maxpool_loops(x, kh, kw, sh, sw))
+    for shape in ((2, 3, 6, 8), (2, 3, 7, 9)):     # 7x9: floored, not padded
+        x = rng(20).normal(size=shape)
+        got = T.maxpool2d(Tensor(x), kernel, stride)
+        assert np.array_equal(got.data, maxpool_loops(x, kh, kw, sh, sw))
+        assert got.data.flags.c_contiguous
+
+
+def test_maxpool2d_ties_route_gradient_to_first_max():
+    # the left window is all zero, as after a ReLU; the right one has two
+    # equal maxima, at (0, 1) and (1, 0).  Each window's gradient goes to
+    # its first maximal element in (i, j) order.
+    x = np.array([[[[0.0, 0.0, 1.0, 3.0],
+                    [0.0, 0.0, 3.0, 2.0]]]])
+    out = T.maxpool2d(Tensor(x, requires_grad=True), 2)
+    (dx,) = out._op.backward_fn(np.array([[[[5.0, 7.0]]]]))
+    assert np.array_equal(out.data, [[[[0.0, 3.0]]]])
+    assert np.array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0],
+                                 [0.0, 0.0, 0.0, 0.0]]]])
+
+
+def test_maxpool2d_stride_must_equal_kernel():
+    with pytest.raises(ShapeError, match="stride"):
+        T.maxpool2d(Tensor(np.ones((1, 1, 4, 4))), 2, 1)
 
 
 def test_batchnorm2d_train_normalizes_batch():
@@ -255,6 +276,27 @@ def test_grad_accumulates_across_uses():
     assert np.allclose(w.grad, [5.0])
 
 
+def test_reused_gradient_sum_is_bit_equal_and_leaves_vjp_outputs_alone():
+    # x feeds four ops.  Backward visits them latest first, so x.grad must
+    # be ((g_add + g2) + g1) + g0, bit for bit.  add hands one array to
+    # both x and y; summing into x.grad must not change y.grad.
+    r = rng(7)
+    x = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+    c = [r.normal(size=(3, 4)) for _ in range(3)]
+    w = [r.normal(size=(3, 4)) for _ in range(4)]
+    terms = [x * Tensor(ck) for ck in c] + [x + y]
+    loss = T.reduce_sum(terms[0] * Tensor(w[0]))
+    for t, wk in zip(terms[1:], w[1:]):
+        loss = loss + T.reduce_sum(t * Tensor(wk))
+    loss.backward()
+    expected = w[3] + w[2] * c[2]
+    expected = expected + w[1] * c[1]
+    expected = expected + w[0] * c[0]
+    assert x.grad.tobytes() == expected.tobytes()
+    assert y.grad.tobytes() == w[3].tobytes()
+
+
 def test_no_grad_blocks_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
@@ -277,6 +319,14 @@ def test_float32_flows_through_ops():
     assert y.dtype == np.float32
     y.backward()
     assert x.grad.dtype == np.float32
+    img = Tensor(np.ones((1, 2, 4, 5), dtype=np.float32), requires_grad=True)
+    k = Tensor(np.ones((3, 2, 3, 3), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    conv = T.conv2d(img, k, b, padding=1)
+    pooled = T.maxpool2d(conv, 2)
+    assert conv.dtype == pooled.dtype == np.float32
+    T.reduce_sum(pooled).backward()
+    assert img.grad.dtype == k.grad.dtype == b.grad.dtype == np.float32
 
 
 def test_parameter_wraps_tensor():
