@@ -42,14 +42,21 @@ def _load_model(path: str) -> Model:
     return model
 
 
-def _prepare_image(image: np.ndarray, buckets) -> np.ndarray:
+def _prepare_image(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
     """Pad an input like training would: to its bucket when a bucket file
-    is given, else to the next multiple of 8."""
+    is given, else to the next multiple of 8.  The flag is True when a
+    bucket file was given but no bucket fits, so the image fell back to
+    the multiple-of-8 padding."""
     if buckets:
         fit = assign_bucket(image.shape[0], image.shape[1], buckets)
         if fit is not None:
-            return pad_image(image, fit[1], fit[0])
-    return pad_to_multiple(image)
+            return pad_image(image, fit[1], fit[0]), False
+    return pad_to_multiple(image), bool(buckets)
+
+
+def _decode_summary(cut_off: int, misfits: int) -> str:
+    return (f"{cut_off} stopped at --max-len, "
+            f"{misfits} fit no bucket and were padded to a multiple of 8")
 
 
 def _decode_one(model, image, args):
@@ -116,14 +123,19 @@ def cmd_predict(args) -> int:
     buckets = _read_buckets(args.buckets)
     examples = load_dataset(args.manifest)
     lines = []
+    cut_off = misfits = 0
     for ex in examples:
-        res = _decode_one(model, _prepare_image(ex.image, buckets), args)
+        image, misfit = _prepare_image(ex.image, buckets)
+        res = _decode_one(model, image, args)
+        cut_off += not res.finished
+        misfits += misfit
         toks = " ".join(model.vocab[i] for i in res.tokens)
         score = res.normalized_score if args.length_normalize else res.score
         lines.append(f"{ex.id}\t{toks}\t{score:.6f}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    print(f"predicted {len(lines)} sequences -> {args.out}")
+    print(f"predicted {len(lines)} sequences -> {args.out} "
+          f"({_decode_summary(cut_off, misfits)})")
     return EXIT_OK
 
 
@@ -144,8 +156,12 @@ def cmd_evaluate(args) -> int:
     examples = load_dataset(args.manifest)
     rows = []
     cands, refs = [], []
+    cut_off = misfits = 0
     for ex in examples:
-        res = _decode_one(model, _prepare_image(ex.image, buckets), args)
+        image, misfit = _prepare_image(ex.image, buckets)
+        res = _decode_one(model, image, args)
+        cut_off += not res.finished
+        misfits += misfit
         cand = [model.vocab[i] for i in res.tokens]
         report = evaluate_pair(cand, ex.tokens, _render(cand), ex.image,
                                threshold=args.threshold)
@@ -164,7 +180,8 @@ def cmd_evaluate(args) -> int:
         body.append("ALL\t" + "\t".join(f"{v:.6f}" for v in agg))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + "\n".join(body) + ("\n" if body else ""))
-    print(f"evaluated {len(rows)} examples -> {args.out}")
+    print(f"evaluated {len(rows)} examples -> {args.out} "
+          f"({_decode_summary(cut_off, misfits)})")
     return EXIT_OK
 
 
@@ -188,7 +205,7 @@ def _write_heatmap(path, alpha: np.ndarray, h_prime: int, w_prime: int) -> None:
 def cmd_inspect(args) -> int:
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
-    image = _prepare_image(read_pgm(args.image), buckets)
+    image, _ = _prepare_image(read_pgm(args.image), buckets)
     os.makedirs(args.out, exist_ok=True)
     res = greedy_decode(model, image, max_len=args.max_len)
     bank = model.encode(image[None, None, :, :], train=False)

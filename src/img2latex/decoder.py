@@ -131,6 +131,21 @@ class Decoder:
                              dtype=self.config.np_dtype()))
         return DecoderState(h=hs, c=cs, o_prev=o0)
 
+    def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
+        """Bank and state cut to batch rows `rows` (distinct, in that order).
+
+        Every per-row tensor is gathered with T.take_rows, including the
+        cached key projection, so gradients still reach the dropped rows'
+        earlier steps.
+        """
+        proj = None if bank.proj is None else T.take_rows(bank.proj, rows)
+        bank = MemoryBank(entries=T.take_rows(bank.entries, rows), h_prime=bank.h_prime,
+                          w_prime=bank.w_prime, proj=proj)
+        state = DecoderState(h=[T.take_rows(h, rows) for h in state.h],
+                             c=[T.take_rows(c, rows) for c in state.c],
+                             o_prev=T.take_rows(state.o_prev, rows))
+        return bank, state
+
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
         z = (T.concat([x, h], axis=1) @ self._p(f"dec.lstm{layer}.w")
              + self._p(f"dec.lstm{layer}.b"))

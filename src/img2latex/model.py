@@ -103,6 +103,10 @@ class Model:
     def step(self, bank, state, tokens, train: bool = False, rng=None):
         return self.decoder.step(bank, state, tokens, train=train, rng=rng)
 
+    def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
+        """(bank, state) restricted to batch rows `rows`; see Decoder.keep_rows."""
+        return self.decoder.keep_rows(bank, state, rows)
+
     # -- single-image decode protocol ------------------------------------
     def decode_start(self, image: np.ndarray) -> DecodeState:
         """Encode one (H, W) image and return the initial decode state."""

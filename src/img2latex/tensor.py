@@ -362,6 +362,30 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
     return _record("repeat_rows", out, (a,), bwd)
 
 
+def take_rows(a: Tensor, rows) -> Tensor:
+    """Rows `rows` of axis 0, in the order given; the indices must be distinct.
+
+    Because no row is taken twice, the VJP scatters g into zeros of the
+    input's shape with one assignment and needs no accumulation; rows not
+    taken get a zero gradient.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if a.ndim == 0 or rows.ndim != 1 or (
+            rows.size and (rows.min() < 0 or rows.max() >= a.shape[0])):
+        raise ShapeError(f"take_rows: rows must be 1-D indices into axis 0 of {a.shape}")
+    if np.unique(rows).size != rows.size:
+        raise ShapeError("take_rows: rows must be distinct")
+    out = Tensor(a.data[rows])
+    in_shape = a.shape
+
+    def bwd(g):
+        da = np.zeros(in_shape, dtype=g.dtype)
+        da[rows] = g
+        return (da,)
+
+    return _record("take_rows", out, (a,), bwd)
+
+
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     """Columns [start, stop) of a 2-D tensor; backward zero-pads the rest."""
     if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:

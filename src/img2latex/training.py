@@ -46,32 +46,42 @@ class DivergenceError(TrainError):
 # token-level objective
 # ---------------------------------------------------------------------
 
+def _teacher_forced(model: Model, images: np.ndarray, seq: np.ndarray,
+                    train: bool, rng: np.random.Generator | None = None):
+    """Yield (logits, targets, mask) for every step of a teacher-forced pass.
+
+    seq is (B, T) int ids laid out as [tokens..., END, PAD...]; the
+    decoder input at step t is the ground-truth token at t-1 (START at
+    t=0), targets is seq[:, t] and mask marks its non-PAD rows.
+    """
+    b = seq.shape[0]
+    bank = model.encode(images, train=train)
+    state = model.init_state(bank)
+    inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
+    for t in range(seq.shape[1]):
+        out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
+        state = out.state
+        yield out.logits, seq[:, t], seq[:, t] != PAD_ID
+
+
 def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
              train: bool = True, rng: np.random.Generator | None = None):
     """Teacher-forced cross entropy.
 
-    seq is (B, T) int ids laid out as [tokens..., END, PAD...]; the
-    decoder input at step t is the ground-truth token at t-1 (START at
-    t=0).  Returns (loss Tensor, token count); the loss is the batch
-    mean of per-sequence summed cross entropy, PAD steps excluded.
+    seq is laid out as in `_teacher_forced`.  Returns (loss Tensor, token
+    count); the loss is the batch mean of per-sequence summed cross
+    entropy, PAD steps excluded.
     """
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
-    b, t_max = seq.shape
-    bank = model.encode(images, train=train)
-    state = model.init_state(bank)
-    inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
     total = None
     n_tokens = 0
-    for t in range(t_max):
-        mask = seq[:, t] != PAD_ID
-        out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
-        state = out.state
-        ce = T.cross_entropy(out.logits, seq[:, t])
+    for logits, targets, mask in _teacher_forced(model, images, seq, train, rng):
+        ce = T.cross_entropy(logits, targets)
         step_loss = (ce * Tensor(mask.astype(ce.dtype))).sum()
         total = step_loss if total is None else total + step_loss
         n_tokens += int(mask.sum())
-    return total * (1.0 / b), n_tokens
+    return total * (1.0 / seq.shape[0]), n_tokens
 
 
 # ---------------------------------------------------------------------
@@ -80,13 +90,17 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
 
 @dataclass
 class InputFeedAudit:
-    """Verifies the sampled-feedback contract: input(t) == sample(t-1)."""
+    """Verifies the sampled-feedback contract: input(t) == sample(t-1).
+
+    `check` counts one checked step per row it is given, and one
+    violation per row whose fed token differs from the expected one.
+    """
     steps_checked: int = 0
     violations: int = 0
 
-    def check(self, fed: np.ndarray, expected: np.ndarray, active: np.ndarray) -> None:
-        self.steps_checked += int(active.sum())
-        self.violations += int((fed[active] != expected[active]).sum())
+    def check(self, fed: np.ndarray, expected: np.ndarray) -> None:
+        self.steps_checked += int(fed.size)
+        self.violations += int((fed != expected).sum())
 
 
 @dataclass
@@ -109,39 +123,72 @@ def _sample_rollout(model: Model, bank, max_len: int, rngs,
     """Batched multinomial rollout in eval mode (gradients still flow).
 
     Returns (tokens (B, T) with PAD after END, nll Tensor (B,), finished
-    mask).  The negative log-likelihood sums the log-prob of every
-    sampled token including END.
+    mask), where T is the number of steps run.  The negative
+    log-likelihood sums the log-prob of every sampled token including
+    END; all three are in the original row order.
+
+    A row leaves the batch on the step it samples END.  On a step where
+    some rows but not all finish, the decoder state and the memory bank
+    (with its cached key projection) are cut to the rows still running
+    by `model.keep_rows`, and the running nll by `T.take_rows`, so later
+    steps and their backward pass cost only the live rows; steps where
+    no row finishes gather nothing.  `rows` maps each running row to its
+    original row, and original row i always draws from rngs[i], so every
+    live row sees the same sequence of draws as in a rollout that steps
+    all B rows to the end.  nll is built once at the end: the parts of
+    the rows that left, concatenated, then put back in row order.
+
+    Numerics: a batched matmul's bits for one row depend on how many
+    rows share the call, so nll and the gradients through it can differ
+    in their last bits from an all-rows rollout; tokens and rewards
+    differ only when a draw lands within rounding of a bucket boundary
+    of the cumulative distribution.  The rollout is a pure function of
+    its inputs, so reruns and resumed runs stay byte-identical.
+
+    With an audit, every token fed to model.step after the first step is
+    checked, for each running row, against that row's token one step
+    earlier in the returned matrix.
     """
     b = bank.entries.shape[0]
     state = model.init_state(bank)
+    rows = np.arange(b)                     # original row of each running row
     last = np.full(b, START_ID, dtype=np.int64)
-    prev_sampled = None
+    tokens = np.full((b, max_len), PAD_ID, dtype=np.int64)
     finished = np.zeros(b, dtype=bool)
-    nll_total = None
-    columns = []
-    for _ in range(max_len):
-        if audit is not None and prev_sampled is not None:
-            audit.check(last, prev_sampled, active=~finished)
+    feeds = []                              # (rows, fed tokens) per step
+    left_nll, left_rows = [], []            # per-row nll of rows that finished
+    nll = None
+    for t in range(max_len):
+        feeds.append((rows, last))
         out = model.step(bank, state, last, train=False)
         state = out.state
         z = out.logits.data.astype(np.float64)
         z = z - z.max(axis=1, keepdims=True)
         probs = np.exp(z)
         probs /= probs.sum(axis=1, keepdims=True)
-        sampled = _multinomial_rows(probs, rngs)
-        sampled[finished] = PAD_ID
-        active = ~finished
+        sampled = _multinomial_rows(probs, [rngs[i] for i in rows])
         ce = T.cross_entropy(out.logits, sampled)
-        step_nll = ce * Tensor(active.astype(ce.dtype))
-        nll_total = step_nll if nll_total is None else nll_total + step_nll
-        columns.append(sampled.copy())
-        finished = finished | (sampled == END_ID)
-        prev_sampled = sampled
-        last = sampled
-        if finished.all():
+        nll = ce if nll is None else nll + ce
+        tokens[rows, t] = sampled
+        ended = sampled == END_ID
+        finished[rows[ended]] = True
+        if ended.all():
             break
-    tokens = np.stack(columns, axis=1)
-    return tokens, nll_total, finished
+        if ended.any():
+            keep = np.flatnonzero(~ended)
+            left_nll.append(T.take_rows(nll, np.flatnonzero(ended)))
+            left_rows.append(rows[ended])
+            nll = T.take_rows(nll, keep)
+            bank, state = model.keep_rows(bank, state, keep)
+            rows, sampled = rows[keep], sampled[keep]
+        last = sampled
+    tokens = tokens[:, :len(feeds)]
+    order = np.concatenate(left_rows + [rows])
+    nll = T.take_rows(T.concat(left_nll + [nll]), np.argsort(order))
+    if audit is not None:
+        for t, (fed_rows, fed) in enumerate(feeds[1:], start=1):
+            audit.check(fed, tokens[fed_rows, t - 1])
+    return tokens, nll, finished
 
 
 def strip_sentinels(row) -> list[int]:
@@ -248,18 +295,10 @@ def token_accuracy(model: Model, batches) -> float:
     total = 0
     with T.no_grad():
         for batch in batches:
-            seq = batch.seq
-            b = seq.shape[0]
-            bank = model.encode(batch.images, train=False)
-            state = model.init_state(bank)
-            inputs = np.concatenate(
-                [np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
-            for t in range(seq.shape[1]):
-                mask = seq[:, t] != PAD_ID
-                out = model.step(bank, state, inputs[:, t], train=False)
-                state = out.state
-                pred = out.logits.data.argmax(axis=1)
-                correct += int((pred[mask] == seq[mask, t]).sum())
+            for logits, targets, mask in _teacher_forced(model, batch.images, batch.seq,
+                                                         train=False):
+                pred = logits.data.argmax(axis=1)
+                correct += int((pred[mask] == targets[mask]).sum())
                 total += int(mask.sum())
     return correct / total if total else 0.0
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from img2latex.checkpoint import MAGIC, CheckpointError
-from img2latex.cli import build_parser, main
+from img2latex.cli import _prepare_image, build_parser, main
 from img2latex.config import SCHEMA, desk_defaults, full_defaults, load_config
-from img2latex.data import read_pgm_raw
+from img2latex.data import load_buckets, load_dataset, read_pgm_raw
+from img2latex.decoding import greedy_decode
 from img2latex.metrics import MetricReport
 from img2latex.model import Model
 
@@ -152,6 +153,19 @@ def test_predict_beam_one_file_equals_greedy_file(ws, tmp_path):
     assert g.read_bytes() == b.read_bytes()
 
 
+def test_predict_summary_counts_decodes_stopped_at_max_len(ws, tmp_path, capsys):
+    model, _ = Model.load(ws["ckpt"])
+    buckets = load_buckets(ws["buckets"])
+    images = [_prepare_image(ex.image, buckets)[0] for ex in load_dataset(ws["manifest"])]
+    counts = []
+    for max_len in ("1", "8"):
+        expected = sum(not greedy_decode(model, im, int(max_len)).finished for im in images)
+        assert predict(ws, tmp_path / "p.tsv", "--greedy", "--max-len", max_len) == 0
+        assert f"({expected} stopped at --max-len, 0 fit no bucket" in capsys.readouterr().out
+        counts.append(expected)
+    assert counts[0] > 0
+
+
 def test_predict_missing_checkpoint_is_a_usage_error(ws, tmp_path, capsys):
     rc = main(["predict", "--checkpoint", str(tmp_path / "no.ckpt"),
                "--manifest", ws["manifest"], "--out", str(tmp_path / "o")])
@@ -226,6 +240,22 @@ def test_evaluate_reports_per_example_and_aggregate_rows(ws, tmp_path):
     assert lines[-1].startswith("ALL\t")
     for cell in lines[-1].split("\t")[1:]:
         assert 0.0 <= float(cell) <= 1.0
+
+
+def test_evaluate_summary_counts_images_that_fit_no_bucket(ws, tmp_path, capsys):
+    small = tmp_path / "small.txt"
+    small.write_text("8 8\n")
+    outs = []
+    for extra in (["--buckets", str(small)], []):
+        out = tmp_path / f"eval{len(extra)}.tsv"
+        assert main(["evaluate", "--checkpoint", ws["ckpt"], "--manifest", ws["manifest"],
+                     "--out", str(out), "--greedy", "--max-len", "8", *extra]) == 0
+        outs.append((out.read_bytes(), capsys.readouterr().out))
+    # no image fits 8x8, so all six fall back to the padding used when no
+    # bucket file is given, and only the bucket-file run counts them
+    assert "6 fit no bucket" in outs[0][1]
+    assert "0 fit no bucket" in outs[1][1]
+    assert outs[0][0] == outs[1][0]
 
 
 def test_evaluate_bad_threshold_is_a_usage_error(ws, tmp_path, capsys):

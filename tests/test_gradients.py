@@ -100,6 +100,18 @@ def test_repeat_rows(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_take_rows(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 3, 2))
+    rows = rng.permutation(6)[:4]          # distinct, unsorted, two rows dropped
+    loss = _proj(rng, (4, 3, 2))
+    _check(lambda x: loss(T.take_rows(x, rows)), [a], f"take_rows seed={seed}")
+    b = rng.standard_normal((5,))
+    loss1 = _proj(rng, (2,))
+    _check(lambda x: loss1(T.take_rows(x, [4, 1])), [b], f"take_rows 1-D seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_reduce_sum_mean(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 4, 2))

@@ -71,6 +71,24 @@ def test_repeat_rows_tiles_each_row():
     assert np.array_equal(out.data, np.repeat(a, 3, axis=0))
 
 
+def test_take_rows_gathers_and_scatters_back():
+    a = rng(11).normal(size=(5, 2, 3))
+    x = Tensor(a, requires_grad=True)
+    out = T.take_rows(x, [3, 0, 4])
+    assert np.array_equal(out.data, a[[3, 0, 4]])
+    T.reduce_sum(out * Tensor(np.arange(18.0).reshape(3, 2, 3))).backward()
+    expect = np.zeros_like(a)
+    expect[[3, 0, 4]] = np.arange(18.0).reshape(3, 2, 3)
+    assert np.array_equal(x.grad, expect)
+    assert T.take_rows(x, []).shape == (0, 2, 3)
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [5], [-1], [[0, 1]]])
+def test_take_rows_rejects_repeated_or_bad_indices(rows):
+    with pytest.raises(ShapeError, match="take_rows"):
+        T.take_rows(Tensor(np.zeros((5, 2))), rows)
+
+
 def test_reductions_match_numpy():
     a = rng(10).normal(size=(3, 4, 5))
     assert np.allclose(T.reduce_sum(Tensor(a), axis=1).data, a.sum(axis=1))
@@ -327,6 +345,11 @@ def test_float32_flows_through_ops():
     assert conv.dtype == pooled.dtype == np.float32
     T.reduce_sum(pooled).backward()
     assert img.grad.dtype == k.grad.dtype == b.grad.dtype == np.float32
+    rows = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+    taken = T.take_rows(rows, [2, 0])
+    assert taken.dtype == np.float32
+    T.reduce_sum(taken).backward()
+    assert rows.grad.dtype == np.float32
 
 
 def test_parameter_wraps_tensor():

@@ -165,6 +165,9 @@ class ChainModel:
     def init_state(self, bank):
         return None
 
+    def keep_rows(self, bank, state, rows):
+        return bank, state
+
     def step(self, bank, state, tokens, train=False, rng=None):
         logits = np.stack([self._row(t) for t in np.asarray(tokens)])
         return StepOutput(logits=Tensor(logits),
@@ -239,6 +242,166 @@ def test_sampled_rollout_feeds_back_its_own_samples():
                         rng=np.random.default_rng(seed), audit=audit)
     assert audit.steps_checked > 0
     assert audit.violations == 0
+
+
+def full_batch_rollout(model, bank, max_len, rngs):
+    """The rollout before finished rows left the batch: all B rows step
+    until the last one samples END, and a finished row's nll is masked."""
+    b = bank.entries.shape[0]
+    state = model.init_state(bank)
+    last = np.full(b, START_ID, dtype=np.int64)
+    finished = np.zeros(b, dtype=bool)
+    nll_total = None
+    columns = []
+    for _ in range(max_len):
+        out = model.step(bank, state, last, train=False)
+        state = out.state
+        z = out.logits.data.astype(np.float64)
+        z = z - z.max(axis=1, keepdims=True)
+        probs = np.exp(z)
+        probs /= probs.sum(axis=1, keepdims=True)
+        sampled = training._multinomial_rows(probs, rngs)
+        sampled[finished] = PAD_ID
+        active = ~finished
+        ce = T.cross_entropy(out.logits, sampled)
+        step_nll = ce * Tensor(active.astype(ce.dtype))
+        nll_total = step_nll if nll_total is None else nll_total + step_nll
+        columns.append(sampled.copy())
+        finished = finished | (sampled == END_ID)
+        last = sampled
+        if finished.all():
+            break
+    return np.stack(columns, axis=1), nll_total, finished
+
+
+class FixedDraws:
+    """Stands in for a row's generator: every draw returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def rollout_case(name):
+    """(model, images, repeats, max_len, rngs factory) for one case."""
+    model = tiny_model(seed=7)
+    images = np.random.default_rng(7).random((3, 1, 16, 24))
+    if name == "mixed":
+        # rows finish at different steps; the last row never draws END
+        # (u ~ 1 picks the last token id) and is cut off at max_len
+        def rngs():
+            return [np.random.default_rng((7, i)) for i in range(5)] + [FixedDraws(1 - 1e-12)]
+        return model, images, 2, 12, rngs
+    if name == "all-end-at-step-1":
+        # near-uniform logits put END (id 3 of 8) on u in (3/8, 4/8]
+        model.params["dec.w4"].data *= 1e-3
+        return model, images, 2, 12, lambda: [FixedDraws(0.45)] * 6
+    assert name == "single-row"
+    return model, images[:1], 1, 20, lambda: [np.random.default_rng((8, 0))]
+
+
+@pytest.mark.parametrize("name", ["mixed", "all-end-at-step-1", "single-row"])
+def test_compacting_rollout_matches_the_full_batch_rollout(name):
+    model, images, repeats, max_len, make_rngs = rollout_case(name)
+    weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
+    results = []
+    for rollout in (_sample_rollout, full_batch_rollout):
+        bank = model.encode(images, train=False)
+        tiled = MemoryBank(entries=T.repeat_rows(bank.entries, repeats),
+                           h_prime=bank.h_prime, w_prime=bank.w_prime)
+        tokens, nll, finished = rollout(model, tiled, max_len, make_rngs())
+        model.zero_grad()
+        training.reinforce_loss(nll, weights).backward()
+        grads = {p.name: p.grad.copy() for p in model.parameters()}
+        results.append((tokens, nll.data.copy(), finished, grads))
+    (tok, nll, fin, grads), (ref_tok, ref_nll, ref_fin, ref_grads) = results
+    assert np.array_equal(tok, ref_tok)
+    assert np.array_equal(fin, ref_fin)
+    assert np.all(np.abs(nll - ref_nll) <= 1e-10 * np.abs(ref_nll))
+    for pname, ref in ref_grads.items():
+        scale = np.abs(ref).max()
+        assert np.abs(grads[pname] - ref).max() <= 1e-9 * scale, pname
+    lengths = (ref_tok != PAD_ID).sum(axis=1)
+    if name == "mixed":
+        assert len(set(lengths[ref_fin])) >= 2 and not ref_fin[-1]
+        assert lengths[-1] == max_len
+    if name == "all-end-at-step-1":
+        assert tok.shape[1] == 1 and fin.all()
+
+
+class RowTaggedModel:
+    """Double whose bank row r holds the value r, so every step records
+    which original rows it ran.  Row r samples content id 4 + r % 4 for
+    r steps, then END; rows r >= max_len are cut off."""
+
+    V = 8
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = []                 # (original rows, fed tokens) per step
+
+    def encode(self, images, train=False):
+        ids = np.arange(self.n, dtype=np.float64)[:, None, None]
+        return MemoryBank(entries=Tensor(ids), h_prime=1, w_prime=1)
+
+    def init_state(self, bank):
+        return 0
+
+    def keep_rows(self, bank, state, rows):
+        return MemoryBank(entries=T.take_rows(bank.entries, rows), h_prime=1, w_prime=1), state
+
+    def step(self, bank, state, tokens, train=False, rng=None):
+        rows = bank.entries.data[:, 0, 0].astype(int)
+        self.calls.append((rows, np.array(tokens)))
+        logits = np.zeros((len(rows), self.V))
+        logits[np.arange(len(rows)), 4 + rows % 4] = np.where(rows > state, 50.0, 0.0)
+        logits[:, END_ID] = np.where(rows > state, 0.0, 50.0)
+        return StepOutput(logits=Tensor(logits), alpha=Tensor(np.ones((len(rows), 1))),
+                          state=state + 1)
+
+
+def test_finished_rows_are_never_fed_again():
+    model = RowTaggedModel(5)
+    bank = model.encode(None)
+    rngs = [np.random.default_rng((5, i)) for i in range(5)]
+    audit = InputFeedAudit()
+    tokens, nll, finished = _sample_rollout(model, bank, 4, rngs, audit)
+    # row r runs steps 0..r (END at step r); row 4 is cut off after 4 steps
+    assert [list(rows) for rows, _ in model.calls] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
+                                                       [2, 3, 4], [3, 4]]
+    assert [list(fed) for _, fed in model.calls] == [[START_ID] * 5, [5, 6, 7, 4],
+                                                     [6, 7, 4], [7, 4]]
+    assert list(finished) == [True, True, True, True, False]
+    assert tokens.tolist() == [[END_ID, PAD_ID, PAD_ID, PAD_ID],
+                               [5, END_ID, PAD_ID, PAD_ID],
+                               [6, 6, END_ID, PAD_ID],
+                               [7, 7, 7, END_ID],
+                               [4, 4, 4, 4]]
+    assert nll.shape == (5,) and np.all(nll.data < 1e-15)
+    # one audited count per running row per step after the first
+    assert audit.steps_checked == 4 + 3 + 2 and audit.violations == 0
+
+
+class MisfeedModel(RowTaggedModel):
+    """Feeds itself the running rows' tokens in reverse order, as a row
+    mix-up after compaction would."""
+
+    def step(self, bank, state, tokens, train=False, rng=None):
+        tokens[:] = tokens[::-1].copy()
+        return super().step(bank, state, tokens, train, rng)
+
+
+def test_misaligned_feed_is_counted_as_a_violation():
+    model = MisfeedModel(5)
+    audit = InputFeedAudit()
+    rngs = [np.random.default_rng((5, i)) for i in range(5)]
+    _sample_rollout(model, model.encode(None), 4, rngs, audit)
+    # reversed feeds [4, 7, 6, 5], [4, 7, 6] and [4, 7]: only the middle
+    # row of step 2 matches its own previous token
+    assert audit.steps_checked == 9
+    assert audit.violations == 8
 
 
 # ---------------------------------------------------------------------
