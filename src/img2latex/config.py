@@ -7,7 +7,10 @@ typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -16,44 +19,89 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class KeySpec:
-    """One config key: python type, full-scale and desk defaults, help."""
+    """One config key: python type, full-scale and desk defaults, help,
+    and the rule a value must meet (`valid`, described by `rule`)."""
 
     type: type
     full: object
     desk: object
     help: str
+    valid: Callable[[object], bool] = lambda value: True
+    rule: str = ""
+
+
+_AT_LEAST_1 = {"valid": lambda v: v >= 1, "rule": "at least 1"}
+_POSITIVE = {"valid": lambda v: v > 0.0, "rule": "positive"}
 
 
 SCHEMA: dict[str, KeySpec] = {
-    "seed": KeySpec(int, 0, 0, "master seed; every RNG stream derives from it"),
-    "dtype": KeySpec(str, "f64", "f32", "parameter/activation precision: f64 or f32"),
-    "d": KeySpec(int, 512, 64, "encoder feature and memory dimension (multiple of 8)"),
-    "d_emb": KeySpec(int, 32, 16, "token embedding size"),
-    "hidden": KeySpec(int, 512, 64, "LSTM hidden size per decoder layer"),
-    "attn_dim": KeySpec(int, 512, 64, "attention projection width"),
-    "out_dim": KeySpec(int, 512, 64, "output head width, fed back to the next step"),
-    "dropout": KeySpec(float, 0.4, 0.0, "dropout rate in the decoder"),
+    "seed": KeySpec(int, 0, 0, "master seed; every RNG stream derives from it",
+                    lambda v: v >= 0, "at least 0"),
+    "dtype": KeySpec(str, "f64", "f32", "parameter/activation precision: f64 or f32",
+                     lambda v: v in ("f32", "f64"), "f32 or f64"),
+    "d": KeySpec(int, 512, 64, "encoder feature and memory dimension (multiple of 8)",
+                 lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8"),
+    "d_emb": KeySpec(int, 32, 16, "token embedding size", **_AT_LEAST_1),
+    "hidden": KeySpec(int, 512, 64, "LSTM hidden size per decoder layer", **_AT_LEAST_1),
+    "attn_dim": KeySpec(int, 512, 64, "attention projection width", **_AT_LEAST_1),
+    "out_dim": KeySpec(int, 512, 64, "output head width, fed back to the next step",
+                       **_AT_LEAST_1),
+    "dropout": KeySpec(float, 0.4, 0.0, "dropout rate in the decoder",
+                       lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "standard_cell_output": KeySpec(
         bool, False, False, "use h = o * tanh(c) instead of the literal h = o * c"),
     "attend_current_hidden": KeySpec(
         bool, False, False, "attention query is the current top hidden state "
                             "instead of the previous one"),
-    "bn_momentum": KeySpec(float, 0.1, 0.1, "batch-norm running-statistics momentum"),
-    "timescale": KeySpec(float, 10000.0, 10000.0, "positional-encoding timescale"),
-    "lr": KeySpec(float, 0.1, 0.001, "Adam learning rate for the mle phase"),
-    "rl_lr": KeySpec(float, 5e-05, 5e-05, "Adam learning rate for the rl phase"),
+    "bn_momentum": KeySpec(float, 0.1, 0.1, "batch-norm running-statistics momentum",
+                           lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "timescale": KeySpec(float, 10000.0, 10000.0, "positional-encoding timescale",
+                         **_POSITIVE),
+    "lr": KeySpec(float, 0.1, 0.001, "Adam learning rate for the mle phase", **_POSITIVE),
+    "rl_lr": KeySpec(float, 5e-05, 5e-05, "Adam learning rate for the rl phase", **_POSITIVE),
     "steps": KeySpec(int, 100000, 2000, "total optimizer steps for the run"),
-    "batch_size": KeySpec(int, 16, 32, "examples per batch within a bucket"),
-    "validate_every": KeySpec(int, 1000, 100, "steps between validation passes"),
+    "batch_size": KeySpec(int, 16, 32, "examples per batch within a bucket", **_AT_LEAST_1),
+    "validate_every": KeySpec(int, 1000, 100, "steps between validation passes",
+                              **_AT_LEAST_1),
     "patience": KeySpec(int, 3, 50, "stale validations tolerated before early stop"),
-    "max_len": KeySpec(int, 200, 50, "decoding and sampling length cap, in tokens"),
+    "max_len": KeySpec(int, 200, 50, "decoding and sampling length cap, in tokens",
+                       **_AT_LEAST_1),
     "k": KeySpec(int, 20, 5, "sampled rollouts per image in the rl phase"),
-    "clip_norm": KeySpec(float, 5.0, 5.0, "global gradient-norm clip"),
+    "clip_norm": KeySpec(float, 5.0, 5.0, "global gradient-norm clip", **_POSITIVE),
     "leave_one_out": KeySpec(
         bool, False, False, "exclude each rollout from its own reward baseline"),
     "beam": KeySpec(int, 5, 5, "default beam width for prediction"),
     "threshold": KeySpec(float, 0.5, 0.5, "ink threshold for binarizing image metrics"),
 }
+
+
+@dataclass
+class ModelConfig:
+    """The model's shape, seed and precision: the keys of a checkpoint's
+    meta["config"].  Every field but vocab_size is a SCHEMA key."""
+
+    vocab_size: int
+    d: int
+    d_emb: int
+    hidden: int
+    attn_dim: int
+    out_dim: int
+    dropout: float
+    standard_cell_output: bool
+    attend_current_hidden: bool
+    bn_momentum: float
+    timescale: float
+    dtype: str
+    seed: int
+
+    @classmethod
+    def from_cfg(cls, cfg: dict, vocab_size: int) -> "ModelConfig":
+        return cls(vocab_size=vocab_size, **{
+            f.name: SCHEMA[f.name].type(cfg[f.name])
+            for f in fields(cls) if f.name != "vocab_size"})
+
+    def np_dtype(self):
+        return np.float32 if self.dtype == "f32" else np.float64
 
 
 def full_defaults() -> dict:
@@ -79,14 +127,13 @@ def coerce(key: str, raw: str, where: str = "") -> object:
             return False
         raise ConfigError(f"{prefix}key {key!r} expects a boolean, got {raw!r}")
     try:
-        if spec.type is int:
-            return int(text)
-        if spec.type is float:
-            return float(text)
+        value = spec.type(text)
     except ValueError:
         raise ConfigError(
             f"{prefix}key {key!r} expects {spec.type.__name__}, got {raw!r}") from None
-    return text
+    if not spec.valid(value):
+        raise ConfigError(f"{prefix}key {key!r} must be {spec.rule}, got {raw!r}")
+    return value
 
 
 def parse_config_file(path: str) -> dict:

@@ -1,8 +1,7 @@
-"""Tokenization, vocabulary, PGM image I/O, manifests and bucketing.
+"""Vocabulary, PGM image I/O, manifests and bucketing.
 
 File formats (all plain text or PGM):
   manifest  one example per line, `relative/path.pgm<TAB>tok tok tok`
-  lexicon   one backslash command per line
   buckets   one `W H` pair per line, width first, multiples of 8
 """
 from __future__ import annotations
@@ -26,66 +25,6 @@ class DataError(Exception):
     pass
 
 
-# ---------------------------------------------------------------------
-# tokenization
-# ---------------------------------------------------------------------
-
-# backslash commands the synthetic grammar emits; real corpora supply
-# their own lexicon file
-DEFAULT_LEXICON = ("\\frac",)
-
-
-def tokenize(latex: str, mode: str = "lexicon", lexicon=None) -> list[str]:
-    """Split a LaTeX string into tokens.
-
-    chars mode: one token per non-space character.  lexicon mode:
-    greedy longest match of backslash commands from the lexicon, single
-    characters otherwise.  Whitespace only delimits.
-    """
-    if mode == "chars":
-        return [ch for ch in latex if not ch.isspace()]
-    if mode != "lexicon":
-        raise DataError(f"unknown tokenize mode '{mode}' (chars or lexicon)")
-    commands = sorted(lexicon if lexicon is not None else DEFAULT_LEXICON,
-                      key=len, reverse=True)
-    tokens: list[str] = []
-    i = 0
-    while i < len(latex):
-        ch = latex[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "\\":
-            match = next((c for c in commands if latex.startswith(c, i)), None)
-            if match is not None:
-                tokens.append(match)
-                i += len(match)
-                continue
-            log.warning("no lexicon match for backslash at position %d in %r; "
-                        "emitting single characters", i, latex)
-        tokens.append(ch)
-        i += 1
-    return tokens
-
-
-def detokenize(tokens, mode: str = "lexicon") -> str:
-    """Inverse of tokenize: space-join (lexicon) or concatenate (chars)."""
-    if mode == "chars":
-        return "".join(tokens)
-    if mode != "lexicon":
-        raise DataError(f"unknown tokenize mode '{mode}' (chars or lexicon)")
-    return " ".join(tokens)
-
-
-def load_lexicon(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        entries = [line.strip() for line in f if line.strip()]
-    bad = [e for e in entries if not e.startswith("\\")]
-    if bad:
-        raise DataError(f"{path}: lexicon entries must start with a backslash: {bad[:3]}")
-    return entries
-
-
 class Vocabulary:
     """Token text <-> id map with the four reserved ids pinned first."""
 
@@ -105,9 +44,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
@@ -116,10 +52,6 @@ class Vocabulary:
 
     def encode(self, tokens) -> list[int]:
         return [self.id_of(t) for t in tokens]
-
-    def decode(self, ids) -> list[str]:
-        """Ids back to token text, dropping the reserved sentinels."""
-        return [self.tokens[i] for i in ids if i >= len(RESERVED)]
 
 
 def build_vocab(manifests) -> Vocabulary:
@@ -322,19 +254,15 @@ class Batch:
     images: np.ndarray            # (B, 1, H, W)
     seq: np.ndarray | None = None  # (B, T) int ids: [tokens END PAD...]
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 def bucket_and_pad(examples, buckets, batch_size: int = 16,
-                   vocab: Vocabulary | None = None,
-                   allow_drop: bool = True) -> tuple[list[Batch], int]:
+                   vocab: Vocabulary | None = None) -> tuple[list[Batch], int]:
     """Group examples into same-bucket batches of at most batch_size.
 
     Images are padded white to their bucket; sequences (when a vocab is
     given) are encoded as ids, terminated with END and padded with PAD
     to the batch max.  Returns (batches, dropped_count); oversize images
-    are dropped with a log line, or raise when allow_drop is false.
+    are dropped with a log line.
     Batch composition follows the input order, so shuffling the examples
     reshuffles the batches.
     """
@@ -344,8 +272,6 @@ def bucket_and_pad(examples, buckets, batch_size: int = 16,
         h, w = ex.image.shape
         bucket = assign_bucket(h, w, buckets)
         if bucket is None:
-            if not allow_drop:
-                raise DataError(f"image {ex.id} ({h}x{w}) fits no bucket and dropping is disabled")
             dropped += 1
             continue
         bw, bh = bucket
@@ -369,32 +295,3 @@ def bucket_and_pad(examples, buckets, batch_size: int = 16,
                     seq[j, len(ids)] = END_ID
             batches.append(Batch(ids=[ex.id for ex, _ in chunk], images=images, seq=seq))
     return batches, dropped
-
-
-# ---------------------------------------------------------------------
-# optional preprocessing utilities (real-scan path; the synthetic
-# pipeline never needs them)
-# ---------------------------------------------------------------------
-
-def crop_margins(image: np.ndarray, threshold: float = 0.5, margin: int = 4) -> np.ndarray:
-    """Crop to the ink bounding box plus a white margin."""
-    ink = image < threshold
-    if not ink.any():
-        return image.copy()
-    rows = np.flatnonzero(ink.any(axis=1))
-    cols = np.flatnonzero(ink.any(axis=0))
-    r0, r1 = rows[0], rows[-1] + 1
-    c0, c1 = cols[0], cols[-1] + 1
-    core = image[r0:r1, c0:c1]
-    out = np.ones((core.shape[0] + 2 * margin, core.shape[1] + 2 * margin), dtype=image.dtype)
-    out[margin:margin + core.shape[0], margin:margin + core.shape[1]] = core
-    return out
-
-
-def downsample_half(image: np.ndarray) -> np.ndarray:
-    """2x2 box-filter downsample (pads odd edges with white first)."""
-    h, w = image.shape
-    ph, pw = h + h % 2, w + w % 2
-    padded = np.ones((ph, pw), dtype=np.float64)
-    padded[:h, :w] = image
-    return padded.reshape(ph // 2, 2, pw // 2, 2).mean(axis=(1, 3))

@@ -35,25 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .encoder import MemoryBank
 from .tensor import Parameter, Tensor
-
-
-@dataclass
-class DecoderConfig:
-    vocab_size: int
-    d: int = 512              # memory entry width (matches the encoder)
-    d_emb: int = 32
-    hidden: int = 512
-    attn_dim: int = 512
-    out_dim: int = 512        # width of the attentional output O_t
-    dropout: float = 0.4
-    standard_cell_output: bool = False
-    attend_current_hidden: bool = False
-    dtype: str = "f64"
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
 
 
 @dataclass
@@ -77,7 +61,7 @@ _N_GATES = 4
 
 
 class Decoder:
-    def __init__(self, config: DecoderConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         dt = config.np_dtype()
         self.params: dict[str, Parameter] = {}

@@ -9,28 +9,20 @@ flattened row-major into a MemoryBank the decoder attends over.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .tensor import Parameter, Tensor, TensorError
 
 
-@dataclass
-class EncoderConfig:
-    d: int = 512            # annotation vector width; conv channels scale d/8 .. d
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
-    timescale: float = 10000.0
-    dtype: str = "f64"      # "f64" or "f32"
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
+# batch-norm variance floor
+BN_EPS = 1e-5
 
 
-def positional_encoding(height: int, width: int, d: int,
-                        timescale: float = 10000.0) -> np.ndarray:
+def positional_encoding(height: int, width: int, d: int, timescale: float) -> np.ndarray:
     """Two-axis sinusoidal position signal, shape (d, height, width).
 
     The first d/2 channels encode the column index x, the second d/2 the
@@ -76,16 +68,6 @@ class MemoryBank:
     w_prime: int
     proj: Tensor | None = None
 
-    @property
-    def length(self) -> int:
-        return self.entries.shape[1]
-
-    def provenance(self, index: int) -> tuple[int, int]:
-        """Feature-map (row, col) that produced entry `index`."""
-        if not 0 <= index < self.length:
-            raise IndexError(f"memory index {index} out of range [0, {self.length})")
-        return divmod(index, self.w_prime)
-
 
 # (out_channels as a fraction of d, batchnorm?) per conv, and the pool
 # that follows each stage; pools are (kh, kw) with stride = kernel.
@@ -103,7 +85,7 @@ _CONV_PLAN = [
 class Encoder:
     """Six-conv feature extractor with total downsampling 8x8."""
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         if config.d % 8 != 0:
             raise ValueError(f"encoder width d must be a multiple of 8, got {config.d}")
         self.config = config
@@ -151,7 +133,7 @@ class Encoder:
                     self.params[f"enc.bn{bn}.beta"].tensor,
                     self.buffers[f"enc.bn{bn}.running_mean"],
                     self.buffers[f"enc.bn{bn}.running_var"],
-                    momentum=self.config.bn_momentum, eps=self.config.bn_eps,
+                    momentum=self.config.bn_momentum, eps=BN_EPS,
                     train=train,
                 )
             out = T.relu(out)

@@ -176,9 +176,6 @@ class MetricReport:
 
     COLUMNS = ("BLEU", "Image Edit Distance", "Exact Match", "Exact Match (-ws)")
 
-    def row(self) -> tuple:
-        return (self.bleu4, self.edit_distance_score, self.exact_match, self.exact_match_no_ws)
-
 
 def evaluate_pair(cand_tokens, ref_tokens, cand_image, ref_image,
                   threshold: float = 0.5) -> MetricReport:

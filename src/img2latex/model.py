@@ -13,9 +13,10 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .decoder import Decoder, DecoderConfig, DecoderState
-from .encoder import Encoder, EncoderConfig, MemoryBank
-from .tensor import Parameter, Tensor
+from .config import ModelConfig
+from .decoder import Decoder, DecoderState
+from .encoder import Encoder, MemoryBank
+from .tensor import Parameter
 
 # purpose tags for seed derivation
 RNG_INIT = 0
@@ -28,26 +29,6 @@ RNG_NOISE = 4
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for (seed, purpose, index...) coordinates."""
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path)))
-
-
-@dataclass
-class ModelConfig:
-    vocab_size: int
-    d: int = 512
-    d_emb: int = 32
-    hidden: int = 512
-    attn_dim: int = 512
-    out_dim: int = 512
-    dropout: float = 0.4
-    standard_cell_output: bool = False
-    attend_current_hidden: bool = False
-    bn_momentum: float = 0.1
-    timescale: float = 10000.0
-    dtype: str = "f64"
-    seed: int = 0
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -73,16 +54,8 @@ class Model:
         self.config = config
         self.vocab = list(vocab)
         rng = derive_rng(config.seed, RNG_INIT)
-        self.encoder = Encoder(
-            EncoderConfig(d=config.d, bn_momentum=config.bn_momentum,
-                          timescale=config.timescale, dtype=config.dtype), rng)
-        self.decoder = Decoder(
-            DecoderConfig(vocab_size=config.vocab_size, d=config.d, d_emb=config.d_emb,
-                          hidden=config.hidden, attn_dim=config.attn_dim,
-                          out_dim=config.out_dim, dropout=config.dropout,
-                          standard_cell_output=config.standard_cell_output,
-                          attend_current_hidden=config.attend_current_hidden,
-                          dtype=config.dtype), rng)
+        self.encoder = Encoder(config, rng)
+        self.decoder = Decoder(config, rng)
         self.params: dict[str, Parameter] = {**self.encoder.params, **self.decoder.params}
         self.buffers: dict[str, np.ndarray] = self.encoder.buffers
 

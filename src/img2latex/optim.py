@@ -47,10 +47,6 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def state_dict(self) -> dict:
         return {
             "step_count": self.step_count,

@@ -31,14 +31,7 @@ class ShapeError(TensorError):
 
 
 _grad_enabled = True
-_nan_checks = False
 _op_counter = itertools.count()
-
-
-def set_nan_checks(enabled: bool) -> None:
-    """Debug mode: assert every op output is finite."""
-    global _nan_checks
-    _nan_checks = bool(enabled)
 
 
 class no_grad:
@@ -105,9 +98,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self):
         backward(self)
@@ -241,8 +231,6 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 
 def _record(name, out: Tensor, inputs, backward_fn) -> Tensor:
-    if _nan_checks and not np.all(np.isfinite(out.data)):
-        raise TensorError(f"{name}: non-finite values in output")
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._op = _OpRecord(name, tuple(inputs), out, backward_fn)
@@ -596,6 +584,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     (B, O, Ho*Wo), so the output is C-contiguous NCHW with no transpose
     copy, and every later op reads contiguous memory.  The backward pass
     forms dcols the same way and scatters it back (col2im) in NCHW.
+
+    The kernel gradient's GEMM reduces over B*Ho*Wo, and OpenBLAS splits
+    that reduction by thread, so dk's last bits, and with them training
+    outputs, depend on OPENBLAS_NUM_THREADS.  The forward pass does not:
+    predict and evaluate are byte-identical at 1 and 2 threads (tested).
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input/kernel, got {x.shape} and {kernel.shape}")

@@ -24,8 +24,8 @@ from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
 from .decoding import greedy_decode
 from .encoder import MemoryBank
 from .metrics import sentence_bleu4
-from .model import (RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, ModelConfig,
-                    derive_rng)
+from .config import ModelConfig
+from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
 from .optim import Adam, clip_global_norm
 from .tensor import Tensor
 
@@ -101,13 +101,6 @@ class InputFeedAudit:
     def check(self, fed: np.ndarray, expected: np.ndarray) -> None:
         self.steps_checked += int(fed.size)
         self.violations += int((fed != expected).sum())
-
-
-@dataclass
-class SampleResult:
-    tokens: list[int]        # content ids, sentinels stripped
-    sum_logp: float
-    truncated: bool          # True when max_len hit before END
 
 
 def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
@@ -201,18 +194,6 @@ def strip_sentinels(row) -> list[int]:
             continue
         out.append(int(tok))
     return out
-
-
-def sample_sequence(model: Model, image: np.ndarray, max_len: int,
-                    rng: np.random.Generator,
-                    audit: InputFeedAudit | None = None) -> SampleResult:
-    """Sample one sequence for one image (no gradients)."""
-    with T.no_grad():
-        bank = model.encode(image, train=False)
-        tokens, nll, finished = _sample_rollout(model, bank, max_len, [rng], audit)
-    return SampleResult(tokens=strip_sentinels(tokens[0]),
-                        sum_logp=-float(nll.data[0]),
-                        truncated=not bool(finished[0]))
 
 
 # ---------------------------------------------------------------------
@@ -374,7 +355,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         vocab = Vocabulary(model.vocab)
     else:
         vocab = build_vocab([train_manifest])
-        model = Model(_model_config(cfg, len(vocab)), vocab.tokens)
+        model = Model(ModelConfig.from_cfg(cfg, len(vocab)), vocab.tokens)
 
     lr = float(cfg["rl_lr"] if phase == "rl" else cfg["lr"])
     optimizer = Adam(model.parameters(), lr=lr)
@@ -476,16 +457,3 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                         best_path=best_path, last_path=last_path,
                         log_path=log_path, stopped_early=stopped_early,
                         losses=losses)
-
-
-def _model_config(cfg: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d=int(cfg["d"]), d_emb=int(cfg["d_emb"]), hidden=int(cfg["hidden"]),
-        attn_dim=int(cfg["attn_dim"]), out_dim=int(cfg["out_dim"]),
-        dropout=float(cfg["dropout"]),
-        standard_cell_output=bool(cfg["standard_cell_output"]),
-        attend_current_hidden=bool(cfg["attend_current_hidden"]),
-        bn_momentum=float(cfg["bn_momentum"]), timescale=float(cfg["timescale"]),
-        dtype=str(cfg["dtype"]), seed=int(cfg["seed"]),
-    )

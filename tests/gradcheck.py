@@ -1,9 +1,12 @@
-"""Finite-difference gradient oracle shared by the test modules.
+"""Helpers shared by the test modules: a finite-difference gradient
+oracle and a model-config builder.
 
 Central difference with h = 1e-5 in float64; compared against the
 analytic gradient with relative error |a - f| / max(|a|, |f|, 1e-6).
 """
 import numpy as np
+
+from img2latex.config import ModelConfig, full_defaults
 
 H = 1e-5
 TOL = 1e-4
@@ -38,3 +41,10 @@ def rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 def assert_grads_close(analytic: np.ndarray, fd: np.ndarray, tol: float = TOL, label: str = ""):
     err = rel_err(analytic, fd)
     assert err <= tol, f"{label}: max relative gradient error {err:.3e} > {tol}"
+
+
+def model_config(vocab_size: int, **kw) -> ModelConfig:
+    """ModelConfig from the full-scale defaults overlaid by `kw`."""
+    cfg = full_defaults()
+    cfg.update(kw)
+    return ModelConfig.from_cfg(cfg, vocab_size)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import test_gradients as tg
-from gradcheck import fd_grad, rel_err
+from gradcheck import fd_grad, model_config, rel_err
 
 from img2latex import tensor as T
 from img2latex.cli import main as cli_main
@@ -21,9 +21,9 @@ from img2latex.data import (END_ID, START_ID, RESERVED, Vocabulary,
                             bucket_and_pad, load_buckets, load_dataset,
                             pad_image)
 from img2latex.decoding import beam_decode, greedy_decode
-from img2latex.encoder import Encoder, EncoderConfig, MemoryBank, positional_encoding
+from img2latex.encoder import Encoder, MemoryBank, positional_encoding
 from img2latex.metrics import bleu4, edit_distance_score, exact_match
-from img2latex.model import (RNG_NOISE, RNG_SAMPLE, Model, ModelConfig, derive_rng)
+from img2latex.model import RNG_NOISE, RNG_SAMPLE, Model, derive_rng
 from img2latex.optim import Adam
 from img2latex.training import (InputFeedAudit, _sample_rollout, mle_loss,
                                 reinforce_step, reinforce_weights, strip_sentinels,
@@ -105,8 +105,8 @@ def two_step_model_fd_check(seed):
     coordinates where both sides are negligible are compared absolutely.
     """
     vocab = list(RESERVED) + ["x", "y"]
-    cfg = ModelConfig(vocab_size=6, d=8, d_emb=4, hidden=8, attn_dim=8,
-                      out_dim=8, dropout=0.0, seed=seed)
+    cfg = model_config(6, d=8, d_emb=4, hidden=8, attn_dim=8,
+                       out_dim=8, dropout=0.0, seed=seed)
     model = Model(cfg, vocab)
     rng = np.random.default_rng(seed + 500)
     for name in sorted(model.params):
@@ -176,7 +176,7 @@ def pe_closed_form(h, w, d, timescale):
 
 
 def test_criterion_2_encoder_law():
-    enc = Encoder(EncoderConfig(d=64), np.random.default_rng(0))
+    enc = Encoder(model_config(1, d=64), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     dims = []
     for h, w in ((64, 128), (40, 320)):
@@ -261,8 +261,8 @@ def test_criterion_4_beam_equals_greedy_and_beats_it():
     vocab = list(RESERVED) + ["x", "y", "+", "2"]
     agree = 0
     for seed in range(100):
-        cfg = ModelConfig(vocab_size=8, d=8, d_emb=4, hidden=8, attn_dim=8,
-                          out_dim=8, dropout=0.0, seed=seed)
+        cfg = model_config(8, d=8, d_emb=4, hidden=8, attn_dim=8,
+                           out_dim=8, dropout=0.0, seed=seed)
         model = Model(cfg, vocab)
         image = np.random.default_rng(seed + 1000).random((16, 24))
         g = greedy_decode(model, image, max_len=6)

@@ -2,14 +2,18 @@
 import os
 import re
 import struct
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from img2latex.checkpoint import MAGIC, CheckpointError
 from img2latex.cli import _prepare_image, build_parser, main
-from img2latex.config import SCHEMA, desk_defaults, full_defaults, load_config
-from img2latex.data import load_buckets, load_dataset, read_pgm_raw
+from img2latex.config import (SCHEMA, ModelConfig, desk_defaults, full_defaults,
+                              load_config)
+from img2latex.data import build_vocab, load_buckets, load_dataset, read_pgm_raw
 from img2latex.decoding import greedy_decode
 from img2latex.metrics import MetricReport
 from img2latex.model import Model
@@ -320,3 +324,79 @@ def test_help_documents_every_config_key():
     text = build_parser().format_help()
     for key in SCHEMA:
         assert key in text, key
+
+
+# each value used to crash train with a traceback, exit 3 as "diverged",
+# or train without a word in float64, with inverted gradient steps or
+# with running statistics that grow without bound
+BAD_VALUES = [("d", "12", []), ("d", "0", []), ("d", "-8", []), ("hidden", "0", []),
+              ("batch_size", "0", []), ("validate_every", "0", []),
+              ("dropout", "1.5", []), ("dropout", "-0.1", []),
+              ("max_len", "0", ["--phase", "rl", "--init"]),
+              ("dtype", "f16", []), ("dtype", "F32", []), ("timescale", "0", []),
+              ("lr", "0", []), ("rl_lr", "-1", ["--phase", "rl", "--init"]),
+              ("clip_norm", "-1", []), ("bn_momentum", "2", []), ("seed", "-1", [])]
+
+
+@pytest.mark.parametrize("via", ["set", "file"])
+@pytest.mark.parametrize("key,value,extra", BAD_VALUES,
+                         ids=[f"{k}={v}" for k, v, _ in BAD_VALUES])
+def test_bad_config_value_is_a_one_line_usage_error(ws, tmp_path, capsys,
+                                                    key, value, extra, via):
+    if via == "set":
+        source = ["--set", f"{key}={value}"]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        source = ["--config", str(cfg)]
+    extra = extra + [ws["ckpt"]] if extra else []
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
+               ws["buckets"], "--out", str(tmp_path / "x")] + TINY + extra + source)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and repr(key) in err, err
+
+
+def test_checkpoint_config_keys_are_stable(ws):
+    # the keys a VERSION 2 checkpoint's meta["config"] carries; renaming
+    # or adding one makes every existing checkpoint unloadable
+    _, ckpt = Model.load(ws["ckpt"])
+    assert set(ckpt.meta["config"]) == {
+        "vocab_size", "d", "d_emb", "hidden", "attn_dim", "out_dim", "dropout",
+        "standard_cell_output", "attend_current_hidden", "bn_momentum",
+        "timescale", "dtype", "seed"}
+
+
+def test_every_model_config_field_is_a_schema_key():
+    names = {f.name for f in fields(ModelConfig)} - {"vocab_size"}
+    assert names <= set(SCHEMA)
+
+
+# ---------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------
+
+def test_decoding_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # desk width and a 152x48 bucket: at this size one desk training step
+    # already writes a different checkpoint at 1 and 2 threads
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--count", "8", "--seed", "9"]) == 0
+    (data / "buckets.txt").write_text("152 48\n")
+    manifest = str(data / "manifest.tsv")
+    vocab = build_vocab([manifest])
+    ckpt = str(tmp_path / "desk.ckpt")
+    Model(ModelConfig.from_cfg(desk_defaults(), len(vocab)), vocab.tokens).save(ckpt)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for command, flag in (("predict", ["--beam", "5"]), ("evaluate", ["--greedy"])):
+            out = tmp_path / f"{command}-{threads}.tsv"
+            subprocess.run([sys.executable, "-m", "img2latex.cli", command,
+                            "--checkpoint", ckpt, "--manifest", manifest,
+                            "--out", str(out), "--max-len", "12",
+                            "--buckets", str(data / "buckets.txt")] + flag,
+                           env=env, check=True, capture_output=True)
+            outputs[command, threads] = out.read_bytes()
+    for command in ("predict", "evaluate"):
+        assert outputs[command, "1"] == outputs[command, "2"], command

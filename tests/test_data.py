@@ -1,62 +1,21 @@
-"""Tokenization, vocabulary, PGM I/O, manifests, bucketing, preprocessing."""
-import logging
-
+"""Vocabulary, PGM I/O, manifests and bucketing."""
 import numpy as np
 import pytest
 
 from img2latex.data import (DataError, END_ID, PAD_ID, PgmError, RESERVED,
-                            START_ID, UNK_ID, Batch, Vocabulary, assign_bucket,
-                            bucket_and_pad, build_vocab, crop_margins, detokenize,
-                            downsample_half, Example, load_buckets, load_dataset,
-                            load_lexicon, load_manifest, pad_image, read_pgm,
-                            read_pgm_raw, tokenize, write_manifest, write_pgm)
+                            START_ID, UNK_ID, Vocabulary, assign_bucket,
+                            bucket_and_pad, build_vocab, Example, load_buckets,
+                            load_dataset, load_manifest, pad_image, read_pgm,
+                            read_pgm_raw, write_manifest, write_pgm)
 
 
 # ---------------------------------------------------------------------
-# tokenization and vocabulary
+# vocabulary
 # ---------------------------------------------------------------------
 
 def test_sentinel_ids_are_pinned():
     assert (PAD_ID, UNK_ID, START_ID, END_ID) == (0, 1, 2, 3)
     assert RESERVED == ("<PAD>", "<UNK>", "<START>", "<END>")
-
-
-def test_tokenize_chars_mode():
-    assert tokenize("a+b", mode="chars") == ["a", "+", "b"]
-    assert tokenize(" a  b ", mode="chars") == ["a", "b"]
-
-
-def test_tokenize_lexicon_greedy_longest_match():
-    toks = tokenize(r"\frac{1}{2}", mode="lexicon")
-    assert toks == ["\\frac", "{", "1", "}", "{", "2", "}"]
-
-
-def test_tokenize_custom_lexicon_prefers_longest():
-    toks = tokenize(r"\alphabeta", mode="lexicon",
-                    lexicon=("\\alpha", "\\alphabeta"))
-    assert toks == ["\\alphabeta"]
-
-
-def test_tokenize_unknown_backslash_warns_and_splits(caplog):
-    with caplog.at_level(logging.WARNING):
-        toks = tokenize(r"\qux", mode="lexicon")
-    assert any("\\qux" in rec.message for rec in caplog.records)
-    assert toks == ["\\", "q", "u", "x"]
-
-
-def test_detokenize_round_trips_simple_formula():
-    text = r"\frac { 1 } { 2 }"
-    assert detokenize(tokenize(text, mode="lexicon")) == text
-    assert detokenize(tokenize("a+b", mode="chars"), mode="chars") == "a+b"
-
-
-def test_load_lexicon_validates(tmp_path):
-    p = tmp_path / "lex.txt"
-    p.write_text("\\frac\n\\alpha\n")
-    assert load_lexicon(str(p)) == ["\\frac", "\\alpha"]
-    p.write_text("frac\n")
-    with pytest.raises(DataError):
-        load_lexicon(str(p))
 
 
 def test_vocabulary_reserves_sentinels_first():
@@ -71,12 +30,6 @@ def test_vocabulary_reserves_sentinels_first():
 def test_vocabulary_rejects_duplicates():
     with pytest.raises(DataError):
         Vocabulary(list(RESERVED) + ["a", "a"])
-
-
-def test_vocabulary_decode_drops_sentinels():
-    v = Vocabulary.from_corpus([["x", "y"]])
-    ids = [START_ID, v.id_of("x"), PAD_ID, v.id_of("y"), END_ID]
-    assert v.decode(ids) == ["x", "y"]
 
 
 def test_build_vocab_unions_manifests(tmp_path):
@@ -255,8 +208,6 @@ def test_bucket_and_pad_drops_oversize_when_allowed():
     exs = make_examples([(10, 20), (100, 100)])
     batches, dropped = bucket_and_pad(exs, [(32, 16)], 4, vocab)
     assert dropped == 1 and len(batches) == 1
-    with pytest.raises(DataError):
-        bucket_and_pad(exs, [(32, 16)], 4, vocab, allow_drop=False)
 
 
 def test_bucket_and_pad_respects_batch_size():
@@ -274,34 +225,3 @@ def test_batch_seq_pads_to_longest():
     seq = batches[0].seq
     assert seq.shape == (2, 3)
     assert seq[1].tolist() == [5, END_ID, PAD_ID]
-
-
-# ---------------------------------------------------------------------
-# optional preprocessing utilities
-# ---------------------------------------------------------------------
-
-def test_crop_margins_keeps_border():
-    img = np.ones((20, 20))
-    img[8:12, 9:11] = 0.0
-    out = crop_margins(img, threshold=0.5, margin=4)
-    assert out.shape == (12, 10)
-    assert out.min() == 0.0
-
-
-def test_crop_margins_blank_image_unchanged():
-    img = np.ones((5, 7))
-    assert crop_margins(img, 0.5).shape == (5, 7)
-
-
-def test_downsample_half_box_filter():
-    img = np.array([[0.0, 1.0], [1.0, 1.0]])
-    out = downsample_half(img)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(0.75)
-
-
-def test_downsample_half_odd_edges_padded_white():
-    img = np.zeros((3, 3))
-    out = downsample_half(img)
-    assert out.shape == (2, 2)
-    assert out[1, 1] == pytest.approx(0.75)  # 1 dark pixel + 3 white pads

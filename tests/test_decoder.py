@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
-from img2latex.decoder import Decoder, DecoderConfig
+from gradcheck import model_config
+
+from img2latex.decoder import Decoder
 from img2latex.encoder import MemoryBank
 from img2latex.tensor import Tensor
 
 
 def make(vocab=6, d=8, hidden=8, attn=8, out=8, emb=4, **kw):
-    cfg = DecoderConfig(vocab_size=vocab, d=d, d_emb=emb, hidden=hidden,
-                        attn_dim=attn, out_dim=out, dropout=0.0, **kw)
+    cfg = model_config(vocab, d=d, d_emb=emb, hidden=hidden,
+                       attn_dim=attn, out_dim=out, dropout=0.0, **kw)
     return Decoder(cfg, np.random.default_rng(0)), cfg
 
 
@@ -165,8 +167,8 @@ def test_input_feeding_dimensions():
 
 
 def test_f32_decoder_stays_f32():
-    cfg32 = DecoderConfig(vocab_size=6, d=8, d_emb=4, hidden=8, attn_dim=8,
-                          out_dim=8, dropout=0.0, dtype="f32")
+    cfg32 = model_config(6, d=8, d_emb=4, hidden=8, attn_dim=8,
+                         out_dim=8, dropout=0.0, dtype="f32")
     dec32 = Decoder(cfg32, np.random.default_rng(0))
     entries = np.random.default_rng(1).normal(size=(1, 3, 8)).astype(np.float32)
     bank = MemoryBank(entries=Tensor(entries), h_prime=1, w_prime=3)

@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import model_config
+
 from img2latex.data import END_ID, START_ID, RESERVED
 from img2latex.decoding import DecodeError, beam_decode, greedy_decode
-from img2latex.model import Model, ModelConfig
+from img2latex.model import Model
 
 A, B, C, D = 4, 5, 6, 7
 
@@ -168,8 +170,8 @@ def test_invalid_widths_and_lengths_rejected():
 
 def tiny_model(seed):
     vocab = list(RESERVED) + ["x", "y", "+", "2"]
-    cfg = ModelConfig(vocab_size=len(vocab), d=8, d_emb=4, hidden=8,
-                      attn_dim=8, out_dim=8, dropout=0.0, seed=seed)
+    cfg = model_config(len(vocab), d=8, d_emb=4, hidden=8,
+                       attn_dim=8, out_dim=8, dropout=0.0, seed=seed)
     return Model(cfg, vocab)
 
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from img2latex.encoder import Encoder, EncoderConfig, MemoryBank, positional_encoding
+from gradcheck import model_config
+
+from img2latex.encoder import Encoder, positional_encoding
 from img2latex.tensor import Tensor
 
 
 def make_encoder(d=16, dtype="f64", seed=0):
-    return Encoder(EncoderConfig(d=d, dtype=dtype), np.random.default_rng(seed))
+    return Encoder(model_config(1, d=d, dtype=dtype), np.random.default_rng(seed))
 
 
 def pe_reference(height, width, d, timescale):
@@ -32,7 +34,7 @@ def test_positional_encoding_matches_scalar_reference():
 
 
 def test_positional_encoding_axis_split():
-    pe = positional_encoding(6, 9, 32)
+    pe = positional_encoding(6, 9, 32, 10000.0)
     # column-index channels do not vary along y; row-index channels not along x
     assert np.max(np.abs(pe[:16] - pe[:16, :1, :])) == 0.0
     assert np.max(np.abs(pe[16:] - pe[16:, :, :1])) == 0.0
@@ -40,9 +42,9 @@ def test_positional_encoding_axis_split():
 
 def test_positional_encoding_rejects_bad_width():
     with pytest.raises(ValueError):
-        positional_encoding(4, 4, 18)
+        positional_encoding(4, 4, 18, 10000.0)
     with pytest.raises(ValueError):
-        positional_encoding(0, 4, 16)
+        positional_encoding(0, 4, 16, 10000.0)
 
 
 @pytest.mark.parametrize("h,w,hp,wp", [(64, 128, 8, 16), (40, 320, 5, 40),
@@ -66,19 +68,11 @@ def test_memory_entries_follow_row_major_order():
     img = np.random.default_rng(5).random((16, 24))
     bank = enc.encode(img)
     feats = enc.cnn_forward(Tensor(img[None, None, :, :]))
-    pe = positional_encoding(2, 3, 8)
+    pe = positional_encoding(2, 3, 8, 10000.0)
     grid = feats.data[0] + pe
-    for l in range(bank.length):
-        r, c = bank.provenance(l)
+    for l in range(bank.entries.shape[1]):
+        r, c = divmod(l, bank.w_prime)
         assert np.allclose(bank.entries.data[0, l], grid[:, r, c], atol=1e-12)
-
-
-def test_provenance_bounds():
-    bank = MemoryBank(entries=Tensor(np.zeros((1, 6, 4))), h_prime=2, w_prime=3)
-    assert bank.provenance(0) == (0, 0)
-    assert bank.provenance(5) == (1, 2)
-    with pytest.raises(IndexError):
-        bank.provenance(6)
 
 
 def test_batch_and_single_agree():

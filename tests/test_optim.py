@@ -101,12 +101,6 @@ def test_adam_state_rejects_wrong_names():
         opt2.load_state_dict(opt.state_dict())
 
 
-def test_zero_grad_clears_all():
-    ps = params_with_grads([np.ones(2), np.ones(3)])
-    Adam(ps, lr=0.1).zero_grad()
-    assert all(p.grad is None for p in ps)
-
-
 def test_clip_global_norm_pythagorean_case():
     # grads (3, 4) -> global norm 5; cap 1 rescales both by 0.2
     ps = params_with_grads([np.array([3.0]), np.array([4.0])])

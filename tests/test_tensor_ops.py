@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import img2latex.tensor as T
-from img2latex.tensor import (Parameter, ShapeError, Tensor, TensorError,
-                              no_grad, set_nan_checks)
+from img2latex.tensor import Parameter, ShapeError, Tensor, TensorError, no_grad
 
 
 def rng(seed=0):
@@ -320,15 +319,6 @@ def test_no_grad_blocks_recording():
     with no_grad():
         y = x * 2.0
     assert y._op is None and not y.requires_grad
-
-
-def test_nan_checks_flag():
-    set_nan_checks(True)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(TensorError):
-            T.multiply(Tensor(np.array([np.inf])), Tensor(np.array([0.0])))
-    finally:
-        set_nan_checks(False)
 
 
 def test_float32_flows_through_ops():

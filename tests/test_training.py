@@ -5,29 +5,30 @@ import os
 import numpy as np
 import pytest
 
+from gradcheck import model_config
+
 from img2latex import tensor as T
 from img2latex import training
 from img2latex.config import full_defaults
-from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED, Vocabulary,
+from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_dataset)
 from img2latex.decoder import StepOutput
 from img2latex.decoding import greedy_decode
 from img2latex.encoder import MemoryBank
-from img2latex.model import Model, ModelConfig, log_softmax
+from img2latex.model import Model, log_softmax
 from img2latex.optim import Adam
 from img2latex.synth import GrammarConfig, synth_generate
 from img2latex.tensor import Tensor
 from img2latex.training import (DivergenceError, InputFeedAudit, TrainError,
                                 _sample_rollout, mle_loss, reinforce_step,
-                                reinforce_weights, sample_sequence,
-                                strip_sentinels, train)
+                                reinforce_weights, strip_sentinels, train)
 
 VOCAB = list(RESERVED) + ["x", "y", "+", "2"]
 
 
 def tiny_model(seed=0, **kw):
-    cfg = ModelConfig(vocab_size=len(VOCAB), d=8, d_emb=4, hidden=8,
-                      attn_dim=8, out_dim=8, dropout=0.0, seed=seed, **kw)
+    cfg = model_config(len(VOCAB), d=8, d_emb=4, hidden=8,
+                       attn_dim=8, out_dim=8, dropout=0.0, seed=seed, **kw)
     return Model(cfg, VOCAB)
 
 
@@ -180,20 +181,29 @@ class ChainModel:
         return log_softmax(self._row(token)), None, np.array([1.0])
 
 
+def rollout_one(model, image, max_len, seed, audit=None):
+    """(content ids, nll, finished) of one sampled rollout, off the tape."""
+    with T.no_grad():
+        bank = model.encode(image, train=False)
+        tokens, nll, finished = _sample_rollout(
+            model, bank, max_len, [np.random.default_rng(seed)], audit)
+    return strip_sentinels(tokens[0]), float(nll.data[0]), bool(finished[0])
+
+
 def test_sampling_equals_greedy_when_transitions_are_deterministic():
     model = ChainModel({START_ID: 4, 4: 5, 5: END_ID})
-    res = sample_sequence(model, None, max_len=10, rng=np.random.default_rng(0))
-    assert res.tokens == [4, 5]
-    assert not res.truncated
-    assert res.sum_logp > -1e-8
-    assert res.tokens == greedy_decode(model, None, max_len=10).tokens
+    tokens, nll, finished = rollout_one(model, None, 10, seed=0)
+    assert tokens == [4, 5]
+    assert finished
+    assert -nll > -1e-8
+    assert tokens == greedy_decode(model, None, max_len=10).tokens
 
 
 def test_sample_truncation_flagged():
     loop = ChainModel({START_ID: 4, 4: 4})       # never emits END
-    res = sample_sequence(loop, None, max_len=3, rng=np.random.default_rng(0))
-    assert res.tokens == [4, 4, 4]
-    assert res.truncated
+    tokens, _, finished = rollout_one(loop, None, 3, seed=0)
+    assert tokens == [4, 4, 4]
+    assert not finished
 
 
 def test_strip_sentinels():
@@ -238,8 +248,7 @@ def test_sampled_rollout_feeds_back_its_own_samples():
     for seed in range(5):
         model = tiny_model(seed=seed)
         image = np.random.default_rng(seed).random((16, 24))
-        sample_sequence(model, image, max_len=25,
-                        rng=np.random.default_rng(seed), audit=audit)
+        rollout_one(model, image, 25, seed=seed, audit=audit)
     assert audit.steps_checked > 0
     assert audit.violations == 0
 
@@ -503,8 +512,8 @@ def test_reinforce_step_passes_the_input_feed_audit():
 
 def test_ten_fixed_batch_steps_never_increase_loss(corpus):
     batch, vocab = first_batch(corpus)
-    cfg = ModelConfig(vocab_size=len(vocab), d=8, d_emb=4, hidden=8,
-                      attn_dim=8, out_dim=8, dropout=0.0, seed=6)
+    cfg = model_config(len(vocab), d=8, d_emb=4, hidden=8,
+                       attn_dim=8, out_dim=8, dropout=0.0, seed=6)
     model = Model(cfg, vocab.tokens)
     opt = Adam(model.parameters(), lr=1e-3)
     losses = []
