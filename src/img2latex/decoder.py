@@ -116,18 +116,25 @@ class Decoder:
         return DecoderState(h=hs, c=cs, o_prev=o0)
 
     def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
-        """Bank and state cut to batch rows `rows` (distinct, in that order).
+        """Bank and state cut to batch rows `rows`.
 
-        Every per-row tensor is gathered with T.take_rows, including the
-        cached key projection, so gradients still reach the dropped rows'
-        earlier steps.
+        rows is either distinct row indices, gathered in that order with
+        T.take_rows, or an int n, which keeps the first n rows as views
+        through T.head_rows and copies nothing.  Every per-row tensor is
+        cut, including the cached key projection, so gradients still
+        reach the dropped rows' earlier steps.
         """
-        proj = None if bank.proj is None else T.take_rows(bank.proj, rows)
-        bank = MemoryBank(entries=T.take_rows(bank.entries, rows), h_prime=bank.h_prime,
+        if isinstance(rows, int):
+            def cut(t):
+                return T.head_rows(t, rows)
+        else:
+            def cut(t):
+                return T.take_rows(t, rows)
+        proj = None if bank.proj is None else cut(bank.proj)
+        bank = MemoryBank(entries=cut(bank.entries), h_prime=bank.h_prime,
                           w_prime=bank.w_prime, proj=proj)
-        state = DecoderState(h=[T.take_rows(h, rows) for h in state.h],
-                             c=[T.take_rows(c, rows) for c in state.c],
-                             o_prev=T.take_rows(state.o_prev, rows))
+        state = DecoderState(h=[cut(h) for h in state.h], c=[cut(c) for c in state.c],
+                             o_prev=cut(state.o_prev))
         return bank, state
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):

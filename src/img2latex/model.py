@@ -77,7 +77,8 @@ class Model:
         return self.decoder.step(bank, state, tokens, train=train, rng=rng)
 
     def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
-        """(bank, state) restricted to batch rows `rows`; see Decoder.keep_rows."""
+        """(bank, state) restricted to batch rows `rows` (indices, or an int n
+        for the first n rows); see Decoder.keep_rows."""
         return self.decoder.keep_rows(bank, state, rows)
 
     # -- single-image decode protocol ------------------------------------

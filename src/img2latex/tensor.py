@@ -374,6 +374,25 @@ def take_rows(a: Tensor, rows) -> Tensor:
     return _record("take_rows", out, (a,), bwd)
 
 
+def head_rows(a: Tensor, n: int) -> Tensor:
+    """The first n rows of axis 0, as a view: 0 < n <= rows, or ShapeError.
+
+    The output's data is a.data[:n] and shares a's memory, so neither
+    side may be written to; the VJP zero-pads g back to a's shape.
+    """
+    if a.ndim == 0 or not 0 < n <= a.shape[0]:
+        raise ShapeError(f"head_rows: n={n} is not a row count in 1..rows of {a.shape}")
+    out = Tensor(a.data[:n])
+    in_shape = a.shape
+
+    def bwd(g):
+        da = np.zeros(in_shape, dtype=g.dtype)
+        da[:n] = g
+        return (da,)
+
+    return _record("head_rows", out, (a,), bwd)
+
+
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     """Columns [start, stop) of a 2-D tensor; backward zero-pads the rest."""
     if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:

@@ -48,40 +48,78 @@ class DivergenceError(TrainError):
 
 def _teacher_forced(model: Model, images: np.ndarray, seq: np.ndarray,
                     train: bool, rng: np.random.Generator | None = None):
-    """Yield (logits, targets, mask) for every step of a teacher-forced pass.
+    """Packed teacher-forced pass; returns (logits Tensor (N, V), targets (N,)).
 
-    seq is (B, T) int ids laid out as [tokens..., END, PAD...]; the
-    decoder input at step t is the ground-truth token at t-1 (START at
-    t=0), targets is seq[:, t] and mask marks its non-PAD rows.
+    seq is (B, T) int ids laid out as bucket_and_pad writes them:
+    [tokens..., END, PAD...].  A row's targets are its non-PAD ids, and
+    the decoder input at step t is the ground-truth token at t-1 (START
+    at t=0).  After encoding, so that batch-norm statistics keep their
+    bits, the rows are sorted once by target count, longest first (a
+    stable sort; no gather when the order is already the identity).
+    Step t then runs only the first n_t rows, those with more than t
+    targets: the bank, its cached key projection and the state shrink to
+    n_t rows through head_rows views (`Model.keep_rows` with an int), so
+    no row steps past its last target.  The outputs pack every step's
+    live rows step after step, so N is the number of targets and no PAD
+    is ever scored.  A row with PAD before a target would lose that
+    target, so it raises TrainError, as does a batch with no target.
     """
     b = seq.shape[0]
-    bank = model.encode(images, train=train)
-    state = model.init_state(bank)
+    live = seq != PAD_ID
+    gaps = ~live[:, :-1] & live[:, 1:]
+    if gaps.any():
+        row = int(np.flatnonzero(gaps.any(axis=1))[0])
+        raise TrainError(f"teacher forcing: row {row} has PAD before a target "
+                         "(rows must be tokens, END, then PAD)")
+    if not live.any():
+        raise TrainError("teacher forcing: no target in the batch")
+    lengths = live.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    seq = seq[order]
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
-    for t in range(seq.shape[1]):
-        out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
+    n_live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+    bank = model.encode(images, train=train)
+    if (order != np.arange(b)).any():
+        bank = MemoryBank(entries=T.take_rows(bank.entries, order),
+                          h_prime=bank.h_prime, w_prime=bank.w_prime)
+    state = model.init_state(bank)
+    rows = b
+    logits = []
+    for t, n in enumerate(n_live):
+        if n < rows:
+            rows = int(n)
+            bank, state = model.keep_rows(bank, state, rows)
+        out = model.step(bank, state, inputs[:rows, t], train=train, rng=rng)
         state = out.state
-        yield out.logits, seq[:, t], seq[:, t] != PAD_ID
+        logits.append(out.logits)
+    targets = np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
+    return T.concat(logits), targets
 
 
 def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
              train: bool = True, rng: np.random.Generator | None = None):
-    """Teacher-forced cross entropy.
+    """Teacher-forced cross entropy over the packed targets.
 
     seq is laid out as in `_teacher_forced`.  Returns (loss Tensor, token
-    count); the loss is the batch mean of per-sequence summed cross
-    entropy, PAD steps excluded.
+    count).  The loss is one cross entropy over every packed target,
+    summed and times 1/B: the batch mean of per-sequence summed cross
+    entropy, with PAD never scored.  The token count is the number of
+    packed targets.
+
+    Numerics: a matmul row's bits depend on how many rows share the
+    call, and the sum runs over the packed order, so the loss and the
+    gradients can differ in their last bits from a pass that steps all B
+    rows and masks PAD afterwards.  With dropout > 0 the masks are drawn
+    at the packed shapes, in sorted row order: the same distribution as
+    masks drawn for all B rows, but not the same draws.  The pass is a
+    pure function of its inputs and the generator, so reruns and resumed
+    runs stay byte-identical.
     """
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
-    total = None
-    n_tokens = 0
-    for logits, targets, mask in _teacher_forced(model, images, seq, train, rng):
-        ce = T.cross_entropy(logits, targets)
-        step_loss = (ce * Tensor(mask.astype(ce.dtype))).sum()
-        total = step_loss if total is None else total + step_loss
-        n_tokens += int(mask.sum())
-    return total * (1.0 / seq.shape[0]), n_tokens
+    logits, targets = _teacher_forced(model, images, seq, train, rng)
+    loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
+    return loss, targets.size
 
 
 # ---------------------------------------------------------------------
@@ -271,16 +309,14 @@ def pad_to_multiple(image: np.ndarray, factor: int = 8) -> np.ndarray:
 
 
 def token_accuracy(model: Model, batches) -> float:
-    """Teacher-forced argmax accuracy over non-PAD steps (eval mode)."""
+    """Teacher-forced argmax accuracy over the packed targets (eval mode)."""
     correct = 0
     total = 0
     with T.no_grad():
         for batch in batches:
-            for logits, targets, mask in _teacher_forced(model, batch.images, batch.seq,
-                                                         train=False):
-                pred = logits.data.argmax(axis=1)
-                correct += int((pred[mask] == targets[mask]).sum())
-                total += int(mask.sum())
+            logits, targets = _teacher_forced(model, batch.images, batch.seq, train=False)
+            correct += int((logits.data.argmax(axis=1) == targets).sum())
+            total += targets.size
     return correct / total if total else 0.0
 
 
@@ -323,7 +359,9 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
 
     resume continues a checkpoint of the same phase bit-exactly; init
     starts the rl phase (or mle fine-tuning) from an existing
-    checkpoint with a fresh optimizer.
+    checkpoint with a fresh optimizer.  Every rl step runs an
+    InputFeedAudit, and a step that fed any row a token other than its
+    own previous sample raises TrainError.
     """
     if phase not in ("mle", "rl"):
         raise TrainError(f"unknown phase {phase!r}")
@@ -419,10 +457,15 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                 optimizer.step()
             else:
                 refs = [strip_sentinels(row) for row in batch.seq]
+                audit = InputFeedAudit()
                 value = reinforce_step(model, batch.images, refs, optimizer, k=k,
                                        seed=seed, step=step, max_len=max_len,
                                        reward_fn=reward_fn, leave_one_out=leave_one_out,
-                                       clip_norm=clip)
+                                       clip_norm=clip, audit=audit)
+                if audit.violations:
+                    raise TrainError(
+                        f"input-feed audit failed at step {step}: {audit.violations} of "
+                        f"{audit.steps_checked} fed tokens were not the row's previous sample")
                 if not np.isfinite(value):
                     raise DivergenceError(step, value)
             losses.append(value)

@@ -1,5 +1,5 @@
 """Helpers shared by the test modules: a finite-difference gradient
-oracle and a model-config builder.
+oracle, a model-config builder and a fault that misfeeds rollouts.
 
 Central difference with h = 1e-5 in float64; compared against the
 analytic gradient with relative error |a - f| / max(|a|, |f|, 1e-6).
@@ -7,6 +7,7 @@ analytic gradient with relative error |a - f| / max(|a|, |f|, 1e-6).
 import numpy as np
 
 from img2latex.config import ModelConfig, full_defaults
+from img2latex.model import Model
 
 H = 1e-5
 TOL = 1e-4
@@ -48,3 +49,16 @@ def model_config(vocab_size: int, **kw) -> ModelConfig:
     cfg = full_defaults()
     cfg.update(kw)
     return ModelConfig.from_cfg(cfg, vocab_size)
+
+
+def misfeed_rollouts(monkeypatch):
+    """Make Model.step reverse the fed tokens in place before stepping, so
+    each running row is fed another row's sample, as a row mix-up after
+    compaction would."""
+    step = Model.step
+
+    def misfeed(self, bank, state, tokens, train=False, rng=None):
+        tokens[:] = tokens[::-1].copy()
+        return step(self, bank, state, tokens, train=train, rng=rng)
+
+    monkeypatch.setattr(Model, "step", misfeed)

@@ -9,6 +9,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from gradcheck import misfeed_rollouts
+
 from img2latex.checkpoint import MAGIC, CheckpointError
 from img2latex.cli import _prepare_image, build_parser, main
 from img2latex.config import (SCHEMA, ModelConfig, desk_defaults, full_defaults,
@@ -124,6 +126,17 @@ def test_train_divergence_exit_code(ws, tmp_path, capsys):
                "--init", str(poisoned)] + TINY + ["--set", "steps=1"])
     assert rc == 3
     assert "non-finite loss" in capsys.readouterr().err
+
+
+def test_train_rl_input_feed_violation_is_a_one_line_usage_error(ws, tmp_path, capsys,
+                                                                 monkeypatch):
+    misfeed_rollouts(monkeypatch)
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
+               ws["buckets"], "--out", str(tmp_path / "x"), "--phase", "rl",
+               "--init", ws["ckpt"]] + TINY + ["--set", "steps=1"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "input-feed audit failed at step 1" in err[0]
 
 
 # ---------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 Each op is checked on 10 independently seeded instances.  The loss is
 always (output * R).sum() with a fixed random cotangent R, so errors
-that a plain sum would cancel still show up.
+that a plain sum would cancel still show up.  `GRADCHECKS` maps every
+op name that tensor.py records on the tape to its check, and a test
+fails when an op has none.
 """
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,17 @@ def test_take_rows(seed):
     b = rng.standard_normal((5,))
     loss1 = _proj(rng, (2,))
     _check(lambda x: loss1(T.take_rows(x, [4, 1])), [b], f"take_rows 1-D seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_head_rows(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 3, 2))
+    loss = _proj(rng, (3, 3, 2))
+    _check(lambda x: loss(T.head_rows(x, 3)), [a], f"head_rows seed={seed}")
+    b = rng.standard_normal((4, 3))
+    loss2 = _proj(rng, (1, 3))
+    _check(lambda x: loss2(T.head_rows(x, 1)), [b], f"head_rows 2-D seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -302,3 +318,59 @@ def test_grad_accumulates_across_uses():
     loss = (w * w).sum() * 1.0 + w.sum() * 3.0   # d/dw = 2w + 3 = 7
     loss.backward()
     assert np.allclose(w.grad, [7.0])
+
+
+# op name passed to tensor._record -> the finite-difference check above
+GRADCHECKS = {
+    "add": test_add_broadcast,
+    "multiply": test_multiply_broadcast,
+    "negative": test_negative_and_sub,
+    "matmul": test_matmul,
+    "concat": test_concat,
+    "reshape": test_reshape_transpose,
+    "transpose": test_reshape_transpose,
+    "repeat_rows": test_repeat_rows,
+    "take_rows": test_take_rows,
+    "head_rows": test_head_rows,
+    "slice_cols": test_slice_cols,
+    "sum": test_reduce_sum_mean,
+    "mean": test_reduce_sum_mean,
+    "relu": test_relu,
+    "sigmoid": test_sigmoid_tanh,
+    "tanh": test_sigmoid_tanh,
+    "softmax": test_softmax,
+    "lstm_cell": test_lstm_cell,
+    "attention_context": test_attention_context,
+    "embedding_lookup": test_embedding_lookup,
+    "dropout": test_dropout,
+    "cross_entropy": test_cross_entropy,
+    "conv2d": test_conv2d,
+    "maxpool2d": test_maxpool2d,
+    "batchnorm2d": test_batchnorm2d,
+}
+
+
+def recorded_op_names() -> list[str]:
+    """The name argument of every `_record(...)` call in tensor.py.
+
+    Read from the syntax tree, so a call whose arguments span several
+    lines counts like any other.
+    """
+    tree = ast.parse(inspect.getsource(T))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+            arg = node.args[0]
+            assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), (
+                f"tensor.py line {node.lineno}: _record's op name must be a string literal")
+            names.append(arg.value)
+    return names
+
+
+def test_every_recorded_op_has_a_gradient_check():
+    names = recorded_op_names()
+    assert "multiply" in names          # its _record( call spans two lines
+    assert sorted(set(names) - set(GRADCHECKS)) == []
+    assert sorted(set(GRADCHECKS) - set(names)) == []
+    for check in GRADCHECKS.values():
+        assert globals()[check.__name__] is check

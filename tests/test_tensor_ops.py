@@ -88,6 +88,25 @@ def test_take_rows_rejects_repeated_or_bad_indices(rows):
         T.take_rows(Tensor(np.zeros((5, 2))), rows)
 
 
+def test_head_rows_is_a_view_and_pads_the_gradient():
+    a = rng(12).normal(size=(4, 2, 3))
+    x = Tensor(a, requires_grad=True)
+    out = T.head_rows(x, 2)
+    assert np.array_equal(out.data, a[:2])
+    assert np.shares_memory(out.data, x.data)
+    T.reduce_sum(out * Tensor(np.arange(12.0).reshape(2, 2, 3))).backward()
+    expect = np.zeros_like(a)
+    expect[:2] = np.arange(12.0).reshape(2, 2, 3)
+    assert np.array_equal(x.grad, expect)
+    assert T.head_rows(x, 4).shape == (4, 2, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1, 5])
+def test_head_rows_rejects_counts_outside_one_to_rows(n):
+    with pytest.raises(ShapeError, match="head_rows"):
+        T.head_rows(Tensor(np.zeros((4, 2))), n)
+
+
 def test_reductions_match_numpy():
     a = rng(10).normal(size=(3, 4, 5))
     assert np.allclose(T.reduce_sum(Tensor(a), axis=1).data, a.sum(axis=1))
@@ -340,6 +359,11 @@ def test_float32_flows_through_ops():
     assert taken.dtype == np.float32
     T.reduce_sum(taken).backward()
     assert rows.grad.dtype == np.float32
+    head = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+    kept = T.head_rows(head, 2)
+    assert kept.dtype == np.float32
+    T.reduce_sum(kept).backward()
+    assert head.grad.dtype == np.float32
 
 
 def test_parameter_wraps_tensor():

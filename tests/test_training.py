@@ -1,11 +1,12 @@
 """MLE objective, sampling, REINFORCE estimator and the train loop."""
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gradcheck import model_config
+from gradcheck import misfeed_rollouts, model_config
 
 from img2latex import tensor as T
 from img2latex import training
@@ -141,6 +142,111 @@ def test_f32_model_trains_in_float32(monkeypatch):
     assert seen == [np.float32]
     for p in model.parameters():
         assert p.grad.dtype == p.data.dtype == np.float32, p.name
+
+
+# ---------------------------------------------------------------------
+# packed teacher forcing against the masked reference
+# ---------------------------------------------------------------------
+
+def masked_reference(model, images, seq, train=True, rng=None):
+    """The teacher-forced pass before packing: all B rows step for all T
+    steps, and each step's PAD targets are masked out of the loss.
+    Returns (loss, token count, argmax hits on the targets)."""
+    b = seq.shape[0]
+    bank = model.encode(images, train=train)
+    state = model.init_state(bank)
+    inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
+    total, n_tokens, hits = None, 0, 0
+    for t in range(seq.shape[1]):
+        out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
+        state = out.state
+        targets, mask = seq[:, t], seq[:, t] != PAD_ID
+        ce = T.cross_entropy(out.logits, targets)
+        step_loss = (ce * Tensor(mask.astype(ce.dtype))).sum()
+        total = step_loss if total is None else total + step_loss
+        n_tokens += int(mask.sum())
+        hits += int((out.logits.data.argmax(axis=1)[mask] == targets[mask]).sum())
+    return total * (1.0 / b), n_tokens, hits
+
+
+def padded(rows, width):
+    return np.array([row + [PAD_ID] * (width - len(row)) for row in rows])
+
+
+# (seq, the row counts the batch is cut to, in order)
+PACKING_CASES = {
+    # lengths 3, 6, 2, 6, 3: unsorted, with ties, and a PAD column at the end
+    "unsorted-ties": (padded([[4, 5, END_ID], [4, 5, 6, 7, 4, END_ID], [6, END_ID],
+                              [7, 6, 5, 4, 5, END_ID], [5, 6, END_ID]], 7), [4, 2]),
+    # no PAD at all: the order is the identity and the batch never shrinks
+    "equal-lengths": (padded([[4, 5, 6, END_ID], [7, 6, 5, END_ID], [5, 5, 4, END_ID]], 4), []),
+    "single-row": (padded([[6, 4, 7, END_ID]], 4), []),
+    "end-only-row": (padded([[4, 7, END_ID], [END_ID], [5, END_ID]], 4), [2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKING_CASES))
+def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
+    seq, expected_cuts = PACKING_CASES[name]
+    model = tiny_model(seed=8)
+    images = np.random.default_rng(8).random((seq.shape[0], 1, 16, 24))
+    cuts = []
+    keep_rows = model.keep_rows
+    model.keep_rows = lambda bank, state, rows: (cuts.append(rows), keep_rows(bank, state, rows))[1]
+    gathers = []
+    take_rows = T.take_rows
+    monkeypatch.setattr(T, "take_rows", lambda a, rows: (gathers.append(rows), take_rows(a, rows))[1])
+    results = []
+    for run in (lambda: mle_loss(model, images, seq, train=True),
+                lambda: masked_reference(model, images, seq, train=True)[:2]):
+        loss, n_tokens = run()
+        model.zero_grad()
+        loss.backward()
+        results.append((loss.item(), n_tokens,
+                        {p.name: p.grad.copy() for p in model.parameters()}))
+    (loss, n_tokens, grads), (ref_loss, ref_n, ref_grads) = results
+    assert cuts == expected_cuts
+    lengths = (seq != PAD_ID).sum(axis=1)
+    # the bank is sorted once, and only when the rows are not in order yet
+    assert len(gathers) == int((np.diff(lengths) > 0).any())
+    assert n_tokens == ref_n == int((seq != PAD_ID).sum())
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    # a batch norm absorbs its conv's bias, whose gradient is then zero
+    # up to rounding on both sides
+    absorbed = {name.replace("enc.bn", "enc.conv").replace(".gamma", ".b")
+                for name in model.params if name.endswith(".gamma")}
+    assert absorbed
+    for pname, ref in ref_grads.items():
+        if pname in absorbed:
+            assert np.abs(ref).max() < 1e-12 and np.abs(grads[pname]).max() < 1e-12
+            continue
+        scale = np.abs(ref).max()
+        assert scale > 0, pname
+        assert np.abs(grads[pname] - ref).max() <= 1e-9 * scale, pname
+    with T.no_grad():
+        _, _, hits = masked_reference(model, images, seq, train=False)
+    batch = SimpleNamespace(images=images, seq=seq)
+    assert training.token_accuracy(model, [batch]) == hits / ref_n
+
+
+def test_packed_dropout_is_a_pure_function_of_the_generator():
+    cfg = model_config(len(VOCAB), d=8, d_emb=4, hidden=8, attn_dim=8, out_dim=8,
+                       dropout=0.3, seed=9)
+    model = Model(cfg, VOCAB)
+    seq, _ = PACKING_CASES["unsorted-ties"]
+    images = np.random.default_rng(9).random((seq.shape[0], 1, 16, 24))
+    losses = [mle_loss(model, images, seq, train=True,
+                       rng=np.random.default_rng(21))[0].data.tobytes() for _ in range(2)]
+    assert losses[0] == losses[1]
+    other = mle_loss(model, images, seq, train=True, rng=np.random.default_rng(22))[0]
+    assert other.data.tobytes() != losses[0]
+
+
+def test_pad_before_a_target_is_rejected():
+    model = tiny_model()
+    seq = np.array([[4, 5, END_ID], [6, PAD_ID, END_ID]])
+    with pytest.raises(TrainError, match="row 1 has PAD before a target"):
+        mle_loss(model, np.zeros((2, 1, 16, 24)), seq)
 
 
 # ---------------------------------------------------------------------
@@ -614,3 +720,42 @@ def test_train_raises_divergence_error_on_non_finite_loss(corpus, tmp_path):
         train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
               corpus["buckets"], str(tmp_path / "out"), init=str(poisoned))
     assert info.value.step == 1
+
+
+def test_rl_training_fails_on_a_misfed_rollout(corpus, tmp_path, monkeypatch):
+    base = train(tiny_cfg(steps=1), corpus["manifest"], corpus["manifest"],
+                 corpus["buckets"], str(tmp_path / "mle"))
+    misfeed_rollouts(monkeypatch)
+    with pytest.raises(TrainError, match=r"input-feed audit failed at step 1: [1-9]\d* of"):
+        train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
+              corpus["buckets"], str(tmp_path / "rl"), phase="rl", init=base.last_path)
+
+
+def test_rl_audit_leaves_a_clean_run_unchanged(corpus, tmp_path, monkeypatch):
+    base = train(tiny_cfg(steps=1), corpus["manifest"], corpus["manifest"],
+                 corpus["buckets"], str(tmp_path / "mle"))
+    audited = train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
+                    corpus["buckets"], str(tmp_path / "audited"), phase="rl",
+                    init=base.last_path)
+    real_step = training.reinforce_step
+    seen = []
+
+    def unaudited(*args, audit=None, **kwargs):
+        seen.append(audit)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "reinforce_step", unaudited)
+    plain = train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
+                  corpus["buckets"], str(tmp_path / "plain"), phase="rl",
+                  init=base.last_path)
+    assert len(seen) == 2 and all(isinstance(a, InputFeedAudit) for a in seen)
+    assert all(a.violations == 0 for a in seen)
+    with open(audited.last_path, "rb") as f, open(plain.last_path, "rb") as g:
+        assert f.read() == g.read()
+    logs = []
+    for result in (audited, plain):
+        with open(result.log_path, encoding="utf-8") as f:
+            rows = [line.rstrip("\n").split("\t") for line in f]
+        assert all(len(row) == 5 for row in rows)
+        logs.append([row[:4] for row in rows])      # the last field is wall time
+    assert logs[0] == logs[1]
