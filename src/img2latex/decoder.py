@@ -27,6 +27,16 @@ pre-activation.  Rows [0, n_in) multiply the layer input x, rows
 [n_in, n_in + hidden) the previous hidden state; column block k (width
 hidden) belongs to gate k in the order i, f, o, c.  Layer 1's input is
 [embedding ; O_{t-1}], so n_in = d_emb + out_dim; layer 2's is h1.
+
+Tape records per step (eval mode, or dropout 0): embedding_lookup, the
+layer-1 input concat, per layer one tensor.lstm_cell (concat, GEMM, bias
+and gates) and two slice_cols, one tensor.attention_scores (everything
+from the query projection to the softmax), attention_context, then
+concat, matmul and tanh for O_t and the output matmul: 14 in all.  The
+first step on a bank adds 3 for the cached key projection W2 e_l, and
+train mode adds one per dropout.  The two fused ops replace 4 and 9
+generic records and are bit-identical to them, forward and backward;
+tests/test_decoder.py keeps the generic chain as its reference.
 """
 from __future__ import annotations
 
@@ -138,25 +148,19 @@ class Decoder:
         return bank, state
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
-        z = (T.concat([x, h], axis=1) @ self._p(f"dec.lstm{layer}.w")
-             + self._p(f"dec.lstm{layer}.b"))
-        hc = T.lstm_cell(z, c, self.config.standard_cell_output)
+        hc = T.lstm_cell(x, h, c, self._p(f"dec.lstm{layer}.w"),
+                         self._p(f"dec.lstm{layer}.b"), self.config.standard_cell_output)
         n = self.config.hidden
         return T.slice_cols(hc, 0, n), T.slice_cols(hc, n, 2 * n)
 
     def _attend(self, bank: MemoryBank, query: Tensor):
-        b, length, d = bank.entries.shape
-        a = self.config.attn_dim
         if bank.proj is None:
+            b, length, d = bank.entries.shape
             flat = T.reshape(bank.entries, (b * length, d))
-            bank.proj = T.reshape(flat @ self._p("dec.attn.w2"), (b, length, a))
-        qp = T.reshape(query @ self._p("dec.attn.w1"), (b, 1, a))
-        # score the tanh activations against beta with a matmul: one GEMV
-        # instead of two (B, L, A) broadcast temporaries per step
-        act = T.reshape(T.tanh(qp + bank.proj), (b * length, a))
-        scores = T.reshape(act @ T.reshape(self._p("dec.attn.beta"), (a, 1)),
-                           (b, length))
-        alpha = T.softmax(scores)                                        # (B, L)
+            bank.proj = T.reshape(flat @ self._p("dec.attn.w2"),
+                                  (b, length, self.config.attn_dim))
+        alpha = T.attention_scores(query, self._p("dec.attn.w1"), bank.proj,
+                                   self._p("dec.attn.beta"))             # (B, L)
         return T.attention_context(alpha, bank.entries), alpha
 
     def step(self, bank: MemoryBank, state: DecoderState, tokens,

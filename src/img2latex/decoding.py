@@ -55,6 +55,9 @@ def greedy_decode(model, image, max_len: int = 200) -> DecodeResult:
     return DecodeResult(tokens=tokens, score=score, finished=False, alphas=alphas)
 
 
+_CARRIED = np.array([-1])       # token id of a carried finished hypothesis
+
+
 @dataclass
 class _Hypothesis:
     tokens: list[int]
@@ -71,10 +74,10 @@ def beam_decode(model, image, b: int = 5, max_len: int = 200,
 
     The candidate pool at each step holds every finished hypothesis
     (carried, never extended) plus b x |V| one-token extensions, pruned
-    back to b by (score desc, token id asc, parent index asc).  Stops
-    when all b hypotheses are finished or max_len is reached; returns
-    the best finished hypothesis, or the best unfinished one if none
-    finished.
+    back to b by (score desc, token id asc, parent index asc) with one
+    np.lexsort over score, token and parent arrays.  Stops when all b
+    hypotheses are finished or max_len is reached; returns the best
+    finished hypothesis, or the best unfinished one if none finished.
     """
     if b < 1:
         raise DecodeError(f"beam size must be >= 1, got {b}")
@@ -86,23 +89,31 @@ def beam_decode(model, image, b: int = 5, max_len: int = 200,
     for _ in range(max_len):
         if all(h.finished for h in beams):
             break
-        # candidate = (score, token id, parent index, next state, alpha)
-        candidates = []
+        # candidates as parallel arrays: a finished hypothesis is carried
+        # as one candidate with token id -1, a running one contributes all
+        # |V| extensions
+        scores, tokens, parents, stepped = [], [], [], {}
         for parent, hyp in enumerate(beams):
             if hyp.finished:
-                candidates.append((hyp.score, -1, parent, None, None))
-                continue
-            logp, new_state, alpha = model.decode_step(hyp.state, hyp.last)
-            scores = hyp.score + logp
-            for tok in range(scores.shape[0]):
-                candidates.append((float(scores[tok]), tok, parent, new_state, alpha))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+                scores.append(np.array([hyp.score]))
+                tokens.append(_CARRIED)
+            else:
+                logp, new_state, alpha = model.decode_step(hyp.state, hyp.last)
+                stepped[parent] = (new_state, alpha)
+                scores.append(hyp.score + logp)
+                tokens.append(np.arange(logp.shape[0]))
+            parents.append(np.full(tokens[-1].shape[0], parent))
+        scores, tokens, parents = (np.concatenate(scores), np.concatenate(tokens),
+                                   np.concatenate(parents))
         next_beams = []
-        for score, tok, parent, new_state, alpha in candidates[:b]:
+        for k in np.lexsort((parents, tokens, -scores))[:b]:
+            score, tok, parent = float(scores[k]), int(tokens[k]), int(parents[k])
             src = beams[parent]
             if tok == -1:
                 next_beams.append(src)
-            elif tok == END_ID:
+                continue
+            new_state, alpha = stepped[parent]
+            if tok == END_ID:
                 next_beams.append(_Hypothesis(
                     tokens=src.tokens, score=score, state=None, last=END_ID,
                     finished=True, alphas=src.alphas + [alpha]))

@@ -2,7 +2,8 @@
 
 Every differentiable operation the model needs lives here: elementwise
 arithmetic, matmul, conv2d/maxpool2d/batchnorm2d, activations, softmax,
-embedding lookup, dropout and cross entropy.  Each op records itself on
+embedding lookup, dropout, cross entropy, and the decoder's fused LSTM
+layer and attention scoring.  Each op records itself on
 the implicit tape (one `_OpRecord` per executed op, in execution order);
 `backward()` replays the records in reverse and accumulates gradients
 into every tensor that requires them.
@@ -32,6 +33,7 @@ class ShapeError(TensorError):
 
 _grad_enabled = True
 _op_counter = itertools.count()
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class no_grad:
@@ -69,8 +71,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
+        # np.asarray of an ndarray with no dtype is the array itself; skip
+        # the call, since every op output passes through here
+        arr = data if dtype is None and type(data) is np.ndarray else np.asarray(data, dtype=dtype)
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
@@ -287,33 +291,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    return _record("matmul", out, (a, b), lambda g: _matmul_vjp(g, ad, bd))
 
-    def bwd(g):
-        # with one output column (the attention score against beta) da is
-        # an outer product, which a broadcast multiply computes several
-        # times faster than BLAS
-        da = g * bd.T if bd.shape[1] == 1 else g @ bd.T
-        return da, ad.T @ g
 
-    return _record("matmul", out, (a, b), bwd)
+def _matmul_vjp(g: np.ndarray, ad: np.ndarray, bd: np.ndarray):
+    """(dA, dB) of A @ B for the 2-D arrays ad, bd and the output's gradient g."""
+    # with one output column (the attention score against beta) da is an
+    # outer product, which a broadcast multiply computes several times
+    # faster than BLAS
+    da = g * bd.T if bd.shape[1] == 1 else g @ bd.T
+    return da, ad.T @ g
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat: needs at least one tensor")
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis % len(base) and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    try:
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    except ValueError:
+        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
 
     def bwd(g):
+        splits = list(itertools.accumulate(t.shape[axis] for t in tensors[:-1]))
         return tuple(np.split(g, splits, axis=axis))
 
     return _record("concat", out, tuple(tensors), bwd)
@@ -466,51 +466,112 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", out, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def _row_softmax(x: np.ndarray):
+    """Softmax over the last axis of x, and the VJP that maps dy to dx."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
 
-    def bwd(g):
+    def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        return (g - dot) * y
 
-    return _record("softmax", out, (a,), bwd)
+    return y, vjp
 
 
-def lstm_cell(z: Tensor, c: Tensor, standard_output: bool = False) -> Tensor:
-    """One LSTM update from fused gate pre-activations; returns [h' | c'].
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis; rows sum to 1."""
+    y, vjp = _row_softmax(a.data)
+    return _record("softmax", Tensor(y), (a,), lambda g: (vjp(g),))
 
-    z is (B, 4h) with gate blocks in the order i, f, o, c and c is the
-    (B, h) cell state.  With i, f, o = sigmoid and g = tanh of the blocks,
-    c' = f * c + i * g and h' = o * c' (o * tanh(c') when
-    standard_output).  The output is (B, 2h); slice_cols splits it.
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
+              standard_output: bool = False) -> Tensor:
+    """One LSTM layer update as one tape record; returns [h' | c'].
+
+    x is the (B, n) layer input, h and c the (B, k) hidden and cell
+    state, w the (n + k, 4k) fused gate matrix and b its (4k,) bias.  The
+    pre-activations are z = [x ; h] @ w + b, with gate blocks of width k
+    in the order i, f, o, c.  With i, f, o = sigmoid and g = tanh of the
+    blocks, c' = f * c + i * g and h' = o * c' (o * tanh(c') when
+    standard_output).  The output is (B, 2k); slice_cols splits it.
+
+    Bit-identity contract: this is the record chain concat, matmul, add
+    and a gates-only cell, fused.  Forward and VJP run the same numpy
+    expressions in the same order as those four records did, so outputs
+    and gradients are bit-equal to the chain's.  The chain's records
+    were adjacent on the tape and gave each input one gradient, so every
+    shared tensor also sums its gradients in the same order as before.
     """
-    if z.ndim != 2 or c.ndim != 2 or z.shape != (c.shape[0], 4 * c.shape[1]):
-        raise ShapeError(f"lstm_cell: expects z (B, 4h) and c (B, h), got {z.shape} and {c.shape}")
-    h = c.shape[1]
-    ifo = _logistic(z.data[:, :3 * h])
-    i, f, o = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
-    g = np.tanh(z.data[:, 3 * h:])
+    if (x.ndim != 2 or h.ndim != 2 or c.shape != h.shape or x.shape[0] != h.shape[0]
+            or w.shape != (x.shape[1] + h.shape[1], 4 * h.shape[1])
+            or b.shape != (4 * h.shape[1],)):
+        raise ShapeError(f"lstm_cell: expects x (B, n), h and c (B, k), w (n + k, 4k) and "
+                         f"b (4k,), got {x.shape}, {h.shape}, {c.shape}, {w.shape}, {b.shape}")
+    k = h.shape[1]
+    xh = np.concatenate([x.data, h.data], axis=1)
+    wd = w.data
+    z = xh @ wd + b.data
+    ifo = _logistic(z[:, :3 * k])
+    i, f, o = ifo[:, :k], ifo[:, k:2 * k], ifo[:, 2 * k:]
+    g = np.tanh(z[:, 3 * k:])
     c_prev = c.data
     c_new = f * c_prev + i * g
     s = np.tanh(c_new) if standard_output else c_new
     out = Tensor(np.concatenate([o * s, c_new], axis=1))
+    n_x = x.shape[1]
+    z_shape, z_dtype = z.shape, z.dtype     # the VJP keeps no (B, 4k) array
 
     def bwd(grad):
-        gh, gc = grad[:, :h], grad[:, h:]
+        gh, gc = grad[:, :k], grad[:, k:]
         ds = gh * o
         dc = gc + (ds * (1.0 - s * s) if standard_output else ds)
-        dz = np.empty_like(z.data)
-        dz[:, :h] = dc * g * i * (1.0 - i)
-        dz[:, h:2 * h] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * h:3 * h] = gh * s * o * (1.0 - o)
-        dz[:, 3 * h:] = dc * i * (1.0 - g * g)
-        return dz, dc * f
+        dz = np.empty(z_shape, dtype=z_dtype)
+        dz[:, :k] = dc * g * i * (1.0 - i)
+        dz[:, k:2 * k] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * k:3 * k] = gh * s * o * (1.0 - o)
+        dz[:, 3 * k:] = dc * i * (1.0 - g * g)
+        dxh, dw = _matmul_vjp(dz, xh, wd)
+        return dxh[:, :n_x], dxh[:, n_x:], dc * f, dw, dz.sum(axis=0)
 
-    return _record("lstm_cell", out, (z, c), bwd)
+    return _record("lstm_cell", out, (x, h, c, w, b), bwd)
+
+
+def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor) -> Tensor:
+    """Additive attention weights over L memory entries, as one tape record.
+
+    query is (B, q), w1 (q, A), proj the (B, L, A) key projection of the
+    entries and beta (A,).  Returns alpha = softmax over L of
+    tanh(query @ w1 + proj) @ beta, shape (B, L); rows sum to 1.
+
+    Bit-identity contract: this fuses the chain matmul, reshape, add,
+    tanh, reshape, reshape (of beta), matmul, reshape and softmax.  Forward
+    and VJP run the same numpy expressions in the same order as those
+    nine records did, so outputs and gradients are bit-equal to the
+    chain's, and each input gets one gradient at the chain's place on the
+    tape.  Only the tanh activations are kept for the VJP; the chain also
+    kept the (B, L, A) pre-activation.
+    """
+    if (query.ndim != 2 or w1.ndim != 2 or proj.ndim != 3 or w1.shape[0] != query.shape[1]
+            or proj.shape[0] != query.shape[0] or proj.shape[2] != w1.shape[1]
+            or beta.shape != (w1.shape[1],)):
+        raise ShapeError(f"attention_scores: expects query (B, q), w1 (q, A), proj (B, L, A) "
+                         f"and beta (A,), got {query.shape}, {w1.shape}, {proj.shape}, "
+                         f"{beta.shape}")
+    bsz, length, a = proj.shape
+    qd, w1d = query.data, w1.data
+    act = np.tanh((qd @ w1d).reshape(bsz, 1, a) + proj.data)
+    act2 = act.reshape(bsz * length, a)
+    beta_col = beta.data.reshape(a, 1)
+    alpha, softmax_vjp = _row_softmax((act2 @ beta_col).reshape(bsz, length))
+
+    def bwd(g):
+        d_act2, d_beta = _matmul_vjp(softmax_vjp(g).reshape(bsz * length, 1), act2, beta_col)
+        d_pre = d_act2.reshape(bsz, length, a) * (1.0 - act * act)
+        d_query, d_w1 = _matmul_vjp(d_pre.sum(axis=1), qd, w1d)
+        return d_query, d_w1, d_pre, d_beta.reshape(a)
+
+    return _record("attention_scores", Tensor(alpha), (query, w1, proj, beta), bwd)
 
 
 def attention_context(alpha: Tensor, entries: Tensor) -> Tensor:

@@ -4,7 +4,8 @@ import pytest
 
 from gradcheck import model_config
 
-from img2latex.decoder import Decoder
+from img2latex import tensor as T
+from img2latex.decoder import Decoder, DecoderState, StepOutput
 from img2latex.encoder import MemoryBank
 from img2latex.tensor import Tensor
 
@@ -194,3 +195,142 @@ def test_fused_gates_keep_the_per_gate_initial_draws():
             assert np.array_equal(gate_block(w, gate + "x", n_in), want_x)
             assert np.array_equal(gate_block(w, gate + "h", n_in), want_h)
         assert not dec.params[f"dec.lstm{layer}.b"].data.any()
+
+
+# ---------------------------------------------------------------------
+# the generic-op chain that tensor.lstm_cell and tensor.attention_scores
+# fuse, kept as the bit-identity reference
+# ---------------------------------------------------------------------
+
+def gates_record(z, c, standard_output):
+    """The gates-only LSTM record: [h' | c'] from pre-activations z (B, 4h)
+    and cell state c (B, h), the last of the four records one fused
+    tensor.lstm_cell replaces."""
+    h = c.shape[1]
+    ifo = T._logistic(z.data[:, :3 * h])
+    i, f, o = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
+    g = np.tanh(z.data[:, 3 * h:])
+    c_prev = c.data
+    c_new = f * c_prev + i * g
+    s = np.tanh(c_new) if standard_output else c_new
+    out = Tensor(np.concatenate([o * s, c_new], axis=1))
+
+    def bwd(grad):
+        gh, gc = grad[:, :h], grad[:, h:]
+        ds = gh * o
+        dc = gc + (ds * (1.0 - s * s) if standard_output else ds)
+        dz = np.empty_like(z.data)
+        dz[:, :h] = dc * g * i * (1.0 - i)
+        dz[:, h:2 * h] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * h:3 * h] = gh * s * o * (1.0 - o)
+        dz[:, 3 * h:] = dc * i * (1.0 - g * g)
+        return dz, dc * f
+
+    return T._record("lstm_cell", out, (z, c), bwd)
+
+
+def unfused_step_reference(dec, bank, state, tokens, train=False, rng=None):
+    """Decoder.step built from generic tape ops: 28 records per step after
+    the first in eval mode, against Decoder.step's 14."""
+    cfg, p = dec.config, dec._p
+    emb = T.dropout(T.embedding_lookup(p("dec.embed"), np.asarray(tokens)),
+                    cfg.dropout, train, rng)
+    x = T.concat([emb, state.o_prev], axis=1)
+    hs, cs = [], []
+    for layer in (1, 2):
+        z = (T.concat([x, state.h[layer - 1]], axis=1) @ p(f"dec.lstm{layer}.w")
+             + p(f"dec.lstm{layer}.b"))
+        hc = gates_record(z, state.c[layer - 1], cfg.standard_cell_output)
+        x = T.slice_cols(hc, 0, cfg.hidden)
+        hs.append(x)
+        cs.append(T.slice_cols(hc, cfg.hidden, 2 * cfg.hidden))
+    query = hs[1] if cfg.attend_current_hidden else state.h[1]
+    b, length, d = bank.entries.shape
+    a = cfg.attn_dim
+    if bank.proj is None:
+        flat = T.reshape(bank.entries, (b * length, d))
+        bank.proj = T.reshape(flat @ p("dec.attn.w2"), (b, length, a))
+    qp = T.reshape(query @ p("dec.attn.w1"), (b, 1, a))
+    act = T.reshape(T.tanh(qp + bank.proj), (b * length, a))
+    scores = T.reshape(act @ T.reshape(p("dec.attn.beta"), (a, 1)), (b, length))
+    alpha = T.softmax(scores)
+    ctx = T.attention_context(alpha, bank.entries)
+    o = T.dropout(T.tanh(T.concat([hs[1], ctx], axis=1) @ p("dec.w3")), cfg.dropout, train, rng)
+    return StepOutput(logits=o @ p("dec.w4"), alpha=alpha,
+                      state=DecoderState(h=hs, c=cs, o_prev=o))
+
+
+def fused_step(dec, bank, state, tokens, train=False, rng=None):
+    return dec.step(bank, state, tokens, train=train, rng=rng)
+
+
+def teacher_forced_pass(step_fn, dec, entries, train):
+    """Six teacher-forced steps over four rows, cut to the first three rows
+    (head_rows views) before step 2 and to rows [2, 0] (take_rows) before
+    step 4, with a loss on the logits and on alpha.  Returns the forward
+    arrays of every step, then each parameter's and the entries' gradient,
+    all as bytes."""
+    for prm in dec.params.values():
+        prm.zero_grad()
+    bank = MemoryBank(entries=Tensor(entries.copy(), requires_grad=True),
+                      h_prime=1, w_prime=entries.shape[1])
+    leaf = bank.entries
+    state = dec.init_state(bank)
+    rng = np.random.default_rng(11) if train else None
+    seq = np.random.default_rng(12).integers(0, dec.config.vocab_size, size=(4, 6))
+    r = np.random.default_rng(13).normal(size=(4, entries.shape[1])).astype(entries.dtype)
+    rows = np.arange(4)
+    forward, loss = [], None
+    for t in range(seq.shape[1]):
+        cut = {2: 3, 4: [2, 0]}.get(t)
+        if cut is not None:
+            bank, state = dec.keep_rows(bank, state, cut)
+            rows = rows[:cut] if isinstance(cut, int) else rows[cut]
+        out = step_fn(dec, bank, state, seq[rows, t], train=train, rng=rng)
+        state = out.state
+        forward += [out.logits.data, out.alpha.data, out.state.o_prev.data]
+        forward += [v.data for v in out.state.h + out.state.c]
+        step_loss = (T.cross_entropy(out.logits, seq[rows, (t + 1) % 6]).sum()
+                     + (out.alpha * Tensor(r[rows])).sum())
+        loss = step_loss if loss is None else loss + step_loss
+    loss.backward()
+    grads = {name: prm.grad for name, prm in dec.params.items()}
+    grads["entries"] = leaf.grad
+    return [a.tobytes() for a in forward], {k: g.tobytes() for k, g in grads.items()}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("standard_cell,attend_current,train",
+                         [(False, False, False), (True, True, False), (False, True, True)])
+def test_fused_step_is_bit_identical_to_the_unfused_chain(dtype, standard_cell,
+                                                          attend_current, train):
+    dec, cfg = make(vocab=7, d=8, hidden=6, attn=5, out=7, emb=4, dtype=dtype,
+                    standard_cell_output=standard_cell, attend_current_hidden=attend_current)
+    cfg.dropout = 0.3 if train else 0.0
+    entries = np.random.default_rng(14).normal(size=(4, 5, 8)).astype(cfg.np_dtype())
+    fwd_fused, grads_fused = teacher_forced_pass(fused_step, dec, entries, train)
+    fwd_ref, grads_ref = teacher_forced_pass(unfused_step_reference, dec, entries, train)
+    assert len(fwd_fused) == len(fwd_ref) == 6 * 7
+    assert fwd_fused == fwd_ref
+    assert sorted(grads_fused) == sorted(grads_ref)
+    for name in grads_ref:
+        assert grads_fused[name] == grads_ref[name], name
+
+
+def records(step_fn, dec, bank, state):
+    """Tape records one call of step_fn puts on the tape."""
+    start = next(T._op_counter)
+    step_fn(dec, bank, state, np.array([2, 4]))
+    return next(T._op_counter) - start - 1
+
+
+def test_a_step_after_the_first_records_14_ops_not_28():
+    dec, _ = make()
+    bank = make_bank()
+    bank.entries.requires_grad = True
+    state = dec.init_state(bank)
+    # the first step also records the key projection: 3 more
+    assert records(fused_step, dec, bank, state) == 14 + 3
+    state = dec.step(bank, state, np.array([3, 5])).state
+    assert records(fused_step, dec, bank, state) == 14
+    assert records(unfused_step_reference, dec, bank, state) == 28

@@ -199,3 +199,75 @@ def test_wider_beams_never_score_worse():
         assert scores[0] == greedy.score
         for lo, hi in zip(scores, scores[1:]):
             assert hi >= lo
+
+
+def tuple_sort_beam_decode(model, image, b, max_len, length_normalize=False):
+    """beam_decode as it pruned before: b x |V| Python tuples, sorted by key."""
+    beams = [([], 0.0, model.decode_start(image), START_ID, False, [])]
+    for _ in range(max_len):
+        if all(h[4] for h in beams):
+            break
+        candidates = []
+        for parent, (_, score, state, last, finished, _) in enumerate(beams):
+            if finished:
+                candidates.append((score, -1, parent, None, None))
+                continue
+            logp, new_state, alpha = model.decode_step(state, last)
+            scores = score + logp
+            for tok in range(scores.shape[0]):
+                candidates.append((float(scores[tok]), tok, parent, new_state, alpha))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_beams = []
+        for score, tok, parent, new_state, alpha in candidates[:b]:
+            toks, _, _, _, _, alphas = src = beams[parent]
+            if tok == -1:
+                next_beams.append(src)
+            elif tok == END_ID:
+                next_beams.append((toks, score, None, END_ID, True, alphas + [alpha]))
+            else:
+                next_beams.append((toks + [tok], score, new_state, tok, False, alphas + [alpha]))
+        beams = next_beams
+
+    def key(h):
+        s = h[1] / max(len(h[0]) + 1, 1) if length_normalize else h[1]
+        return (-s, h[0])
+    best = min([h for h in beams if h[4]] or beams, key=key)
+    return best[0], best[1], best[4], best[5]
+
+
+class TiedModel:
+    """Log-probs drawn from three values (one of them log 0), seeded by the
+    history: equal candidate scores are common within a parent, across
+    parents, and between a carried finished hypothesis and an extension."""
+
+    def __init__(self, seed, vocab_size=7):
+        self.seed = seed
+        self.V = vocab_size
+
+    def decode_start(self, image):
+        return ()
+
+    def decode_step(self, state, token):
+        hist = state if token == START_ID else state + (int(token),)
+        rng = np.random.default_rng((self.seed,) + hist)
+        with np.errstate(divide="ignore"):
+            logp = np.log(rng.choice([0.0, 0.25, 0.5], size=self.V))
+        return logp, hist, np.array(hist + (-1,), dtype=float)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_array_pruning_matches_the_tuple_sort_under_ties(seed):
+    model = TiedModel(seed)
+    for b in (1, 2, 3, 5, 9):
+        for norm in (False, True):
+            got = beam_decode(model, None, b=b, max_len=5, length_normalize=norm)
+            tokens, score, finished, alphas = tuple_sort_beam_decode(
+                model, None, b=b, max_len=5, length_normalize=norm)
+            assert (got.tokens, got.score, got.finished) == (tokens, score, finished)
+            assert len(got.alphas) == len(alphas)
+            for ga, wa in zip(got.alphas, alphas):
+                assert np.array_equal(ga, wa)
+    greedy = greedy_decode(model, None, max_len=5)
+    beam1 = beam_decode(model, None, b=1, max_len=5)
+    assert (greedy.tokens, greedy.score, greedy.finished) == (
+        beam1.tokens, beam1.score, beam1.finished)

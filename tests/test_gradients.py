@@ -152,11 +152,31 @@ def test_slice_cols(seed):
 @pytest.mark.parametrize("standard", [False, True])
 def test_lstm_cell(seed, standard):
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((3, 4 * 5)) * 2.0
+    x = rng.standard_normal((3, 4))
+    h = rng.standard_normal((3, 5))
     c = rng.standard_normal((3, 5))
+    w = rng.standard_normal((4 + 5, 4 * 5))
+    b = rng.standard_normal(4 * 5)
     loss = _proj(rng, (3, 2 * 5))
-    _check(lambda zz, cc: loss(T.lstm_cell(zz, cc, standard)), [z, c],
+    _check(lambda *a: loss(T.lstm_cell(*a, standard)), [x, h, c, w, b],
            f"lstm_cell standard={standard} seed={seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attention_scores(seed):
+    rng = np.random.default_rng(seed)
+    query = rng.standard_normal((2, 3))
+    w1 = rng.standard_normal((3, 4))
+    proj = rng.standard_normal((2, 5, 4))
+    beta = rng.standard_normal(4)
+    loss = _proj(rng, (2, 5))
+    _check(lambda *a: loss(T.attention_scores(*a)), [query, w1, proj, beta],
+           f"attention_scores seed={seed}")
+    # one attention unit: the query projection takes the outer-product VJP
+    one = [rng.standard_normal((2, 3)), rng.standard_normal((3, 1)),
+           rng.standard_normal((2, 6, 1)), rng.standard_normal(1)]
+    loss1 = _proj(rng, (2, 6))
+    _check(lambda *a: loss1(T.attention_scores(*a)), one, f"attention_scores A=1 seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -340,6 +360,7 @@ GRADCHECKS = {
     "tanh": test_sigmoid_tanh,
     "softmax": test_softmax,
     "lstm_cell": test_lstm_cell,
+    "attention_scores": test_attention_scores,
     "attention_context": test_attention_context,
     "embedding_lookup": test_embedding_lookup,
     "dropout": test_dropout,

@@ -58,6 +58,14 @@ def test_concat_values_and_axis():
     assert np.array_equal(out.data, np.concatenate([a, b], axis=1))
 
 
+@pytest.mark.parametrize("shapes,axis", [([(2, 3), (3, 5)], 1), ([(2, 3), (2,)], 0),
+                                          ([(2, 3), (2, 3)], 2), ([(), ()], 0)])
+def test_concat_shape_mismatch_names_the_shapes(shapes, axis):
+    with pytest.raises(ShapeError) as err:
+        T.concat([Tensor(np.zeros(s)) for s in shapes], axis=axis)
+    assert f"concat: shapes {shapes} differ off axis {axis}" in str(err.value)
+
+
 def test_reshape_and_transpose_roundtrip():
     a = rng(9).normal(size=(2, 3, 4))
     out = T.transpose(T.reshape(Tensor(a), (6, 4)), (1, 0))
