@@ -46,25 +46,10 @@ class DivergenceError(TrainError):
 # token-level objective
 # ---------------------------------------------------------------------
 
-def _teacher_forced(model: Model, images: np.ndarray, seq: np.ndarray,
-                    train: bool, rng: np.random.Generator | None = None):
-    """Packed teacher-forced pass; returns (logits Tensor (N, V), targets (N,)).
-
-    seq is (B, T) int ids laid out as bucket_and_pad writes them:
-    [tokens..., END, PAD...].  A row's targets are its non-PAD ids, and
-    the decoder input at step t is the ground-truth token at t-1 (START
-    at t=0).  After encoding, so that batch-norm statistics keep their
-    bits, the rows are sorted once by target count, longest first (a
-    stable sort; no gather when the order is already the identity).
-    Step t then runs only the first n_t rows, those with more than t
-    targets: the bank, its cached key projection and the state shrink to
-    n_t rows through head_rows views (`Model.keep_rows` with an int), so
-    no row steps past its last target.  The outputs pack every step's
-    live rows step after step, so N is the number of targets and no PAD
-    is ever scored.  A row with PAD before a target would lose that
-    target, so it raises TrainError, as does a batch with no target.
-    """
-    b = seq.shape[0]
+def _target_counts(seq: np.ndarray) -> np.ndarray:
+    """Non-PAD ids per row of seq (B, T), laid out as bucket_and_pad writes
+    it: [tokens..., END, PAD...].  PAD before a target, or no target at
+    all, raises TrainError."""
     live = seq != PAD_ID
     gaps = ~live[:, :-1] & live[:, 1:]
     if gaps.any():
@@ -73,12 +58,29 @@ def _teacher_forced(model: Model, images: np.ndarray, seq: np.ndarray,
                          "(rows must be tokens, END, then PAD)")
     if not live.any():
         raise TrainError("teacher forcing: no target in the batch")
-    lengths = live.sum(axis=1)
+    return live.sum(axis=1)
+
+
+def _teacher_forced(model: Model, bank: MemoryBank, seq: np.ndarray,
+                    lengths: np.ndarray, train: bool,
+                    rng: np.random.Generator | None = None):
+    """Packed teacher-forced pass; returns (logits Tensor (N, V), targets
+    (N,), rows (N,)), where rows[j] is the original row of target j.
+
+    Row i's targets are seq[i, :lengths[i]], and its input at step t is
+    target t-1 (START at t=0); a sampled rollout may hold PAD, START or
+    UNK as content, so the counts are passed in.  The bank comes encoded,
+    so batch-norm statistics keep their bits; its rows are sorted once by
+    count, longest first (stable; no gather when already in order).  Step
+    t runs only the first n_t rows, those with more than t targets, cut
+    through head_rows views (`Model.keep_rows` with an int), and the
+    outputs pack every step's live rows, so N is the number of targets.
+    """
+    b = seq.shape[0]
     order = np.argsort(-lengths, kind="stable")
     seq = seq[order]
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
-    n_live = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-    bank = model.encode(images, train=train)
+    n_live = (lengths[order][:, None] > np.arange(lengths.max())).sum(axis=0)
     if (order != np.arange(b)).any():
         bank = MemoryBank(entries=T.take_rows(bank.entries, order),
                           h_prime=bank.h_prime, w_prime=bank.w_prime)
@@ -93,18 +95,17 @@ def _teacher_forced(model: Model, images: np.ndarray, seq: np.ndarray,
         state = out.state
         logits.append(out.logits)
     targets = np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
-    return T.concat(logits), targets
+    return T.concat(logits), targets, np.concatenate([order[:n] for n in n_live])
 
 
 def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
              train: bool = True, rng: np.random.Generator | None = None):
     """Teacher-forced cross entropy over the packed targets.
 
-    seq is laid out as in `_teacher_forced`.  Returns (loss Tensor, token
-    count).  The loss is one cross entropy over every packed target,
-    summed and times 1/B: the batch mean of per-sequence summed cross
-    entropy, with PAD never scored.  The token count is the number of
-    packed targets.
+    seq is laid out as in `_target_counts`.  Returns (loss Tensor, token
+    count): one cross entropy over every packed target, summed and times
+    1/B (the batch mean of per-sequence summed cross entropy; PAD is
+    never scored), and the number of packed targets.
 
     Numerics: a matmul row's bits depend on how many rows share the
     call, and the sum runs over the packed order, so the loss and the
@@ -117,7 +118,9 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     """
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
-    logits, targets = _teacher_forced(model, images, seq, train, rng)
+    lengths = _target_counts(seq)
+    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train), seq,
+                                         lengths, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
 
@@ -151,75 +154,59 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
 
 def _sample_rollout(model: Model, bank, max_len: int, rngs,
                     audit: InputFeedAudit | None = None):
-    """Batched multinomial rollout in eval mode (gradients still flow).
+    """Batched multinomial rollout in eval mode, under T.no_grad().
 
-    Returns (tokens (B, T) with PAD after END, nll Tensor (B,), finished
-    mask), where T is the number of steps run.  The negative
-    log-likelihood sums the log-prob of every sampled token including
-    END; all three are in the original row order.
+    Returns (tokens (B, T) with PAD after END, lengths (B,), finished
+    mask) in the original row order: T is the number of steps run and
+    lengths[i] the steps row i ran, END included.  Nothing is recorded;
+    `reinforce_step` scores the tokens afterwards.  The rollout attends
+    over a bank of its own that shares bank's entries, so the key
+    projection it caches off the tape never reaches a later scoring pass.
 
-    A row leaves the batch on the step it samples END.  On a step where
-    some rows but not all finish, the decoder state and the memory bank
-    (with its cached key projection) are cut to the rows still running
-    by `model.keep_rows`, and the running nll by `T.take_rows`, so later
-    steps and their backward pass cost only the live rows; steps where
-    no row finishes gather nothing.  `rows` maps each running row to its
-    original row, and original row i always draws from rngs[i], so every
-    live row sees the same sequence of draws as in a rollout that steps
-    all B rows to the end.  nll is built once at the end: the parts of
-    the rows that left, concatenated, then put back in row order.
-
-    Numerics: a batched matmul's bits for one row depend on how many
-    rows share the call, so nll and the gradients through it can differ
-    in their last bits from an all-rows rollout; tokens and rewards
-    differ only when a draw lands within rounding of a bucket boundary
-    of the cumulative distribution.  The rollout is a pure function of
-    its inputs, so reruns and resumed runs stay byte-identical.
-
-    With an audit, every token fed to model.step after the first step is
-    checked, for each running row, against that row's token one step
-    earlier in the returned matrix.
+    A row leaves the batch on the step it samples END: `model.keep_rows`
+    cuts the state and the bank to the rows still running.  Original row
+    i always draws from rngs[i], so every live row sees the same draws as
+    in a rollout that steps all B rows to the end; its tokens differ only
+    when a draw lands within rounding of a bucket boundary, since a
+    matmul row's bits depend on how many rows share the call.  With an
+    audit, every token fed after the first step is checked, for each
+    running row, against that row's token one step earlier.
     """
     b = bank.entries.shape[0]
-    state = model.init_state(bank)
+    bank = MemoryBank(entries=bank.entries, h_prime=bank.h_prime, w_prime=bank.w_prime)
     rows = np.arange(b)                     # original row of each running row
     last = np.full(b, START_ID, dtype=np.int64)
     tokens = np.full((b, max_len), PAD_ID, dtype=np.int64)
+    lengths = np.full(b, max_len)
     finished = np.zeros(b, dtype=bool)
     feeds = []                              # (rows, fed tokens) per step
-    left_nll, left_rows = [], []            # per-row nll of rows that finished
-    nll = None
-    for t in range(max_len):
-        feeds.append((rows, last))
-        out = model.step(bank, state, last, train=False)
-        state = out.state
-        z = out.logits.data.astype(np.float64)
-        z = z - z.max(axis=1, keepdims=True)
-        probs = np.exp(z)
-        probs /= probs.sum(axis=1, keepdims=True)
-        sampled = _multinomial_rows(probs, [rngs[i] for i in rows])
-        ce = T.cross_entropy(out.logits, sampled)
-        nll = ce if nll is None else nll + ce
-        tokens[rows, t] = sampled
-        ended = sampled == END_ID
-        finished[rows[ended]] = True
-        if ended.all():
-            break
-        if ended.any():
-            keep = np.flatnonzero(~ended)
-            left_nll.append(T.take_rows(nll, np.flatnonzero(ended)))
-            left_rows.append(rows[ended])
-            nll = T.take_rows(nll, keep)
-            bank, state = model.keep_rows(bank, state, keep)
-            rows, sampled = rows[keep], sampled[keep]
-        last = sampled
+    with T.no_grad():
+        state = model.init_state(bank)
+        for t in range(max_len):
+            feeds.append((rows, last))
+            out = model.step(bank, state, last, train=False)
+            state = out.state
+            z = out.logits.data.astype(np.float64)
+            z = z - z.max(axis=1, keepdims=True)
+            probs = np.exp(z)
+            probs /= probs.sum(axis=1, keepdims=True)
+            sampled = _multinomial_rows(probs, [rngs[i] for i in rows])
+            tokens[rows, t] = sampled
+            ended = sampled == END_ID
+            finished[rows[ended]] = True
+            lengths[rows[ended]] = t + 1
+            if ended.all():
+                break
+            if ended.any():
+                keep = np.flatnonzero(~ended)
+                bank, state = model.keep_rows(bank, state, keep)
+                rows, sampled = rows[keep], sampled[keep]
+            last = sampled
     tokens = tokens[:, :len(feeds)]
-    order = np.concatenate(left_rows + [rows])
-    nll = T.take_rows(T.concat(left_nll + [nll]), np.argsort(order))
     if audit is not None:
         for t, (fed_rows, fed) in enumerate(feeds[1:], start=1):
             audit.check(fed, tokens[fed_rows, t - 1])
-    return tokens, nll, finished
+    return tokens, lengths, finished
 
 
 def strip_sentinels(row) -> list[int]:
@@ -255,13 +242,15 @@ def reinforce_weights(rewards: np.ndarray, leave_one_out: bool = False) -> np.nd
     return rewards - baseline
 
 
-def reinforce_loss(nll: Tensor, weights: np.ndarray) -> Tensor:
+def reinforce_loss(nll: Tensor, weights: np.ndarray, rows: np.ndarray) -> Tensor:
     """Minimization objective: mean of (R - baseline) * nll over all samples.
 
-    The weights are cast to nll's dtype so a float32 model keeps its
-    backward pass in float32.
+    nll[j] is a negative log-likelihood term of sample rows[j] (one per
+    token, or one per sample).  The weights are cast to nll's dtype so a
+    float32 model keeps its backward pass in float32.
     """
-    return (nll * Tensor(weights.astype(nll.dtype))).sum() * (1.0 / weights.size)
+    w = Tensor(weights[rows].astype(nll.dtype))
+    return (nll * w).sum() * (1.0 / weights.size)
 
 
 def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]],
@@ -271,10 +260,17 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
                    audit: InputFeedAudit | None = None) -> float:
     """One policy-gradient update; returns the mean sampled reward.
 
-    Draws k samples per image from the tiled memory bank, in eval mode
-    (no dropout, batch-norm running statistics) but with gradients
-    recorded.  Rewards are computed on sentinel-stripped token ids and
-    clamped to [0, 1].
+    Encodes once in eval mode (no dropout, batch-norm running
+    statistics) and draws k samples per image off the tape from the
+    tiled bank.  Rewards are computed on sentinel-stripped token ids and
+    clamped to [0, 1].  One packed teacher-forced pass over the tiled
+    bank then scores every sampled token, END included, with the
+    rollout's step counts; the loss is sum(w[row] * ce) / (B*k).  A
+    non-finite loss raises DivergenceError before backward, so the
+    parameters stay as they were.  Sampling and scoring run the same
+    eval-mode function, but scoring batches rows in length order, so the
+    loss and gradients may move in their last bits against a rollout
+    that records its own log-probabilities; tokens and rewards do not.
     """
     if k < 2:
         raise TrainError(f"reinforce_step: k must be >= 2 for the baseline, got {k}")
@@ -285,13 +281,15 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     tiled = MemoryBank(entries=T.repeat_rows(bank.entries, k),
                        h_prime=bank.h_prime, w_prime=bank.w_prime)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
-    tokens, nll, _ = _sample_rollout(model, tiled, max_len, rngs, audit)
-    rewards = np.empty(b * k, dtype=np.float64)
-    for i in range(b * k):
-        r = reward_fn(strip_sentinels(tokens[i]), references[i // k])
-        rewards[i] = min(max(float(r), 0.0), 1.0)
+    tokens, lengths, _ = _sample_rollout(model, tiled, max_len, rngs, audit)
+    rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
+                       for i, row in enumerate(tokens)], 0.0, 1.0)
     weights = reinforce_weights(rewards.reshape(b, k), leave_one_out).reshape(b * k)
-    loss = reinforce_loss(nll, weights)
+    logits, targets, rows = _teacher_forced(model, tiled, tokens, lengths, train=False)
+    loss = reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(step, value)
     model.zero_grad()
     loss.backward()
     clip_global_norm(model.parameters(), clip_norm)
@@ -314,7 +312,8 @@ def token_accuracy(model: Model, batches) -> float:
     total = 0
     with T.no_grad():
         for batch in batches:
-            logits, targets = _teacher_forced(model, batch.images, batch.seq, train=False)
+            logits, targets, _ = _teacher_forced(model, model.encode(batch.images), batch.seq,
+                                                 _target_counts(batch.seq), train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size
     return correct / total if total else 0.0
@@ -466,8 +465,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                     raise TrainError(
                         f"input-feed audit failed at step {step}: {audit.violations} of "
                         f"{audit.steps_checked} fed tokens were not the row's previous sample")
-                if not np.isfinite(value):
-                    raise DivergenceError(step, value)
             losses.append(value)
 
             if step % validate_every == 0 or step == steps:

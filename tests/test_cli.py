@@ -128,6 +128,18 @@ def test_train_divergence_exit_code(ws, tmp_path, capsys):
     assert "non-finite loss" in capsys.readouterr().err
 
 
+def test_train_rl_divergence_exit_code(ws, tmp_path, capsys):
+    model, _ = Model.load(ws["ckpt"])
+    model.params["dec.w3"].data[0, 0] = np.nan
+    poisoned = tmp_path / "poisoned.ckpt"
+    model.save(str(poisoned))
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
+               ws["buckets"], "--out", str(tmp_path / "x"), "--phase", "rl",
+               "--init", str(poisoned)] + TINY + ["--set", "steps=1"])
+    assert rc == 3
+    assert "non-finite loss" in capsys.readouterr().err
+
+
 def test_train_rl_input_feed_violation_is_a_one_line_usage_error(ws, tmp_path, capsys,
                                                                  monkeypatch):
     misfeed_rollouts(monkeypatch)

@@ -131,8 +131,8 @@ def test_f32_model_trains_in_float32(monkeypatch):
     seen = []
     real_loss = training.reinforce_loss
 
-    def spy(nll, weights):
-        out = real_loss(nll, weights)
+    def spy(*args):
+        out = real_loss(*args)
         seen.append(out.dtype)
         return out
 
@@ -287,13 +287,25 @@ class ChainModel:
         return log_softmax(self._row(token)), None, np.array([1.0])
 
 
+def sample_and_score(model, bank, max_len, rngs, audit=None):
+    """The path reinforce_step takes: sample off the tape, then score the
+    tokens with one packed teacher-forced pass over the same bank.
+    Returns (tokens, finished, per-row nll, (per-token ce Tensor, rows))."""
+    tokens, lengths, finished = _sample_rollout(model, bank, max_len, rngs, audit)
+    logits, targets, rows = training._teacher_forced(model, bank, tokens, lengths,
+                                                     train=False)
+    ce = T.cross_entropy(logits, targets)
+    nll = np.bincount(rows, weights=ce.data, minlength=tokens.shape[0])
+    return tokens, finished, nll, (ce, rows)
+
+
 def rollout_one(model, image, max_len, seed, audit=None):
-    """(content ids, nll, finished) of one sampled rollout, off the tape."""
+    """(content ids, nll, finished) of one sampled and scored rollout."""
     with T.no_grad():
         bank = model.encode(image, train=False)
-        tokens, nll, finished = _sample_rollout(
+        tokens, finished, nll, _ = sample_and_score(
             model, bank, max_len, [np.random.default_rng(seed)], audit)
-    return strip_sentinels(tokens[0]), float(nll.data[0]), bool(finished[0])
+    return strip_sentinels(tokens[0]), float(nll[0]), bool(finished[0])
 
 
 def test_sampling_equals_greedy_when_transitions_are_deterministic():
@@ -390,13 +402,14 @@ def full_batch_rollout(model, bank, max_len, rngs):
 
 
 class FixedDraws:
-    """Stands in for a row's generator: every draw returns u."""
+    """Stands in for a row's generator: returns the draws us in turn, then
+    the last one for good."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, *us):
+        self.us = list(us)
 
     def random(self):
-        return self.u
+        return self.us.pop(0) if len(self.us) > 1 else self.us[0]
 
 
 def rollout_case(name):
@@ -417,20 +430,28 @@ def rollout_case(name):
     return model, images[:1], 1, 20, lambda: [np.random.default_rng((8, 0))]
 
 
-@pytest.mark.parametrize("name", ["mixed", "all-end-at-step-1", "single-row"])
-def test_compacting_rollout_matches_the_full_batch_rollout(name):
-    model, images, repeats, max_len, make_rngs = rollout_case(name)
+def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
+    """Sample and score, then check tokens, nll and every gradient (the
+    encoder and dec.attn.w2 included) against full_batch_rollout.
+    Returns the reference (tokens, finished, nll)."""
     weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
     results = []
-    for rollout in (_sample_rollout, full_batch_rollout):
+    for full_batch in (False, True):
         bank = model.encode(images, train=False)
         tiled = MemoryBank(entries=T.repeat_rows(bank.entries, repeats),
                            h_prime=bank.h_prime, w_prime=bank.w_prime)
-        tokens, nll, finished = rollout(model, tiled, max_len, make_rngs())
+        if full_batch:
+            tokens, nll, finished = full_batch_rollout(model, tiled, max_len, make_rngs())
+            loss = training.reinforce_loss(nll, weights, np.arange(weights.size))
+            nll = nll.data
+        else:
+            tokens, finished, nll, (ce, rows) = sample_and_score(model, tiled, max_len,
+                                                                 make_rngs())
+            loss = training.reinforce_loss(ce, weights, rows)
         model.zero_grad()
-        training.reinforce_loss(nll, weights).backward()
+        loss.backward()
         grads = {p.name: p.grad.copy() for p in model.parameters()}
-        results.append((tokens, nll.data.copy(), finished, grads))
+        results.append((tokens, nll.copy(), finished, grads))
     (tok, nll, fin, grads), (ref_tok, ref_nll, ref_fin, ref_grads) = results
     assert np.array_equal(tok, ref_tok)
     assert np.array_equal(fin, ref_fin)
@@ -438,12 +459,60 @@ def test_compacting_rollout_matches_the_full_batch_rollout(name):
     for pname, ref in ref_grads.items():
         scale = np.abs(ref).max()
         assert np.abs(grads[pname] - ref).max() <= 1e-9 * scale, pname
+    return ref_tok, ref_fin, ref_nll
+
+
+@pytest.mark.parametrize("name", ["mixed", "all-end-at-step-1", "single-row"])
+def test_compacting_rollout_matches_the_full_batch_rollout(name):
+    model, images, repeats, max_len, make_rngs = rollout_case(name)
+    ref_tok, ref_fin, _ = matches_the_full_batch_rollout(model, images, repeats, max_len,
+                                                         make_rngs)
     lengths = (ref_tok != PAD_ID).sum(axis=1)
     if name == "mixed":
         assert len(set(lengths[ref_fin])) >= 2 and not ref_fin[-1]
         assert lengths[-1] == max_len
     if name == "all-end-at-step-1":
-        assert tok.shape[1] == 1 and fin.all()
+        assert ref_tok.shape[1] == 1 and ref_fin.all()
+
+
+def test_sampled_sentinels_keep_their_score(monkeypatch):
+    # near-uniform logits over 8 ids put id j on u in (j/8, (j+1)/8], so
+    # each row's draws script its tokens: PAD (0), UNK (1) and START (2)
+    # are sampled as content, mid-rollout
+    model = tiny_model(seed=7)
+    model.params["dec.w4"].data *= 1e-3
+    images = np.random.default_rng(7).random((2, 1, 16, 24))
+
+    def rngs():
+        return [FixedDraws(0.55, 0.05, 0.3, 0.45),
+                FixedDraws(0.05, 0.45),
+                FixedDraws(0.3, 0.7, 0.2, 0.05, 0.45),
+                FixedDraws(0.8, 0.05, 0.95)]
+    tokens, finished, ref_nll = matches_the_full_batch_rollout(model, images, 2, 6, rngs)
+    assert tokens.tolist() == [[4, PAD_ID, START_ID, END_ID, PAD_ID, PAD_ID],
+                               [PAD_ID, END_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+                               [START_ID, 5, 1, PAD_ID, END_ID, PAD_ID],
+                               [6, PAD_ID, 7, 7, 7, 7]]
+    assert finished.tolist() == [True, True, True, False]
+    # counting targets by PAD, as MLE batches do, would refuse this rollout
+    with pytest.raises(TrainError, match="PAD before a target"):
+        training._target_counts(tokens)
+    # reinforce_step, on the same draws, scores every sampled token too
+    draws = rngs()
+    monkeypatch.setattr(training, "derive_rng", lambda seed, purpose, step, i: draws[i])
+    scored = []
+    real_loss = training.reinforce_loss
+
+    def spy(nll, weights, rows):
+        scored.append((nll.data.copy(), rows))
+        return real_loss(nll, weights, rows)
+
+    monkeypatch.setattr(training, "reinforce_loss", spy)
+    opt = Adam(model.parameters(), lr=1e-3)
+    reinforce_step(model, images, [[4], [5]], opt, k=2, seed=0, step=1, max_len=6)
+    (ce, rows), = scored
+    nll = np.bincount(rows, weights=ce, minlength=4)
+    assert np.all(np.abs(nll - ref_nll) <= 1e-10 * np.abs(ref_nll))
 
 
 class RowTaggedModel:
@@ -465,6 +534,7 @@ class RowTaggedModel:
         return 0
 
     def keep_rows(self, bank, state, rows):
+        rows = np.arange(rows) if isinstance(rows, int) else rows
         return MemoryBank(entries=T.take_rows(bank.entries, rows), h_prime=1, w_prime=1), state
 
     def step(self, bank, state, tokens, train=False, rng=None):
@@ -482,19 +552,25 @@ def test_finished_rows_are_never_fed_again():
     bank = model.encode(None)
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
     audit = InputFeedAudit()
-    tokens, nll, finished = _sample_rollout(model, bank, 4, rngs, audit)
+    tokens, finished, nll, _ = sample_and_score(model, bank, 4, rngs, audit)
+    sampling, scoring = model.calls[:4], model.calls[4:]
     # row r runs steps 0..r (END at step r); row 4 is cut off after 4 steps
-    assert [list(rows) for rows, _ in model.calls] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
-                                                       [2, 3, 4], [3, 4]]
-    assert [list(fed) for _, fed in model.calls] == [[START_ID] * 5, [5, 6, 7, 4],
-                                                     [6, 7, 4], [7, 4]]
+    assert [list(rows) for rows, _ in sampling] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
+                                                    [2, 3, 4], [3, 4]]
+    assert [list(fed) for _, fed in sampling] == [[START_ID] * 5, [5, 6, 7, 4],
+                                                  [6, 7, 4], [7, 4]]
+    # scoring steps the same rows, sorted longest first, on their own samples
+    assert [list(rows) for rows, _ in scoring] == [[3, 4, 2, 1, 0], [3, 4, 2, 1],
+                                                   [3, 4, 2], [3, 4]]
+    assert [list(fed) for _, fed in scoring] == [[START_ID] * 5, [7, 4, 6, 5],
+                                                 [7, 4, 6], [7, 4]]
     assert list(finished) == [True, True, True, True, False]
     assert tokens.tolist() == [[END_ID, PAD_ID, PAD_ID, PAD_ID],
                                [5, END_ID, PAD_ID, PAD_ID],
                                [6, 6, END_ID, PAD_ID],
                                [7, 7, 7, END_ID],
                                [4, 4, 4, 4]]
-    assert nll.shape == (5,) and np.all(nll.data < 1e-15)
+    assert nll.shape == (5,) and np.all(nll < 1e-15)
     # one audited count per running row per step after the first
     assert audit.steps_checked == 4 + 3 + 2 and audit.violations == 0
 
@@ -599,6 +675,61 @@ def test_reinforce_step_requires_k_ge_2():
     with pytest.raises(TrainError, match="k must be >= 2"):
         reinforce_step(model, np.zeros((1, 16, 24)), [[4]], opt, k=1,
                        seed=0, step=1)
+
+
+def tape_records(loss):
+    """The records reachable from loss, before backward consumes them."""
+    records, seen, stack = [], set(), [loss]
+    while stack:
+        rec = stack.pop()._op
+        if rec is not None and id(rec) not in seen:
+            seen.add(id(rec))
+            records.append(rec)
+            stack.extend(rec.inputs)
+    return records
+
+
+def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
+    model = tiny_model(seed=4)
+    opt = Adam(model.parameters(), lr=1e-4)
+    images = np.random.default_rng(4).random((2, 1, 16, 24))
+    real_loss, real_sample = training.reinforce_loss, training._sample_rollout
+    taped, sampled = [], []
+
+    def loss_spy(*args):
+        loss = real_loss(*args)
+        taped.extend(tape_records(loss))
+        return loss
+
+    def sample_spy(*args):
+        start = next(T._op_counter)
+        out = real_sample(*args)
+        sampled.append((start, next(T._op_counter), out[1]))
+        return out
+
+    monkeypatch.setattr(training, "reinforce_loss", loss_spy)
+    monkeypatch.setattr(training, "_sample_rollout", sample_spy)
+    reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=1, step=1, max_len=12)
+    (start, stop, lengths), = sampled
+    assert len(set(lengths)) >= 3            # rows left the rollout at different steps
+    assert stop == start + 1                 # sampling made no record at all
+    names = [rec.name for rec in taped]
+    assert names.count("cross_entropy") == 1
+    assert names.count("take_rows") <= 1     # the length sort
+    assert all(not start < rec.seq < stop for rec in taped)
+
+
+def test_reinforce_step_stops_before_backward_on_a_non_finite_loss():
+    model = tiny_model(seed=3)
+    model.params["dec.w3"].data[0, 0] = np.nan
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    opt = Adam(model.parameters(), lr=1e-3)
+    images = np.random.default_rng(3).random((2, 1, 16, 24))
+    with pytest.raises(DivergenceError, match="non-finite loss") as info:
+        reinforce_step(model, images, [[4, 5], [6]], opt, k=2, seed=0, step=7, max_len=6)
+    assert info.value.step == 7
+    for name, arr in before.items():
+        assert np.array_equal(model.params[name].data, arr, equal_nan=True), name
 
 
 def test_reinforce_step_passes_the_input_feed_audit():
@@ -720,6 +851,20 @@ def test_train_raises_divergence_error_on_non_finite_loss(corpus, tmp_path):
         train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
               corpus["buckets"], str(tmp_path / "out"), init=str(poisoned))
     assert info.value.step == 1
+
+
+def test_rl_training_raises_divergence_error_on_non_finite_loss(corpus, tmp_path):
+    base = train(tiny_cfg(steps=1), corpus["manifest"], corpus["manifest"],
+                 corpus["buckets"], str(tmp_path / "base"))
+    model, _ = Model.load(base.last_path)
+    model.params["dec.w3"].data[0, 0] = np.nan
+    poisoned = tmp_path / "poisoned.ckpt"
+    model.save(str(poisoned))
+    with pytest.raises(DivergenceError, match="non-finite loss") as info:
+        train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
+              corpus["buckets"], str(tmp_path / "out"), phase="rl", init=str(poisoned))
+    assert info.value.step == 1
+    assert not (tmp_path / "out" / "last.ckpt").exists()
 
 
 def test_rl_training_fails_on_a_misfed_rollout(corpus, tmp_path, monkeypatch):
