@@ -1,11 +1,19 @@
 """Convolutional encoder: grayscale image -> bank of annotation vectors.
 
-The stack interleaves 3x3 convolutions (stride 1, padding 1, ReLU after
-each, batch norm on the three deepest convs) with four max pools whose
-strides multiply to 8 along both axes, so an H x W input becomes an
-H/8 x W/8 x d feature map.  A fixed two-axis sinusoidal signal is added
-so each feature vector carries its grid position, then the map is
-flattened row-major into a MemoryBank the decoder attends over.
+The stack interleaves 3x3 convolutions (stride 1, padding 1, batch norm
+on the three deepest convs) with four max pools whose strides multiply
+to 8 along both axes, so an H x W input becomes an H/8 x W/8 x d
+feature map.  A fixed two-axis sinusoidal signal is added so each
+feature vector carries its grid position, then the map is flattened
+row-major into a MemoryBank the decoder attends over.
+
+Each layer runs conv -> batch norm (if any) -> max pool (if any) -> ReLU.
+ReLU is np.maximum(v, 0), which is monotone and maps every v <= 0 (-0.0
+included) to +0.0, so it commutes with max bit for bit: this is the
+function of a ReLU ahead of the pool, at a half or a quarter of the
+ReLU's work.  In backward, both orders route a window's gradient to the
+same element when the window's max is positive; otherwise every element
+of the window gets a zero in both orders, whose sign alone may differ.
 """
 from __future__ import annotations
 
@@ -136,9 +144,9 @@ class Encoder:
                     momentum=self.config.bn_momentum, eps=BN_EPS,
                     train=train,
                 )
-            out = T.relu(out)
             if pool is not None:
                 out = T.maxpool2d(out, pool, pool)
+            out = T.relu(out)
         return out
 
     def encode(self, images, train: bool = False) -> MemoryBank:

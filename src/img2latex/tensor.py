@@ -19,6 +19,8 @@ Float64 is the default dtype and is what the gradient checks run in.
 from __future__ import annotations
 
 import itertools
+import time
+from collections import Counter
 
 import numpy as np
 
@@ -32,6 +34,7 @@ class ShapeError(TensorError):
 
 
 _grad_enabled = True
+_profile = None
 _op_counter = itertools.count()
 _FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
@@ -48,6 +51,39 @@ class no_grad:
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
+        return False
+
+
+class profile:
+    """Context manager that profiles the tape per op name.
+
+    While one is active, each tape record adds 1 to `records[name]` and
+    its output's size to `out_bytes[name]` (ops run under no_grad, which
+    record nothing, are not counted), and `backward` adds the seconds
+    each record's VJP takes to `vjp_s[name]`.  Profiles do not nest: an
+    inner one takes over until it exits.  When none is active, `_record`
+    and `backward` pay one `is None` check per record.
+
+        with T.profile() as prof:
+            loss = model_loss(...)
+            loss.backward()
+        prof.vjp_s.most_common(5)
+    """
+
+    def __init__(self):
+        self.records = Counter()
+        self.out_bytes = Counter()
+        self.vjp_s = Counter()
+
+    def __enter__(self):
+        global _profile
+        self._prev = _profile
+        _profile = self
+        return self
+
+    def __exit__(self, *exc):
+        global _profile
+        _profile = self._prev
         return False
 
 
@@ -201,12 +237,18 @@ def backward(loss: Tensor) -> None:
     # owns; later ones are added into that buffer in place, in the same
     # order, so the result is bit-equal to the out-of-place sum.
     owned: dict[int, np.ndarray] = {}
+    prof = _profile
     for rec in reversed(records):
         rec.consumed = True
         out_grad = rec.out.grad
         owned.pop(id(rec.out), None)
         if out_grad is not None:
-            grads = rec.backward_fn(out_grad)
+            if prof is None:
+                grads = rec.backward_fn(out_grad)
+            else:
+                start = time.perf_counter()
+                grads = rec.backward_fn(out_grad)
+                prof.vjp_s[rec.name] += time.perf_counter() - start
             for inp, g in zip(rec.inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
@@ -238,6 +280,9 @@ def _record(name, out: Tensor, inputs, backward_fn) -> Tensor:
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._op = _OpRecord(name, tuple(inputs), out, backward_fn)
+        if _profile is not None:
+            _profile.records[name] += 1
+            _profile.out_bytes[name] += out.data.nbytes
     return out
 
 
@@ -654,19 +699,42 @@ def _pair(v):
     return (v, v) if isinstance(v, int) else tuple(v)
 
 
+def _taps(n_in: int, n_out: int, stride: int, pad: int, offset: int):
+    """Output positions whose window tap `offset` reads the input.
+
+    Output position r reads input index r*stride + offset - pad.  Returns
+    (out, inp): the slice of output positions that read the input and
+    the slice of input indices they read, in the same order; the other
+    positions read padding.  Returns None when every position reads
+    padding: for example when pad >= the kernel size, or when the input
+    is smaller than the kernel.
+    """
+    lo = max(0, -((offset - pad) // stride))
+    hi = min(n_out, (n_in - 1 + pad - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + offset - pad
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride=1, padding=0) -> Tensor:
     """2-D convolution over (B, C, H, W) with an (O, C, kh, kw) kernel.
 
-    im2col: the zero-padded input is unrolled into a (B, C, kh, kw, Ho, Wo)
-    column buffer, viewed as (B, C*kh*kw, Ho*Wo) and multiplied by the
-    (O, C*kh*kw) kernel matrix in one stacked matmul.  The product is
-    (B, O, Ho*Wo), so the output is C-contiguous NCHW with no transpose
-    copy, and every later op reads contiguous memory.  The backward pass
-    forms dcols the same way and scatters it back (col2im) in NCHW.
+    im2col: the input is unrolled into a (B, C, kh, kw, Ho, Wo) column
+    buffer, viewed as (B, C*kh*kw, Ho*Wo) and multiplied by the
+    (O, C*kh*kw) kernel matrix in one stacked matmul.  Each (i, j) plane
+    of the buffer is copied from a strided view of x, and only its border
+    strips, which read zero padding, are zeroed, so no padded copy of x
+    is made.  The product is (B, O, Ho*Wo), so the output is C-contiguous
+    NCHW with no transpose copy, and every later op reads contiguous
+    memory.  The backward pass forms one image's dcols at a time, with the
+    GEMM a stacked matmul would run for it, and scatters it back (col2im)
+    straight into a C-contiguous (B, C, H, W) dx while it is in cache.
 
-    The kernel gradient's GEMM reduces over B*Ho*Wo, and OpenBLAS splits
-    that reduction by thread, so dk's last bits, and with them training
+    The kernel gradient runs one GEMM per image, each reducing over
+    Ho*Wo, and numpy then sums the B products.  OpenBLAS splits a GEMM's
+    reduction by thread, so dk's last bits, and with them training
     outputs, depend on OPENBLAS_NUM_THREADS.  The forward pass does not:
     predict and evaluate are byte-identical at 1 and 2 threads (tested).
     """
@@ -682,11 +750,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     Wo = (W + 2 * pw - kw) // sw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: input {H}x{W} too small for k=({kh},{kw}) p=({ph},{pw}) s=({sh},{sw})")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=x.dtype)
+    # per (i, j): the output rows and columns whose taps read x, then the
+    # rows and columns of x they read, or None where the plane is padding
+    taps_w = [_taps(W, Wo, sw, pw, j) for j in range(kw)]
+    blocks = {}
     for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
+        th = _taps(H, Ho, sh, ph, i)
+        for j, tw in enumerate(taps_w):
+            blocks[i, j] = None if th is None or tw is None else (th[0], tw[0], th[1], tw[1])
+    xd = x.data
+    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=x.dtype)
+    for (i, j), block in blocks.items():
+        plane = cols[:, :, i, j]
+        if block is None:
+            plane[...] = 0
+            continue
+        rows, cs, xrows, xcs = block
+        plane[:, :, :rows.start] = 0
+        plane[:, :, rows.stop:] = 0
+        plane[:, :, rows, :cs.start] = 0
+        plane[:, :, rows, cs.stop:] = 0
+        plane[:, :, rows, cs] = xd[:, :, xrows, xcs]
     cols = cols.reshape(B, C * kh * kw, Ho * Wo)
     wmat = kernel.data.reshape(O, C * kh * kw)
     y = np.matmul(wmat, cols)
@@ -700,13 +784,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, kh, kw)
         dx = None
         if x.requires_grad:
-            # col2im: every dx element sums its windows in (i, j) order
-            dcols = np.matmul(wmat.T, g3).reshape(B, C, kh, kw, Ho, Wo)
-            dxp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[:, :, i, j]
-            dx = dxp[:, :, ph:ph + H, pw:pw + W]
+            # col2im: every dx element sums its windows in (i, j) order,
+            # starting from +0.0
+            dx = np.zeros((B, C, H, W), dtype=x.dtype)
+            dcols = np.empty((C * kh * kw, Ho * Wo), dtype=x.dtype)
+            planes = dcols.reshape(C, kh, kw, Ho, Wo)
+            for b in range(B):
+                np.matmul(wmat.T, g3[b], out=dcols)
+                for (i, j), block in blocks.items():
+                    if block is not None:
+                        rows, cs, xrows, xcs = block
+                        dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]
         if bias is None:
             return dx, dk
         return dx, dk, g.sum(axis=(0, 2, 3))
@@ -746,11 +834,16 @@ def maxpool2d(x: Tensor, kernel, stride=None) -> Tensor:
 
     def bwd(g):
         dx = np.zeros_like(xd)
-        free = np.ones(y.shape, dtype=bool)     # window's max not yet taken
-        for rows, cols in offsets:
-            hit = (xd[:, :, rows, cols] == y) & free
+        last = len(offsets) - 1
+        for n, (rows, cols) in enumerate(offsets):
+            hit = xd[:, :, rows, cols] == y
+            if n == 0:
+                free = ~hit                     # window's max not yet taken
+            else:
+                hit &= free
+                if n < last:
+                    free ^= hit
             np.multiply(g, hit, out=dx[:, :, rows, cols])
-            free ^= hit
         # g * False is -0.0 where g < 0; adding +0.0 makes it +0.0, so dx
         # is bit-equal to summing the routed gradients into zeros
         dx += 0.0

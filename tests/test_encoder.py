@@ -6,8 +6,13 @@ import pytest
 
 from gradcheck import model_config
 
-from img2latex.encoder import Encoder, positional_encoding
+from img2latex import tensor as T
+from img2latex.data import END_ID, PAD_ID, RESERVED
+from img2latex.encoder import BN_EPS, Encoder, positional_encoding
+from img2latex.model import Model
+from img2latex.optim import Adam
 from img2latex.tensor import Tensor
+from img2latex.training import mle_loss
 
 
 def make_encoder(d=16, dtype="f64", seed=0):
@@ -121,3 +126,47 @@ def test_pe_addition_is_position_dependent():
     enc = make_encoder(d=8)
     bank = enc.encode(np.ones((16, 16)))
     assert not np.allclose(bank.entries.data[0, 0], bank.entries.data[0, 1])
+
+
+def relu_before_pool(self, x, train=False):
+    """Encoder.cnn_forward with each layer's ReLU ahead of its max pool:
+    conv -> batch norm (if any) -> ReLU -> pool (if any)."""
+    out = x
+    for w_p, b_p, bn, pool in self.layers:
+        out = T.conv2d(out, w_p.tensor, b_p.tensor, stride=1, padding=1)
+        if bn is not None:
+            out = T.batchnorm2d(
+                out, self.params[f"enc.bn{bn}.gamma"].tensor,
+                self.params[f"enc.bn{bn}.beta"].tensor,
+                self.buffers[f"enc.bn{bn}.running_mean"],
+                self.buffers[f"enc.bn{bn}.running_var"],
+                momentum=self.config.bn_momentum, eps=BN_EPS, train=train,
+            )
+        out = T.relu(out)
+        if pool is not None:
+            out = T.maxpool2d(out, pool, pool)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_relu_before_the_pool_trains_to_the_same_bytes(dtype, monkeypatch):
+    vocab = list(RESERVED) + ["x", "y", "+", "2"]
+    r = np.random.default_rng(41)
+    images = r.random((4, 1, 24, 40))
+    seq = np.array([[4, 5, 6, END_ID], [7, END_ID, PAD_ID, PAD_ID],
+                    [5, 5, END_ID, PAD_ID], [6, 4, 7, END_ID]])
+    trained = []
+    for forward in (Encoder.cnn_forward, relu_before_pool):
+        monkeypatch.setattr(Encoder, "cnn_forward", forward)
+        model = Model(model_config(len(vocab), d=16, d_emb=4, hidden=8, attn_dim=8,
+                                   out_dim=8, dropout=0.0, dtype=dtype, seed=3), vocab)
+        opt = Adam(model.parameters(), lr=1e-2)
+        for _ in range(5):
+            loss, _ = mle_loss(model, images, seq, train=True)
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+        state = {p.name: p.data.tobytes() for p in model.parameters()}
+        state.update((name, a.tobytes()) for name, a in model.buffers.items())
+        trained.append(state)
+    assert trained[0] == trained[1]

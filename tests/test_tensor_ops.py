@@ -217,6 +217,84 @@ def test_conv2d_matches_loop_reference(stride, padding):
     assert got.data.flags.c_contiguous
 
 
+def padded_conv2d_reference(x, k, bias, stride, padding, g):
+    """conv2d forward and VJP over a zero-padded copy of x: im2col from the
+    padded input, col2im into a padded dx that is then cropped.  Returns
+    (out, dx, dk, db); conv2d must reproduce every byte."""
+    sh, sw = stride
+    ph, pw = padding
+    B, C, H, W = x.shape
+    O, _, kh, kw = k.shape
+    Ho = (H + 2 * ph - kh) // sh + 1
+    Wo = (W + 2 * pw - kw) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw]
+    cols = cols.reshape(B, C * kh * kw, Ho * Wo)
+    wmat = k.reshape(O, C * kh * kw)
+    y = np.matmul(wmat, cols)
+    y += bias[:, None]
+    g3 = g.reshape(B, O, Ho * Wo)
+    dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, kh, kw)
+    dcols = np.matmul(wmat.T, g3).reshape(B, C, kh, kw, Ho, Wo)
+    dxp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + sh * Ho:sh, j:j + sw * Wo:sw] += dcols[:, :, i, j]
+    return (y.reshape(B, O, Ho, Wo), dxp[:, :, ph:ph + H, pw:pw + W], dk,
+            g.sum(axis=(0, 2, 3)))
+
+
+# (x shape, kernel shape, stride, padding): strides 1 and 2, paddings 0-2,
+# 1x1 and 3x3 kernels, odd sizes, and inputs smaller than the kernel.  In
+# the last four cases some (i, j) planes read nothing but padding: 3x3 taps
+# over a 1-pixel input, a 1x1 tap over 1-pixel padding at stride 2, and a
+# stride so large that the only window starts in the padding
+CONV_CASES = [
+    ((2, 3, 7, 9), (4, 3, 3, 3), (1, 1), (1, 1)),
+    ((2, 3, 7, 9), (4, 3, 3, 3), (2, 2), (1, 1)),
+    ((2, 3, 8, 5), (4, 3, 3, 3), (1, 2), (0, 2)),
+    ((3, 2, 5, 6), (3, 2, 3, 3), (2, 1), (2, 0)),
+    ((2, 3, 5, 7), (4, 3, 1, 1), (1, 1), (0, 0)),
+    ((2, 3, 5, 7), (4, 3, 1, 1), (2, 2), (1, 2)),
+    ((2, 1, 4, 3), (2, 1, 3, 3), (1, 1), (2, 2)),
+    ((2, 2, 1, 1), (3, 2, 3, 3), (1, 1), (1, 1)),
+    ((2, 2, 2, 1), (3, 2, 3, 3), (1, 2), (2, 1)),
+    ((1, 2, 1, 2), (3, 2, 1, 1), (2, 2), (1, 1)),
+    ((1, 2, 3, 3), (2, 2, 3, 3), (5, 5), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("xshape,kshape,stride,padding", CONV_CASES)
+def test_conv2d_is_byte_identical_to_the_padded_reference(xshape, kshape, stride,
+                                                          padding, dtype):
+    seed = sum(xshape + kshape + stride + padding)
+    x = rng(seed).normal(size=xshape).astype(dtype)
+    k = rng(seed + 1).normal(size=kshape).astype(dtype)
+    b = rng(seed + 2).normal(size=kshape[:1]).astype(dtype)
+    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                   Tensor(b, requires_grad=True), stride=stride, padding=padding)
+    g = rng(seed + 3).normal(size=out.shape).astype(dtype)
+    want = padded_conv2d_reference(x, k, b, stride, padding, g)
+    got = (out.data,) + out._op.backward_fn(g)
+    for name, a, w in zip(("out", "dx", "dk", "db"), got, want):
+        assert a.dtype == w.dtype == dtype and a.shape == w.shape, name
+        assert a.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_dx_is_contiguous_with_the_input_shape_and_dtype(dtype):
+    x = Tensor(rng(24).normal(size=(2, 3, 7, 6)).astype(dtype), requires_grad=True)
+    k = Tensor(rng(25).normal(size=(4, 3, 3, 3)).astype(dtype))
+    out = T.conv2d(x, k, padding=1)
+    dx, _ = out._op.backward_fn(np.ones_like(out.data))
+    assert dx.shape == x.shape and dx.dtype == dtype
+    assert dx.flags.c_contiguous
+
+
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
         T.conv2d(Tensor(np.ones((1, 3, 8, 8))), Tensor(np.ones((2, 4, 3, 3))))
@@ -256,6 +334,41 @@ def test_maxpool2d_ties_route_gradient_to_first_max():
     assert np.array_equal(out.data, [[[[0.0, 3.0]]]])
     assert np.array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0],
                                  [0.0, 0.0, 0.0, 0.0]]]])
+
+
+def relu_pool_pair(x, kernel, r):
+    """Forward bytes of relu(maxpool(x)) and maxpool(relu(x)), and the
+    gradient of sum(out * r) with respect to x in each order."""
+    results = []
+    for order in ((T.maxpool2d, T.relu), (T.relu, T.maxpool2d)):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        out = leaf
+        for op in order:
+            out = op(out, kernel) if op is T.maxpool2d else op(out)
+        T.reduce_sum(out * Tensor(r)).backward()
+        results.append((out.data.tobytes(), leaf.grad))
+    return results
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [(2, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_relu_commutes_with_maxpool_bit_for_bit(seed, kernel, dtype):
+    # few distinct values, so windows hold positive plateaus (tied maxima),
+    # +-0.0 and ties among negatives; 7x9 is floored by every kernel but 1
+    r = rng(100 + seed)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], dtype=dtype)
+    for shape in ((3, 2, 6, 8), (3, 2, 7, 9)):
+        x = r.choice(values, size=shape)
+        x[0, 0] = -r.integers(1, 3, size=shape[2:])           # all-negative windows
+        x[0, 1] = -0.0 * r.integers(0, 2, size=shape[2:])     # +-0.0 only
+        x[1, 0] = 2.0                                         # positive plateaus
+        g = r.normal(size=(shape[0], shape[1], shape[2] // kernel[0],
+                           shape[3] // kernel[1])).astype(dtype)
+        (fwd_new, dx_new), (fwd_old, dx_old) = relu_pool_pair(x, kernel, g)
+        assert fwd_new == fwd_old
+        assert dx_new.dtype == dx_old.dtype == dtype
+        assert np.array_equal(dx_new, dx_old)
 
 
 def test_maxpool2d_stride_must_equal_kernel():
@@ -346,6 +459,24 @@ def test_no_grad_blocks_recording():
     with no_grad():
         y = x * 2.0
     assert y._op is None and not y.requires_grad
+
+
+def test_profile_counts_tape_records_only_while_active():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with T.profile() as prof:
+        y = T.tanh(x * 2.0)
+        with no_grad():
+            T.tanh(x)
+        loss = T.reduce_sum(y)
+    T.tanh(x)
+    assert T._profile is None
+    assert prof.records == {"multiply": 1, "tanh": 1, "sum": 1}
+    assert prof.out_bytes == {"multiply": 48, "tanh": 48, "sum": 8}
+    assert not prof.vjp_s
+    with prof:
+        loss.backward()
+    assert sorted(prof.vjp_s) == ["multiply", "sum", "tanh"]
+    assert all(s >= 0.0 for s in prof.vjp_s.values())
 
 
 def test_float32_flows_through_ops():

@@ -1,6 +1,8 @@
 """MLE objective, sampling, REINFORCE estimator and the train loop."""
 import math
 import os
+import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ from gradcheck import misfeed_rollouts, model_config
 
 from img2latex import tensor as T
 from img2latex import training
-from img2latex.config import full_defaults
+from img2latex.config import ModelConfig, desk_defaults, full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_dataset)
 from img2latex.decoder import StepOutput
@@ -247,6 +249,30 @@ def test_pad_before_a_target_is_rejected():
     seq = np.array([[4, 5, END_ID], [6, PAD_ID, END_ID]])
     with pytest.raises(TrainError, match="row 1 has PAD before a target"):
         mle_loss(model, np.zeros((2, 1, 16, 24)), seq)
+
+
+def test_profile_of_a_desk_mle_step_covers_the_tape_and_backward():
+    vocab = list(RESERVED) + [f"t{i}" for i in range(60)]
+    model = Model(ModelConfig.from_cfg(desk_defaults(), len(vocab)), vocab)
+    r = np.random.default_rng(31)
+    images = r.random((32, 1, 56, 176)).astype(np.float32)
+    lengths = r.integers(10, 41, size=32)
+    seq = padded([list(r.integers(len(RESERVED), len(vocab), size=n - 1)) + [END_ID]
+                  for n in lengths], 40)
+    with T.profile() as prof:
+        loss, _ = mle_loss(model, images, seq, train=True, rng=np.random.default_rng(32))
+    # the last step's cell states (one slice_cols per LSTM layer) are
+    # recorded but feed nothing
+    reachable = Counter(rec.name for rec in tape_records(loss))
+    assert prof.records == reachable + Counter(slice_cols=2)
+    assert all(prof.out_bytes[name] > 0 for name in prof.records)
+    with prof:
+        start = time.perf_counter()
+        loss.backward()
+        wall = time.perf_counter() - start
+    vjp = sum(prof.vjp_s.values())
+    assert 0.8 * wall <= vjp <= wall
+    assert set(prof.vjp_s) <= set(prof.records)
 
 
 # ---------------------------------------------------------------------
