@@ -54,20 +54,33 @@ def _prepare_image(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
     return pad_to_multiple(image), bool(buckets)
 
 
-def _decode_summary(cut_off: int, misfits: int) -> str:
-    return (f"{cut_off} stopped at --max-len, "
-            f"{misfits} fit no bucket and were padded to a multiple of 8")
-
-
-def _decode_one(model, image, args):
-    if args.greedy or args.beam == 1:
-        return greedy_decode(model, image, max_len=args.max_len)
-    return beam_decode(model, image, b=args.beam, max_len=args.max_len,
-                       length_normalize=args.length_normalize)
-
-
 def _read_buckets(path):
     return load_buckets(path) if path else None
+
+
+def _decode_manifest(args, row) -> tuple[list, str]:
+    """Decode every --manifest example with the --checkpoint model.
+
+    row(model, example, result) makes each example's output row, right
+    after its decode.  Returns the rows and a summary of the decodes cut
+    off at --max-len and the images that fit no bucket.
+    """
+    model = _load_model(args.checkpoint)
+    buckets = _read_buckets(args.buckets)
+    rows = []
+    cut_off = misfits = 0
+    for ex in load_dataset(args.manifest):
+        image, misfit = _prepare_image(ex.image, buckets)
+        if args.greedy or args.beam == 1:
+            res = greedy_decode(model, image, max_len=args.max_len)
+        else:
+            res = beam_decode(model, image, b=args.beam, max_len=args.max_len,
+                              length_normalize=args.length_normalize)
+        cut_off += not res.finished
+        misfits += misfit
+        rows.append(row(model, ex, res))
+    return rows, (f"{cut_off} stopped at --max-len, "
+                  f"{misfits} fit no bucket and were padded to a multiple of 8")
 
 
 # ---------------------------------------------------------------------
@@ -119,23 +132,14 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_predict(args) -> int:
-    model = _load_model(args.checkpoint)
-    buckets = _read_buckets(args.buckets)
-    examples = load_dataset(args.manifest)
-    lines = []
-    cut_off = misfits = 0
-    for ex in examples:
-        image, misfit = _prepare_image(ex.image, buckets)
-        res = _decode_one(model, image, args)
-        cut_off += not res.finished
-        misfits += misfit
+    def row(model, ex, res):
         toks = " ".join(model.vocab[i] for i in res.tokens)
         score = res.normalized_score if args.length_normalize else res.score
-        lines.append(f"{ex.id}\t{toks}\t{score:.6f}")
+        return f"{ex.id}\t{toks}\t{score:.6f}"
+    lines, summary = _decode_manifest(args, row)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    print(f"predicted {len(lines)} sequences -> {args.out} "
-          f"({_decode_summary(cut_off, misfits)})")
+    print(f"predicted {len(lines)} sequences -> {args.out} ({summary})")
     return EXIT_OK
 
 
@@ -151,37 +155,25 @@ def _render(tokens: list[str]) -> np.ndarray | None:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model(args.checkpoint)
-    buckets = _read_buckets(args.buckets)
-    examples = load_dataset(args.manifest)
-    rows = []
-    cands, refs = [], []
-    cut_off = misfits = 0
-    for ex in examples:
-        image, misfit = _prepare_image(ex.image, buckets)
-        res = _decode_one(model, image, args)
-        cut_off += not res.finished
-        misfits += misfit
+    def row(model, ex, res):
         cand = [model.vocab[i] for i in res.tokens]
-        report = evaluate_pair(cand, ex.tokens, _render(cand), ex.image,
-                               threshold=args.threshold)
-        rows.append((ex.id, report))
-        cands.append(cand)
-        refs.append(ex.tokens)
+        return ex, cand, evaluate_pair(cand, ex.tokens, _render(cand), ex.image,
+                                       threshold=args.threshold)
+    rows, summary = _decode_manifest(args, row)
     header = "id\t" + "\t".join(MetricReport.COLUMNS)
-    body = [f"{rid}\t{r.bleu4:.6f}\t{r.edit_distance_score:.6f}"
+    body = [f"{ex.id}\t{r.bleu4:.6f}\t{r.edit_distance_score:.6f}"
             f"\t{int(r.exact_match)}\t{int(r.exact_match_no_ws)}"
-            for rid, r in rows]
+            for ex, _, r in rows]
     if rows:
-        agg = (bleu4(cands, refs, mode="corpus"),
-               float(np.mean([r.edit_distance_score for _, r in rows])),
-               float(np.mean([r.exact_match for _, r in rows])),
-               float(np.mean([r.exact_match_no_ws for _, r in rows])))
+        examples, cands, reports = zip(*rows)
+        agg = (bleu4(list(cands), [ex.tokens for ex in examples], mode="corpus"),
+               float(np.mean([r.edit_distance_score for r in reports])),
+               float(np.mean([r.exact_match for r in reports])),
+               float(np.mean([r.exact_match_no_ws for r in reports])))
         body.append("ALL\t" + "\t".join(f"{v:.6f}" for v in agg))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + "\n".join(body) + ("\n" if body else ""))
-    print(f"evaluated {len(rows)} examples -> {args.out} "
-          f"({_decode_summary(cut_off, misfits)})")
+    print(f"evaluated {len(rows)} examples -> {args.out} ({summary})")
     return EXIT_OK
 
 

@@ -174,18 +174,26 @@ class Example:
     tokens: list[str]
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; DataError when it is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+
+
 def load_manifest(path) -> list[tuple[str, list[str]]]:
     """Manifest lines -> [(relative image path, token list), ...]."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}:{lineno}: expected TAB between path and tokens")
-            rel, toks = line.split("\t", 1)
-            out.append((rel, toks.split()))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}:{lineno}: expected TAB between path and tokens")
+        rel, toks = line.split("\t", 1)
+        out.append((rel, toks.split()))
     return out
 
 
@@ -212,18 +220,18 @@ def load_dataset(manifest_path) -> list[Example]:
 def load_buckets(path) -> list[tuple[int, int]]:
     """Bucket file -> [(width, height), ...], validated multiples of 8."""
     buckets = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise DataError(f"{path}:{lineno}: expected 'W H', got {line!r}")
-            w, h = int(parts[0]), int(parts[1])
-            if w % 8 or h % 8 or w == 0 or h == 0:
-                raise DataError(f"{path}:{lineno}: bucket {w}x{h} must be positive multiples of 8")
-            buckets.append((w, h))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            raise DataError(f"{path}:{lineno}: expected 'W H', got {line!r}")
+        w, h = int(parts[0]), int(parts[1])
+        if w % 8 or h % 8 or w == 0 or h == 0:
+            raise DataError(f"{path}:{lineno}: bucket {w}x{h} must be positive multiples of 8")
+        buckets.append((w, h))
     if not buckets:
         raise DataError(f"{path}: no buckets defined")
     return buckets

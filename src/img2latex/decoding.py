@@ -1,12 +1,17 @@
-"""Greedy and beam-search decoding.
+"""Greedy and beam-search decoding: one search, and greedy is its b=1 case.
 
 Both run against the model's decode protocol: decode_start(image) gives
 an initial state, decode_step(state, token) gives (log-probs over the
 vocabulary, next state, attention weights).  Scores are raw sums of
-log-probs; greedy extends candidate scores with exactly the same float
-operations as beam search, so beam with b=1 reproduces greedy
-bit-for-bit.  Ties break toward lower token id, then lower parent
-index, making every decode reproducible.
+log-probs.  Greedy runs the beam search loop with one hypothesis, so
+beam with b=1 reproduces greedy bit-for-bit by construction.
+
+Each step lays the candidates out in one score array: the finished
+hypotheses first, carried in beam order, then the one-token extensions
+of the running ones, token-major (token t of running hypothesis p sits
+at n_finished + t * n_running + p).  One stable sort on descending score
+prunes it back to b, so equal scores break toward a carried hypothesis,
+then lower token id, then lower parent index; NaN scores sort last.
 """
 from __future__ import annotations
 
@@ -34,48 +39,17 @@ class DecodeResult:
 
 
 def greedy_decode(model, image, max_len: int = 200) -> DecodeResult:
-    """Argmax decoding; ties go to the lowest token id."""
+    """Argmax decoding, the search at b=1; ties go to the lowest token id."""
     if max_len < 1:
         raise DecodeError(f"max_len must be >= 1, got {max_len}")
-    state = model.decode_start(image)
-    score = 0.0
-    last = START_ID
-    tokens: list[int] = []
-    alphas: list[np.ndarray] = []
-    for _ in range(max_len):
-        logp, state, alpha = model.decode_step(state, last)
-        cand = score + logp           # same op order as beam scoring
-        nxt = int(np.argmax(cand))
-        score = float(cand[nxt])
-        alphas.append(alpha)
-        if nxt == END_ID:
-            return DecodeResult(tokens=tokens, score=score, finished=True, alphas=alphas)
-        tokens.append(nxt)
-        last = nxt
-    return DecodeResult(tokens=tokens, score=score, finished=False, alphas=alphas)
-
-
-_CARRIED = np.array([-1])       # token id of a carried finished hypothesis
-
-
-@dataclass
-class _Hypothesis:
-    tokens: list[int]
-    score: float
-    state: object               # decode state that has consumed tokens[:-1]
-    last: int                    # token pending to be fed
-    finished: bool
-    alphas: list[np.ndarray]
+    return _search(model, image, 1, max_len, False)
 
 
 def beam_decode(model, image, b: int = 5, max_len: int = 200,
                 length_normalize: bool = False) -> DecodeResult:
     """Beam search over summed log-probs.
 
-    The candidate pool at each step holds every finished hypothesis
-    (carried, never extended) plus b x |V| one-token extensions, pruned
-    back to b by (score desc, token id asc, parent index asc) with one
-    np.lexsort over score, token and parent arrays.  Stops when all b
+    Finished hypotheses are carried, never extended.  Stops when all b
     hypotheses are finished or max_len is reached; returns the best
     finished hypothesis, or the best unfinished one if none finished.
     """
@@ -83,49 +57,39 @@ def beam_decode(model, image, b: int = 5, max_len: int = 200,
         raise DecodeError(f"beam size must be >= 1, got {b}")
     if max_len < 1:
         raise DecodeError(f"max_len must be >= 1, got {max_len}")
-    start = model.decode_start(image)
-    beams = [_Hypothesis(tokens=[], score=0.0, state=start, last=START_ID,
-                         finished=False, alphas=[])]
+    return _search(model, image, b, max_len, length_normalize)
+
+
+@dataclass
+class _Hypothesis(DecodeResult):
+    state: object = None        # has consumed all of tokens but the last
+
+
+def _search(model, image, b, max_len, length_normalize) -> DecodeResult:
+    beams = [_Hypothesis([], 0.0, False, [], model.decode_start(image))]
     for _ in range(max_len):
-        if all(h.finished for h in beams):
+        done = [h for h in beams if h.finished]
+        live = [h for h in beams if not h.finished]
+        if not live:
             break
-        # candidates as parallel arrays: a finished hypothesis is carried
-        # as one candidate with token id -1, a running one contributes all
-        # |V| extensions
-        scores, tokens, parents, stepped = [], [], [], {}
-        for parent, hyp in enumerate(beams):
-            if hyp.finished:
-                scores.append(np.array([hyp.score]))
-                tokens.append(_CARRIED)
-            else:
-                logp, new_state, alpha = model.decode_step(hyp.state, hyp.last)
-                stepped[parent] = (new_state, alpha)
-                scores.append(hyp.score + logp)
-                tokens.append(np.arange(logp.shape[0]))
-            parents.append(np.full(tokens[-1].shape[0], parent))
-        scores, tokens, parents = (np.concatenate(scores), np.concatenate(tokens),
-                                   np.concatenate(parents))
-        next_beams = []
-        for k in np.lexsort((parents, tokens, -scores))[:b]:
-            score, tok, parent = float(scores[k]), int(tokens[k]), int(parents[k])
-            src = beams[parent]
-            if tok == -1:
-                next_beams.append(src)
+        steps = [model.decode_step(h.state, h.tokens[-1] if h.tokens else START_ID)
+                 for h in live]
+        n_done, n_live = len(done), len(live)
+        scores = np.empty(n_done + steps[0][0].shape[0] * n_live)
+        for k, h in enumerate(done):
+            scores[k] = h.score
+        for p, (h, (logp, _, _)) in enumerate(zip(live, steps)):
+            scores[n_done + p::n_live] = h.score + logp
+        beams = []
+        for k in np.argsort(-scores, kind="stable")[:b].tolist():
+            if k < n_done:
+                beams.append(done[k])
                 continue
-            new_state, alpha = stepped[parent]
-            if tok == END_ID:
-                next_beams.append(_Hypothesis(
-                    tokens=src.tokens, score=score, state=None, last=END_ID,
-                    finished=True, alphas=src.alphas + [alpha]))
-            else:
-                next_beams.append(_Hypothesis(
-                    tokens=src.tokens + [tok], score=score, state=new_state,
-                    last=tok, finished=False, alphas=src.alphas + [alpha]))
-        beams = next_beams
-    def key(h):
-        s = h.score / max(len(h.tokens) + 1, 1) if length_normalize else h.score
-        return (-s, h.tokens)
-    finished = [h for h in beams if h.finished]
-    best = min(finished or beams, key=key)
-    return DecodeResult(tokens=best.tokens, score=best.score,
-                        finished=best.finished, alphas=best.alphas)
+            tok, p = divmod(k - n_done, n_live)
+            src, (_, state, alpha) = live[p], steps[p]
+            end = tok == END_ID
+            beams.append(_Hypothesis(src.tokens if end else src.tokens + [tok],
+                                     float(scores[k]), end, src.alphas + [alpha], state))
+    best = min([h for h in beams if h.finished] or beams, key=lambda h: (
+        -(h.normalized_score if length_normalize else h.score), h.tokens))
+    return DecodeResult(best.tokens, best.score, best.finished, best.alphas)

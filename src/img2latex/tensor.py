@@ -156,28 +156,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return negative(self)
-
-    def __sub__(self, other):
-        return add(self, negative(_as_tensor(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self.dtype), negative(self))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 class Parameter:
@@ -677,11 +660,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         )
     z = logits.data
     m = z.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
+    sm = np.exp(z - m)
+    total = sm.sum(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     rows = np.arange(z.shape[0])
     out = Tensor(lse - z[rows, targets])
-    sm = np.exp(z - m)
-    sm /= sm.sum(axis=-1, keepdims=True)
+    sm /= total
 
     def bwd(g):
         dz = sm * g[:, None]

@@ -337,6 +337,53 @@ def test_inspect_missing_image_is_an_io_error(ws, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------
+# malformed input files: one line on stderr, never a traceback
+# ---------------------------------------------------------------------
+
+def assert_one_line_error(capsys, rc, code):
+    err = capsys.readouterr().err
+    assert rc == code
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_non_utf8_config_file_is_a_one_line_usage_error(ws, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\xe9glage\nd = 8\n".encode("latin-1"))
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+               "--out", str(tmp_path / "x"), "--config", str(cfg)])
+    assert_one_line_error(capsys, rc, 2)
+
+
+def test_non_utf8_manifest_is_a_one_line_io_error(ws, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"images/0000.pgm\tx \xff y\n")
+    rc = main(["predict", "--checkpoint", ws["ckpt"], "--manifest", str(manifest),
+               "--out", str(tmp_path / "o.tsv")])
+    assert_one_line_error(capsys, rc, 1)
+
+
+def test_pgm_passed_as_manifest_is_a_one_line_io_error(ws, tmp_path, capsys):
+    rc = main(["predict", "--checkpoint", ws["ckpt"], "--manifest",
+               str(ws["data"] / "images" / "0000.pgm"), "--out", str(tmp_path / "o.tsv")])
+    assert_one_line_error(capsys, rc, 1)
+
+
+def test_superscript_digit_bucket_line_is_a_one_line_io_error(ws, tmp_path, capsys):
+    # '²'.isdigit() is True, but int('²') raises
+    buckets = tmp_path / "buckets.txt"
+    buckets.write_text("\u00b2 8\n", encoding="utf-8")
+    rc = predict(ws, tmp_path / "o.tsv", "--buckets", str(buckets))
+    assert_one_line_error(capsys, rc, 1)
+
+
+def test_non_utf8_bucket_file_is_a_one_line_io_error(ws, tmp_path, capsys):
+    buckets = tmp_path / "buckets.txt"
+    buckets.write_bytes(b"\xff 8\n")
+    rc = predict(ws, tmp_path / "o.tsv", "--buckets", str(buckets))
+    assert_one_line_error(capsys, rc, 1)
+
+
+# ---------------------------------------------------------------------
 # configuration surface
 # ---------------------------------------------------------------------
 

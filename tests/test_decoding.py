@@ -271,3 +271,67 @@ def test_array_pruning_matches_the_tuple_sort_under_ties(seed):
     beam1 = beam_decode(model, None, b=1, max_len=5)
     assert (greedy.tokens, greedy.score, greedy.finished) == (
         beam1.tokens, beam1.score, beam1.finished)
+
+
+def argmax_greedy_reference(model, image, max_len):
+    """greedy_decode as it ran before it became the search at b=1: its own
+    argmax loop, extending the score with the same float operations."""
+    state = model.decode_start(image)
+    score, last, tokens, alphas = 0.0, START_ID, [], []
+    for _ in range(max_len):
+        logp, state, alpha = model.decode_step(state, last)
+        cand = score + logp
+        nxt = int(np.argmax(cand))
+        score = float(cand[nxt])
+        alphas.append(alpha)
+        if nxt == END_ID:
+            return tokens, score, True, alphas
+        tokens.append(nxt)
+        last = nxt
+    return tokens, score, False, alphas
+
+
+def assert_same_decode(got, tokens, score, finished, alphas):
+    assert got.tokens == tokens
+    assert np.float64(got.score).tobytes() == np.float64(score).tobytes()
+    assert got.finished == finished
+    assert len(got.alphas) == len(alphas)
+    for ga, wa in zip(got.alphas, alphas):
+        assert ga.dtype == wa.dtype and ga.tobytes() == wa.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_greedy_matches_the_argmax_loop_under_ties_and_log_zero(seed):
+    model = TiedModel(seed)
+    for max_len in (1, 2, 5):
+        assert_same_decode(greedy_decode(model, None, max_len=max_len),
+                           *argmax_greedy_reference(model, None, max_len))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_greedy_matches_the_argmax_loop_on_tiny_models(seed):
+    model = tiny_model(seed)
+    image = np.random.default_rng(seed + 300).random((16, 24))
+    for max_len in (1, 3, 6):
+        assert_same_decode(greedy_decode(model, image, max_len=max_len),
+                           *argmax_greedy_reference(model, image, max_len))
+
+
+class PartlyNanModel(TiedModel):
+    """TiedModel with one NaN log-prob per step, at a seeded token id."""
+
+    def decode_step(self, state, token):
+        logp, hist, alpha = super().decode_step(state, token)
+        logp[np.random.default_rng((self.seed, 99) + hist).integers(self.V)] = np.nan
+        return logp, hist, alpha
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_greedy_equals_beam_one_when_a_log_prob_is_nan(seed):
+    # an argmax picks a NaN, the beam's sort ranks it last: greedy is the
+    # beam search at b=1, so both rank it last
+    model = PartlyNanModel(seed)
+    g = greedy_decode(model, None, max_len=5)
+    b = beam_decode(model, None, b=1, max_len=5)
+    assert not math.isnan(g.score)
+    assert_same_decode(g, b.tokens, b.score, b.finished, b.alphas)

@@ -60,7 +60,7 @@ def test_negative_and_sub(seed):
     a = rng.standard_normal((5,))
     b = rng.standard_normal((5,))
     loss = _proj(rng, (5,))
-    _check(lambda x, y: loss(x - y), [a, b], f"sub seed={seed}")
+    _check(lambda x, y: loss(T.add(x, T.negative(y))), [a, b], f"sub seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
