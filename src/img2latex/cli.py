@@ -306,19 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines breaks at, written as its escape, so an
+# error that quotes a bad input still prints as one line
+_ESCAPE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {str(exc).translate(_ESCAPE_BREAKS)}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _fail(exc, EXIT_DIVERGED)
     except (ConfigError, TrainError, DecodeError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     except (DataError, SynthError, CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -78,7 +78,9 @@ SCHEMA: dict[str, KeySpec] = {
 @dataclass
 class ModelConfig:
     """The model's shape, seed and precision: the keys of a checkpoint's
-    meta["config"].  Every field but vocab_size is a SCHEMA key."""
+    meta["config"].  Every field but vocab_size is a SCHEMA key, and
+    must meet that key's rule (ValueError), so a checkpoint's meta is held
+    to the rules a config file is."""
 
     vocab_size: int
     d: int
@@ -93,6 +95,12 @@ class ModelConfig:
     timescale: float
     dtype: str
     seed: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "vocab_size" and not SCHEMA[f.name].valid(value):
+                raise ValueError(f"{f.name} must be {SCHEMA[f.name].rule}, got {value!r}")
 
     @classmethod
     def from_cfg(cls, cfg: dict, vocab_size: int) -> "ModelConfig":

@@ -193,6 +193,8 @@ def load_manifest(path) -> list[tuple[str, list[str]]]:
         if "\t" not in line:
             raise DataError(f"{path}:{lineno}: expected TAB between path and tokens")
         rel, toks = line.split("\t", 1)
+        if "\0" in rel:
+            raise DataError(f"{path}:{lineno}: image path holds a NUL byte")
         out.append((rel, toks.split()))
     return out
 

@@ -3,8 +3,8 @@
 One step consumes the previous token and the previous attentional output
 O_{t-1} (concatenated, so the attention decision from the last step
 feeds the recurrence), runs two stacked LSTM layers, attends over the
-memory bank with an additive score, and combines top hidden state and
-context into logits:
+encoder's memory entries e_l with an additive score, and combines top
+hidden state and context into logits:
 
     a_l   = beta . tanh(W1 h + W2 e_l)        score per memory entry
     alpha = softmax(a)
@@ -32,11 +32,13 @@ Tape records per step (eval mode, or dropout 0): embedding_lookup, the
 layer-1 input concat, per layer one tensor.lstm_cell (concat, GEMM, bias
 and gates) and two slice_cols, one tensor.attention_scores (everything
 from the query projection to the softmax), attention_context, then
-concat, matmul and tanh for O_t and the output matmul: 14 in all.  The
-first step on a bank adds 3 for the cached key projection W2 e_l, and
+concat, matmul and tanh for O_t and the output matmul: 14 in all, and
 train mode adds one per dropout.  The two fused ops replace 4 and 9
 generic records and are bit-identical to them, forward and backward;
-tests/test_decoder.py keeps the generic chain as its reference.
+tests/test_decoder.py keeps the generic chain as its reference.  The
+key projection W2 e_l does not depend on the step, so init_state
+records it once (3 records: reshape, matmul, reshape), and every state
+of the sequence carries it beside the entries it attends over.
 """
 from __future__ import annotations
 
@@ -46,16 +48,19 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .encoder import MemoryBank
 from .tensor import Parameter, Tensor
 
 
 @dataclass
 class DecoderState:
-    """Recurrent state: per-layer (h, c) plus the fed-back output O."""
+    """Recurrent state: per-layer (h, c) and the fed-back output O, plus
+    the attention memory: entries (B, L, d) and their key projection
+    proj (B, L, A), both fixed for the whole sequence."""
     h: list[Tensor]
     c: list[Tensor]
     o_prev: Tensor
+    entries: Tensor
+    proj: Tensor
 
 
 @dataclass
@@ -112,27 +117,30 @@ class Decoder:
     def _p(self, name: str) -> Tensor:
         return self.params[name].tensor
 
-    def init_state(self, bank: MemoryBank) -> DecoderState:
-        """Hidden/cell states from the mean annotation vector; O_0 = 0."""
-        mean = T.reduce_mean(bank.entries, axis=1)      # (B, d)
+    def init_state(self, entries: Tensor) -> DecoderState:
+        """Hidden/cell states from the mean annotation vector, O_0 = 0,
+        and the key projection of entries (B, L, d)."""
+        mean = T.reduce_mean(entries, axis=1)           # (B, d)
         hs, cs = [], []
         for layer in (1, 2):
             hs.append(T.tanh(mean @ self._p(f"dec.init.h{layer}.w")
                              + self._p(f"dec.init.h{layer}.b")))
             cs.append(T.tanh(mean @ self._p(f"dec.init.c{layer}.w")
                              + self._p(f"dec.init.c{layer}.b")))
-        o0 = Tensor(np.zeros((bank.entries.shape[0], self.config.out_dim),
-                             dtype=self.config.np_dtype()))
-        return DecoderState(h=hs, c=cs, o_prev=o0)
+        b, length, d = entries.shape
+        o0 = Tensor(np.zeros((b, self.config.out_dim), dtype=self.config.np_dtype()))
+        proj = T.reshape(T.reshape(entries, (b * length, d)) @ self._p("dec.attn.w2"),
+                         (b, length, self.config.attn_dim))
+        return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj)
 
-    def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
-        """Bank and state cut to batch rows `rows`.
+    def keep_rows(self, state: DecoderState, rows) -> DecoderState:
+        """State cut to batch rows `rows`.
 
         rows is either distinct row indices, gathered in that order with
         T.take_rows, or an int n, which keeps the first n rows as views
         through T.head_rows and copies nothing.  Every per-row tensor is
-        cut, including the cached key projection, so gradients still
-        reach the dropped rows' earlier steps.
+        cut, the key projection included, so gradients still reach the
+        dropped rows' earlier steps.
         """
         if isinstance(rows, int):
             def cut(t):
@@ -140,12 +148,9 @@ class Decoder:
         else:
             def cut(t):
                 return T.take_rows(t, rows)
-        proj = None if bank.proj is None else cut(bank.proj)
-        bank = MemoryBank(entries=cut(bank.entries), h_prime=bank.h_prime,
-                          w_prime=bank.w_prime, proj=proj)
-        state = DecoderState(h=[cut(h) for h in state.h], c=[cut(c) for c in state.c],
-                             o_prev=cut(state.o_prev))
-        return bank, state
+        return DecoderState(h=[cut(h) for h in state.h], c=[cut(c) for c in state.c],
+                            o_prev=cut(state.o_prev), entries=cut(state.entries),
+                            proj=cut(state.proj))
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
         hc = T.lstm_cell(x, h, c, self._p(f"dec.lstm{layer}.w"),
@@ -153,17 +158,12 @@ class Decoder:
         n = self.config.hidden
         return T.slice_cols(hc, 0, n), T.slice_cols(hc, n, 2 * n)
 
-    def _attend(self, bank: MemoryBank, query: Tensor):
-        if bank.proj is None:
-            b, length, d = bank.entries.shape
-            flat = T.reshape(bank.entries, (b * length, d))
-            bank.proj = T.reshape(flat @ self._p("dec.attn.w2"),
-                                  (b, length, self.config.attn_dim))
-        alpha = T.attention_scores(query, self._p("dec.attn.w1"), bank.proj,
+    def _attend(self, state: DecoderState, query: Tensor):
+        alpha = T.attention_scores(query, self._p("dec.attn.w1"), state.proj,
                                    self._p("dec.attn.beta"))             # (B, L)
-        return T.attention_context(alpha, bank.entries), alpha
+        return T.attention_context(alpha, state.entries), alpha
 
-    def step(self, bank: MemoryBank, state: DecoderState, tokens,
+    def step(self, state: DecoderState, tokens,
              train: bool = False, rng: np.random.Generator | None = None) -> StepOutput:
         """Advance one step given the previous tokens, shape (B,) int."""
         cfg = self.config
@@ -173,9 +173,10 @@ class Decoder:
         h1, c1 = self._cell(1, x1, state.h[0], state.c[0])
         h2, c2 = self._cell(2, h1, state.h[1], state.c[1])
         query = h2 if cfg.attend_current_hidden else state.h[1]
-        ctx, alpha = self._attend(bank, query)
+        ctx, alpha = self._attend(state, query)
         o = T.tanh(T.concat([h2, ctx], axis=1) @ self._p("dec.w3"))
         o = T.dropout(o, cfg.dropout, train, rng)
         logits = o @ self._p("dec.w4")
         return StepOutput(logits=logits, alpha=alpha,
-                          state=DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o))
+                          state=DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o,
+                                             entries=state.entries, proj=state.proj))

@@ -61,20 +61,17 @@ def positional_encoding(height: int, width: int, d: int, timescale: float) -> np
     return pe
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryBank:
     """Flattened encoder output the decoder attends over.
 
     entries has shape (B, L, d) with L = h_prime * w_prime; entry l of an
-    image came from feature-map cell divmod(l, w_prime).  proj caches the
-    attention key projection of entries for the lifetime of the bank (the
-    bank is rebuilt on every forward pass, so the cache can never go
-    stale against updated weights).
+    image came from feature-map cell divmod(l, w_prime).  The decoder
+    takes the entries alone, and its state holds their key projection.
     """
     entries: Tensor
     h_prime: int
     w_prime: int
-    proj: Tensor | None = None
 
 
 # (out_channels as a fraction of d, batchnorm?) per conv, and the pool
@@ -94,8 +91,6 @@ class Encoder:
     """Six-conv feature extractor with total downsampling 8x8."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        if config.d % 8 != 0:
-            raise ValueError(f"encoder width d must be a multiple of 8, got {config.d}")
         self.config = config
         dt = config.np_dtype()
         self.params: dict[str, Parameter] = {}
@@ -152,16 +147,13 @@ class Encoder:
     def encode(self, images, train: bool = False) -> MemoryBank:
         """Images -> MemoryBank.
 
-        Accepts a single (H, W) grayscale array or a batch (B, 1, H, W);
-        values are expected in [0, 1] (0 = black ink, 1 = white).
+        Accepts a single (H, W) grayscale array or a batch (B, 1, H, W)
+        array; values are expected in [0, 1] (0 = black ink, 1 = white).
         """
-        arr = images.data if isinstance(images, Tensor) else np.asarray(images)
+        arr = np.asarray(images)
         if arr.ndim == 2:
             arr = arr[None, None]
-        x = images if isinstance(images, Tensor) else Tensor(arr.astype(self.config.np_dtype()))
-        if x.ndim == 2:
-            x = T.reshape(x, (1, 1) + x.shape)
-        feats = self.cnn_forward(x, train=train)
+        feats = self.cnn_forward(Tensor(arr.astype(self.config.np_dtype())), train=train)
         b, d, hp, wp = feats.shape
         pe = positional_encoding(hp, wp, d, self.config.timescale)
         feats = feats + Tensor(pe[None].astype(feats.dtype))

@@ -48,7 +48,7 @@ def bleu4(candidates, references, mode: str = "corpus") -> float:
     if not candidates:
         raise MetricError("bleu4: empty input")
     if mode == "sentence":
-        return float(np.mean([_sentence_bleu(c, r) for c, r in zip(candidates, references)]))
+        return float(np.mean([sentence_bleu4(c, r) for c, r in zip(candidates, references)]))
     if mode != "corpus":
         raise MetricError(f"bleu4: unknown mode {mode!r}")
     matches = [0] * 4
@@ -74,7 +74,8 @@ def bleu4(candidates, references, mode: str = "corpus") -> float:
     return float(_brevity(c_len, r_len) * np.exp(log_p))
 
 
-def _sentence_bleu(candidate, reference) -> float:
+def sentence_bleu4(candidate, reference) -> float:
+    """Smoothed single-pair BLEU in [0, 1]; the RL reward function."""
     candidate, reference = list(candidate), list(reference)
     if not candidate:
         return 0.0
@@ -99,11 +100,6 @@ def _brevity(c_len: int, r_len: int) -> float:
     if c_len == 0:
         return 0.0
     return float(np.exp(1.0 - r_len / c_len))
-
-
-def sentence_bleu4(candidate, reference) -> float:
-    """Smoothed single-pair BLEU in [0, 1]; the RL reward function."""
-    return _sentence_bleu(candidate, reference)
 
 
 # ---------------------------------------------------------------------

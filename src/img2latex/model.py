@@ -7,7 +7,7 @@ draw can be reproduced from the checkpoint seed plus integer coordinates
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ModelConfig
 from .decoder import Decoder, DecoderState
 from .encoder import Encoder, MemoryBank
-from .tensor import Parameter
+from .tensor import Parameter, Tensor
 
 # purpose tags for seed derivation
 RNG_INIT = 0
@@ -35,13 +35,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise log softmax over the last axis, numerically stable."""
     m = z.max(axis=-1, keepdims=True)
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
-
-
-@dataclass
-class DecodeState:
-    """Opaque handle threaded through decode_step."""
-    bank: MemoryBank
-    inner: DecoderState
 
 
 class Model:
@@ -70,35 +63,32 @@ class Model:
     def encode(self, images, train: bool = False) -> MemoryBank:
         return self.encoder.encode(images, train=train)
 
-    def init_state(self, bank: MemoryBank) -> DecoderState:
-        return self.decoder.init_state(bank)
+    def init_state(self, entries: Tensor) -> DecoderState:
+        return self.decoder.init_state(entries)
 
-    def step(self, bank, state, tokens, train: bool = False, rng=None):
-        return self.decoder.step(bank, state, tokens, train=train, rng=rng)
+    def step(self, state, tokens, train: bool = False, rng=None):
+        return self.decoder.step(state, tokens, train=train, rng=rng)
 
-    def keep_rows(self, bank: MemoryBank, state: DecoderState, rows):
-        """(bank, state) restricted to batch rows `rows` (indices, or an int n
-        for the first n rows); see Decoder.keep_rows."""
-        return self.decoder.keep_rows(bank, state, rows)
+    def keep_rows(self, state: DecoderState, rows) -> DecoderState:
+        """state restricted to batch rows `rows` (indices, or an int n for
+        the first n rows); see Decoder.keep_rows."""
+        return self.decoder.keep_rows(state, rows)
 
     # -- single-image decode protocol ------------------------------------
-    def decode_start(self, image: np.ndarray) -> DecodeState:
+    def decode_start(self, image: np.ndarray) -> DecoderState:
         """Encode one (H, W) image and return the initial decode state."""
         with T.no_grad():
-            bank = self.encode(image, train=False)
-            inner = self.init_state(bank)
-        return DecodeState(bank=bank, inner=inner)
+            return self.init_state(self.encode(image, train=False).entries)
 
-    def decode_step(self, state: DecodeState, token: int):
+    def decode_step(self, state: DecoderState, token: int):
         """Feed one token id; returns (logp over vocab, next state, alpha).
 
         logp has shape (V,), alpha shape (L,) over memory entries.
         """
         with T.no_grad():
-            out = self.decoder.step(state.bank, state.inner, np.array([int(token)]))
+            out = self.decoder.step(state, np.array([int(token)]))
         logp = log_softmax(out.logits.data.astype(np.float64))[0]
-        alpha = out.alpha.data[0]
-        return logp, DecodeState(bank=state.bank, inner=out.state), alpha
+        return logp, out.state, out.alpha.data[0]
 
     # -- persistence ------------------------------------------------------
     def save(self, path, step: int = 0, phase: str = "mle",

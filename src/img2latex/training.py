@@ -22,7 +22,6 @@ from . import tensor as T
 from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
                    build_vocab, load_buckets, load_dataset, pad_image)
 from .decoding import greedy_decode
-from .encoder import MemoryBank
 from .metrics import sentence_bleu4
 from .config import ModelConfig
 from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
@@ -61,7 +60,7 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
     return live.sum(axis=1)
 
 
-def _teacher_forced(model: Model, bank: MemoryBank, seq: np.ndarray,
+def _teacher_forced(model: Model, entries: Tensor, seq: np.ndarray,
                     lengths: np.ndarray, train: bool,
                     rng: np.random.Generator | None = None):
     """Packed teacher-forced pass; returns (logits Tensor (N, V), targets
@@ -69,12 +68,13 @@ def _teacher_forced(model: Model, bank: MemoryBank, seq: np.ndarray,
 
     Row i's targets are seq[i, :lengths[i]], and its input at step t is
     target t-1 (START at t=0); a sampled rollout may hold PAD, START or
-    UNK as content, so the counts are passed in.  The bank comes encoded,
-    so batch-norm statistics keep their bits; its rows are sorted once by
-    count, longest first (stable; no gather when already in order).  Step
-    t runs only the first n_t rows, those with more than t targets, cut
-    through head_rows views (`Model.keep_rows` with an int), and the
-    outputs pack every step's live rows, so N is the number of targets.
+    UNK as content, so the counts are passed in.  The memory entries come
+    encoded, so batch-norm statistics keep their bits; their rows are
+    sorted once by count, longest first (stable; no gather when already
+    in order).  Step t runs only the first n_t rows, those with more than
+    t targets, cut through head_rows views (`Model.keep_rows` with an
+    int), and the outputs pack every step's live rows, so N is the number
+    of targets.
     """
     b = seq.shape[0]
     order = np.argsort(-lengths, kind="stable")
@@ -82,16 +82,15 @@ def _teacher_forced(model: Model, bank: MemoryBank, seq: np.ndarray,
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
     n_live = (lengths[order][:, None] > np.arange(lengths.max())).sum(axis=0)
     if (order != np.arange(b)).any():
-        bank = MemoryBank(entries=T.take_rows(bank.entries, order),
-                          h_prime=bank.h_prime, w_prime=bank.w_prime)
-    state = model.init_state(bank)
+        entries = T.take_rows(entries, order)
+    state = model.init_state(entries)
     rows = b
     logits = []
     for t, n in enumerate(n_live):
         if n < rows:
             rows = int(n)
-            bank, state = model.keep_rows(bank, state, rows)
-        out = model.step(bank, state, inputs[:rows, t], train=train, rng=rng)
+            state = model.keep_rows(state, rows)
+        out = model.step(state, inputs[:rows, t], train=train, rng=rng)
         state = out.state
         logits.append(out.logits)
     targets = np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
@@ -119,8 +118,8 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
     lengths = _target_counts(seq)
-    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train), seq,
-                                         lengths, train, rng)
+    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train).entries,
+                                         seq, lengths, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
 
@@ -152,28 +151,25 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def _sample_rollout(model: Model, bank, max_len: int, rngs,
+def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
                     audit: InputFeedAudit | None = None):
     """Batched multinomial rollout in eval mode, under T.no_grad().
 
     Returns (tokens (B, T) with PAD after END, lengths (B,), finished
     mask) in the original row order: T is the number of steps run and
-    lengths[i] the steps row i ran, END included.  Nothing is recorded;
-    `reinforce_step` scores the tokens afterwards.  The rollout attends
-    over a bank of its own that shares bank's entries, so the key
-    projection it caches off the tape never reaches a later scoring pass.
+    lengths[i] the steps row i ran, END included.  Nothing is recorded,
+    the state's key projection included; `reinforce_step` scores the
+    tokens afterwards with a state of its own.
 
     A row leaves the batch on the step it samples END: `model.keep_rows`
-    cuts the state and the bank to the rows still running.  Original row
-    i always draws from rngs[i], so every live row sees the same draws as
-    in a rollout that steps all B rows to the end; its tokens differ only
-    when a draw lands within rounding of a bucket boundary, since a
-    matmul row's bits depend on how many rows share the call.  With an
-    audit, every token fed after the first step is checked, for each
+    cuts the state to the rows still running.  Original row i always
+    draws from rngs[i], so every live row sees the same draws as in a
+    rollout that steps all B rows to the end; its tokens differ only when
+    a draw lands within rounding of a bucket boundary, since a matmul
+    row's bits depend on how many rows share the call.  With an audit, every token fed after the first step is checked, for each
     running row, against that row's token one step earlier.
     """
-    b = bank.entries.shape[0]
-    bank = MemoryBank(entries=bank.entries, h_prime=bank.h_prime, w_prime=bank.w_prime)
+    b = entries.shape[0]
     rows = np.arange(b)                     # original row of each running row
     last = np.full(b, START_ID, dtype=np.int64)
     tokens = np.full((b, max_len), PAD_ID, dtype=np.int64)
@@ -181,10 +177,10 @@ def _sample_rollout(model: Model, bank, max_len: int, rngs,
     finished = np.zeros(b, dtype=bool)
     feeds = []                              # (rows, fed tokens) per step
     with T.no_grad():
-        state = model.init_state(bank)
+        state = model.init_state(entries)
         for t in range(max_len):
             feeds.append((rows, last))
-            out = model.step(bank, state, last, train=False)
+            out = model.step(state, last, train=False)
             state = out.state
             z = out.logits.data.astype(np.float64)
             z = z - z.max(axis=1, keepdims=True)
@@ -199,7 +195,7 @@ def _sample_rollout(model: Model, bank, max_len: int, rngs,
                 break
             if ended.any():
                 keep = np.flatnonzero(~ended)
-                bank, state = model.keep_rows(bank, state, keep)
+                state = model.keep_rows(state, keep)
                 rows, sampled = rows[keep], sampled[keep]
             last = sampled
     tokens = tokens[:, :len(feeds)]
@@ -262,24 +258,23 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
 
     Encodes once in eval mode (no dropout, batch-norm running
     statistics) and draws k samples per image off the tape from the
-    tiled bank.  Rewards are computed on sentinel-stripped token ids and
-    clamped to [0, 1].  One packed teacher-forced pass over the tiled
-    bank then scores every sampled token, END included, with the
-    rollout's step counts; the loss is sum(w[row] * ce) / (B*k).  A
-    non-finite loss raises DivergenceError before backward, so the
-    parameters stay as they were.  Sampling and scoring run the same
-    eval-mode function, but scoring batches rows in length order, so the
-    loss and gradients may move in their last bits against a rollout
-    that records its own log-probabilities; tokens and rewards do not.
+    memory entries tiled k times.  Rewards are computed on
+    sentinel-stripped token ids and clamped to [0, 1].  One packed
+    teacher-forced pass over the same tiled entries then scores every
+    sampled token, END included, with the rollout's step counts; the
+    loss is sum(w[row] * ce) / (B*k).  A non-finite loss raises
+    DivergenceError before backward, so the parameters stay as they
+    were.  Sampling and scoring run the same eval-mode function, but
+    scoring batches rows in length order, so the loss and gradients may
+    move in their last bits against a rollout that records its own
+    log-probabilities; tokens and rewards do not.
     """
     if k < 2:
         raise TrainError(f"reinforce_step: k must be >= 2 for the baseline, got {k}")
     b = images.shape[0]
     if b == 0:
         raise TrainError("reinforce_step: empty batch")
-    bank = model.encode(images, train=False)
-    tiled = MemoryBank(entries=T.repeat_rows(bank.entries, k),
-                       h_prime=bank.h_prime, w_prime=bank.w_prime)
+    tiled = T.repeat_rows(model.encode(images, train=False).entries, k)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
     tokens, lengths, _ = _sample_rollout(model, tiled, max_len, rngs, audit)
     rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
@@ -312,8 +307,9 @@ def token_accuracy(model: Model, batches) -> float:
     total = 0
     with T.no_grad():
         for batch in batches:
-            logits, targets, _ = _teacher_forced(model, model.encode(batch.images), batch.seq,
-                                                 _target_counts(batch.seq), train=False)
+            logits, targets, _ = _teacher_forced(model, model.encode(batch.images).entries,
+                                                 batch.seq, _target_counts(batch.seq),
+                                                 train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size
     return correct / total if total else 0.0

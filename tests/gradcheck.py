@@ -57,8 +57,8 @@ def misfeed_rollouts(monkeypatch):
     compaction would."""
     step = Model.step
 
-    def misfeed(self, bank, state, tokens, train=False, rng=None):
+    def misfeed(self, state, tokens, train=False, rng=None):
         tokens[:] = tokens[::-1].copy()
-        return step(self, bank, state, tokens, train=train, rng=rng)
+        return step(self, state, tokens, train=train, rng=rng)
 
     monkeypatch.setattr(Model, "step", misfeed)

@@ -21,7 +21,7 @@ from img2latex.data import (END_ID, START_ID, RESERVED, Vocabulary,
                             bucket_and_pad, load_buckets, load_dataset,
                             pad_image)
 from img2latex.decoding import beam_decode, greedy_decode
-from img2latex.encoder import Encoder, MemoryBank, positional_encoding
+from img2latex.encoder import Encoder, positional_encoding
 from img2latex.metrics import bleu4, edit_distance_score, exact_match
 from img2latex.model import RNG_NOISE, RNG_SAMPLE, Model, derive_rng
 from img2latex.optim import Adam
@@ -369,11 +369,8 @@ def test_criterion_7_input_feeding_audit(desk_data, desk_run):
     passes = 0
     with T.no_grad():
         while audit.steps_checked < 10_000:
-            bank = model.encode(batches[0].images, train=False)
-            tiled = MemoryBank(entries=T.repeat_rows(bank.entries, 2),
-                               h_prime=bank.h_prime, w_prime=bank.w_prime)
-            rngs = [derive_rng(2, RNG_SAMPLE, passes, i)
-                    for i in range(tiled.entries.shape[0])]
+            tiled = T.repeat_rows(model.encode(batches[0].images, train=False).entries, 2)
+            rngs = [derive_rng(2, RNG_SAMPLE, passes, i) for i in range(tiled.shape[0])]
             _sample_rollout(model, tiled, 50, rngs, audit)
             passes += 1
     report(7, audit.steps_checked >= 10_000 and audit.violations == 0,

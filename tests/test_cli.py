@@ -240,8 +240,15 @@ def _rename_meta_key(blob):
     return blob.replace(b'"vocab_size"', b'"vocab_sizE"', 1)
 
 
+def _zero_width_model(blob):
+    # one bit flip ('8' ^ 0x08 is '0'): a model of width 0, which used to
+    # divide by zero in the weight initialisation
+    return blob.replace(b'"d": 8,', b'"d": 0,', 1)
+
+
 @pytest.mark.parametrize("corrupt,message", [(_overflow_first_dims, "truncated checkpoint"),
-                                             (_rename_meta_key, "does not describe a model")])
+                                             (_rename_meta_key, "does not describe a model"),
+                                             (_zero_width_model, "d must be a positive")])
 def test_corrupted_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(bytes(corrupt(bytearray(open(ws["ckpt"], "rb").read()))))
@@ -360,6 +367,26 @@ def test_non_utf8_manifest_is_a_one_line_io_error(ws, tmp_path, capsys):
     rc = main(["predict", "--checkpoint", ws["ckpt"], "--manifest", str(manifest),
                "--out", str(tmp_path / "o.tsv")])
     assert_one_line_error(capsys, rc, 1)
+
+
+def test_nul_byte_in_manifest_path_is_a_one_line_io_error(ws, tmp_path, capsys):
+    # open() refuses a path with NUL with a ValueError, not an OSError
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"images/00\x0000.pgm\ta b\n")
+    rc = main(["predict", "--checkpoint", ws["ckpt"], "--manifest", str(manifest),
+               "--out", str(tmp_path / "o.tsv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {manifest}:1: image path holds a NUL byte\n"
+
+
+def test_error_that_quotes_a_line_break_is_one_line(ws, tmp_path, capsys):
+    # the key is quoted as given, and str.splitlines also breaks at \x0c
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+               "--out", str(tmp_path / "x"), "--set", "# a\nd\x0ce=8"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: --set # a\\nd\\x0ce: unknown config key '# a\\nd\\x0ce'\n"
 
 
 def test_pgm_passed_as_manifest_is_a_one_line_io_error(ws, tmp_path, capsys):

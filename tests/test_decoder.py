@@ -6,7 +6,6 @@ from gradcheck import model_config
 
 from img2latex import tensor as T
 from img2latex.decoder import Decoder, DecoderState, StepOutput
-from img2latex.encoder import MemoryBank
 from img2latex.tensor import Tensor
 
 
@@ -16,9 +15,8 @@ def make(vocab=6, d=8, hidden=8, attn=8, out=8, emb=4, **kw):
     return Decoder(cfg, np.random.default_rng(0)), cfg
 
 
-def make_bank(b=2, length=3, d=8, seed=1):
-    entries = np.random.default_rng(seed).normal(size=(b, length, d))
-    return MemoryBank(entries=Tensor(entries), h_prime=1, w_prime=length)
+def make_entries(b=2, length=3, d=8, seed=1):
+    return Tensor(np.random.default_rng(seed).normal(size=(b, length, d)))
 
 
 def sigmoid(x):
@@ -74,12 +72,12 @@ def step_reference(dec, entries, h, c, o_prev, tokens, standard_cell):
 @pytest.mark.parametrize("standard_cell", [False, True])
 def test_step_matches_straight_line_reference(standard_cell):
     dec, cfg = make(standard_cell_output=standard_cell)
-    bank = make_bank()
-    state = dec.init_state(bank)
+    entries = make_entries()
+    state = dec.init_state(entries)
     tokens = np.array([2, 4])
-    got = dec.step(bank, state, tokens)
+    got = dec.step(state, tokens)
     want_logits, want_alpha, want_h, want_c, want_o = step_reference(
-        dec, bank.entries.data, [s.data for s in state.h],
+        dec, entries.data, [s.data for s in state.h],
         [s.data for s in state.c], state.o_prev.data, tokens, standard_cell)
     assert np.allclose(got.logits.data, want_logits, atol=1e-12)
     assert np.allclose(got.alpha.data, want_alpha, atol=1e-12)
@@ -91,9 +89,9 @@ def test_step_matches_straight_line_reference(standard_cell):
 
 def test_init_state_from_mean_annotation():
     dec, cfg = make()
-    bank = make_bank()
-    state = dec.init_state(bank)
-    mean = bank.entries.data.mean(axis=1)
+    entries = make_entries()
+    state = dec.init_state(entries)
+    mean = entries.data.mean(axis=1)
     P = {k: p.data for k, p in dec.params.items()}
     for layer in (1, 2):
         want_h = np.tanh(mean @ P[f"dec.init.h{layer}.w"] + P[f"dec.init.h{layer}.b"])
@@ -105,8 +103,7 @@ def test_init_state_from_mean_annotation():
 
 def test_alpha_is_a_distribution_over_memory():
     dec, _ = make()
-    bank = make_bank(length=5)
-    out = dec.step(bank, dec.init_state(bank), np.array([2, 2]))
+    out = dec.step(dec.init_state(make_entries(length=5)), np.array([2, 2]))
     assert out.alpha.shape == (2, 5)
     assert np.allclose(out.alpha.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -114,43 +111,47 @@ def test_alpha_is_a_distribution_over_memory():
 def test_cell_modes_differ():
     dec_lit, _ = make(standard_cell_output=False)
     dec_std, _ = make(standard_cell_output=True)
-    bank = make_bank()
-    a = dec_lit.step(bank, dec_lit.init_state(bank), np.array([2, 2]))
-    b = dec_std.step(bank, dec_std.init_state(bank), np.array([2, 2]))
+    entries = make_entries()
+    a = dec_lit.step(dec_lit.init_state(entries), np.array([2, 2]))
+    b = dec_std.step(dec_std.init_state(entries), np.array([2, 2]))
     assert not np.allclose(a.logits.data, b.logits.data)
 
 
 def test_attend_current_hidden_changes_query():
     dec_prev, _ = make(attend_current_hidden=False)
     dec_cur, _ = make(attend_current_hidden=True)
-    bank = make_bank()
-    a = dec_prev.step(bank, dec_prev.init_state(bank), np.array([2, 2]))
-    b = dec_cur.step(bank, dec_cur.init_state(bank), np.array([2, 2]))
+    entries = make_entries()
+    a = dec_prev.step(dec_prev.init_state(entries), np.array([2, 2]))
+    b = dec_cur.step(dec_cur.init_state(entries), np.array([2, 2]))
     assert not np.allclose(a.alpha.data, b.alpha.data)
 
 
-def test_projection_cache_filled_once_and_reused():
+def test_init_state_projects_the_keys_once_and_keep_rows_cuts_them():
     dec, _ = make()
-    bank = make_bank()
-    assert bank.proj is None
-    state = dec.init_state(bank)
-    out1 = dec.step(bank, state, np.array([2, 2]))
-    proj = bank.proj
-    assert proj is not None
-    dec.step(bank, out1.state, np.array([3, 3]))
-    assert bank.proj is proj
+    entries = make_entries(b=3)
+    state = dec.init_state(entries)
+    want = np.einsum("bld,da->bla", entries.data, dec.params["dec.attn.w2"].data)
+    assert state.entries is entries
+    assert np.allclose(state.proj.data, want, atol=1e-12)
+    # every later state of the sequence shares the one projection
+    later = dec.step(dec.step(state, np.array([2, 2, 2])).state, np.array([3, 3, 3])).state
+    assert later.proj is state.proj and later.entries is entries
+    for rows, kept in (([2, 0], [2, 0]), (2, [0, 1])):
+        cut = dec.keep_rows(later, rows)
+        assert np.array_equal(cut.proj.data, state.proj.data[kept])
+        assert np.array_equal(cut.entries.data, entries.data[kept])
+        assert dec.step(cut, np.array([4, 4])).state.proj is cut.proj
 
 
 def test_dropout_only_active_in_train():
     dec, _ = make()
     dec.config.dropout = 0.5
-    bank = make_bank()
-    state = dec.init_state(bank)
+    state = dec.init_state(make_entries())
     rng = np.random.default_rng(7)
-    a = dec.step(bank, state, np.array([2, 2]), train=False)
-    b = dec.step(bank, state, np.array([2, 2]), train=False)
+    a = dec.step(state, np.array([2, 2]), train=False)
+    b = dec.step(state, np.array([2, 2]), train=False)
     assert np.array_equal(a.logits.data, b.logits.data)
-    c = dec.step(bank, state, np.array([2, 2]), train=True, rng=rng)
+    c = dec.step(state, np.array([2, 2]), train=True, rng=rng)
     assert not np.array_equal(a.logits.data, c.logits.data)
 
 
@@ -172,8 +173,7 @@ def test_f32_decoder_stays_f32():
                          out_dim=8, dropout=0.0, dtype="f32")
     dec32 = Decoder(cfg32, np.random.default_rng(0))
     entries = np.random.default_rng(1).normal(size=(1, 3, 8)).astype(np.float32)
-    bank = MemoryBank(entries=Tensor(entries), h_prime=1, w_prime=3)
-    out = dec32.step(bank, dec32.init_state(bank), np.array([2]))
+    out = dec32.step(dec32.init_state(Tensor(entries)), np.array([2]))
     assert out.logits.dtype == np.float32
 
 
@@ -229,9 +229,9 @@ def gates_record(z, c, standard_output):
     return T._record("lstm_cell", out, (z, c), bwd)
 
 
-def unfused_step_reference(dec, bank, state, tokens, train=False, rng=None):
-    """Decoder.step built from generic tape ops: 28 records per step after
-    the first in eval mode, against Decoder.step's 14."""
+def unfused_step_reference(dec, state, tokens, train=False, rng=None):
+    """Decoder.step built from generic tape ops: 28 records per step in
+    eval mode, against Decoder.step's 14."""
     cfg, p = dec.config, dec._p
     emb = T.dropout(T.embedding_lookup(p("dec.embed"), np.asarray(tokens)),
                     cfg.dropout, train, rng)
@@ -245,23 +245,21 @@ def unfused_step_reference(dec, bank, state, tokens, train=False, rng=None):
         hs.append(x)
         cs.append(T.slice_cols(hc, cfg.hidden, 2 * cfg.hidden))
     query = hs[1] if cfg.attend_current_hidden else state.h[1]
-    b, length, d = bank.entries.shape
+    b, length, d = state.entries.shape
     a = cfg.attn_dim
-    if bank.proj is None:
-        flat = T.reshape(bank.entries, (b * length, d))
-        bank.proj = T.reshape(flat @ p("dec.attn.w2"), (b, length, a))
     qp = T.reshape(query @ p("dec.attn.w1"), (b, 1, a))
-    act = T.reshape(T.tanh(qp + bank.proj), (b * length, a))
+    act = T.reshape(T.tanh(qp + state.proj), (b * length, a))
     scores = T.reshape(act @ T.reshape(p("dec.attn.beta"), (a, 1)), (b, length))
     alpha = T.softmax(scores)
-    ctx = T.attention_context(alpha, bank.entries)
+    ctx = T.attention_context(alpha, state.entries)
     o = T.dropout(T.tanh(T.concat([hs[1], ctx], axis=1) @ p("dec.w3")), cfg.dropout, train, rng)
     return StepOutput(logits=o @ p("dec.w4"), alpha=alpha,
-                      state=DecoderState(h=hs, c=cs, o_prev=o))
+                      state=DecoderState(h=hs, c=cs, o_prev=o, entries=state.entries,
+                                         proj=state.proj))
 
 
-def fused_step(dec, bank, state, tokens, train=False, rng=None):
-    return dec.step(bank, state, tokens, train=train, rng=rng)
+def fused_step(dec, state, tokens, train=False, rng=None):
+    return dec.step(state, tokens, train=train, rng=rng)
 
 
 def teacher_forced_pass(step_fn, dec, entries, train):
@@ -272,10 +270,8 @@ def teacher_forced_pass(step_fn, dec, entries, train):
     all as bytes."""
     for prm in dec.params.values():
         prm.zero_grad()
-    bank = MemoryBank(entries=Tensor(entries.copy(), requires_grad=True),
-                      h_prime=1, w_prime=entries.shape[1])
-    leaf = bank.entries
-    state = dec.init_state(bank)
+    leaf = Tensor(entries.copy(), requires_grad=True)
+    state = dec.init_state(leaf)
     rng = np.random.default_rng(11) if train else None
     seq = np.random.default_rng(12).integers(0, dec.config.vocab_size, size=(4, 6))
     r = np.random.default_rng(13).normal(size=(4, entries.shape[1])).astype(entries.dtype)
@@ -284,9 +280,9 @@ def teacher_forced_pass(step_fn, dec, entries, train):
     for t in range(seq.shape[1]):
         cut = {2: 3, 4: [2, 0]}.get(t)
         if cut is not None:
-            bank, state = dec.keep_rows(bank, state, cut)
+            state = dec.keep_rows(state, cut)
             rows = rows[:cut] if isinstance(cut, int) else rows[cut]
-        out = step_fn(dec, bank, state, seq[rows, t], train=train, rng=rng)
+        out = step_fn(dec, state, seq[rows, t], train=train, rng=rng)
         state = out.state
         forward += [out.logits.data, out.alpha.data, out.state.o_prev.data]
         forward += [v.data for v in out.state.h + out.state.c]
@@ -317,20 +313,23 @@ def test_fused_step_is_bit_identical_to_the_unfused_chain(dtype, standard_cell,
         assert grads_fused[name] == grads_ref[name], name
 
 
-def records(step_fn, dec, bank, state):
-    """Tape records one call of step_fn puts on the tape."""
+def records(fn, *args):
+    """Tape records one call of fn(*args) puts on the tape, and its result."""
     start = next(T._op_counter)
-    step_fn(dec, bank, state, np.array([2, 4]))
-    return next(T._op_counter) - start - 1
+    out = fn(*args)
+    return next(T._op_counter) - start - 1, out
 
 
-def test_a_step_after_the_first_records_14_ops_not_28():
+def test_init_state_records_the_key_projection_and_every_step_14_ops_not_28():
     dec, _ = make()
-    bank = make_bank()
-    bank.entries.requires_grad = True
-    state = dec.init_state(bank)
-    # the first step also records the key projection: 3 more
-    assert records(fused_step, dec, bank, state) == 14 + 3
-    state = dec.step(bank, state, np.array([3, 5])).state
-    assert records(fused_step, dec, bank, state) == 14
-    assert records(unfused_step_reference, dec, bank, state) == 28
+    entries = make_entries()
+    entries.requires_grad = True
+    # reduce_mean, then matmul, add and tanh for each of h1, c1, h2, c2:
+    # 13 records, and 3 more for the key projection
+    n, state = records(dec.init_state, entries)
+    assert n == 13 + 3
+    for tokens in ([2, 4], [3, 5]):
+        n, out = records(fused_step, dec, state, np.array(tokens))
+        assert n == 14
+        assert records(unfused_step_reference, dec, state, np.array(tokens))[0] == 28
+        state = out.state

@@ -155,12 +155,11 @@ def masked_reference(model, images, seq, train=True, rng=None):
     steps, and each step's PAD targets are masked out of the loss.
     Returns (loss, token count, argmax hits on the targets)."""
     b = seq.shape[0]
-    bank = model.encode(images, train=train)
-    state = model.init_state(bank)
+    state = model.init_state(model.encode(images, train=train).entries)
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
     total, n_tokens, hits = None, 0, 0
     for t in range(seq.shape[1]):
-        out = model.step(bank, state, inputs[:, t], train=train, rng=rng)
+        out = model.step(state, inputs[:, t], train=train, rng=rng)
         state = out.state
         targets, mask = seq[:, t], seq[:, t] != PAD_ID
         ce = T.cross_entropy(out.logits, targets)
@@ -194,7 +193,7 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
     images = np.random.default_rng(8).random((seq.shape[0], 1, 16, 24))
     cuts = []
     keep_rows = model.keep_rows
-    model.keep_rows = lambda bank, state, rows: (cuts.append(rows), keep_rows(bank, state, rows))[1]
+    model.keep_rows = lambda state, rows: (cuts.append(rows), keep_rows(state, rows))[1]
     gathers = []
     take_rows = T.take_rows
     monkeypatch.setattr(T, "take_rows", lambda a, rows: (gathers.append(rows), take_rows(a, rows))[1])
@@ -209,7 +208,7 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
     (loss, n_tokens, grads), (ref_loss, ref_n, ref_grads) = results
     assert cuts == expected_cuts
     lengths = (seq != PAD_ID).sum(axis=1)
-    # the bank is sorted once, and only when the rows are not in order yet
+    # the entries are sorted once, and only when the rows are not in order yet
     assert len(gathers) == int((np.diff(lengths) > 0).any())
     assert n_tokens == ref_n == int((seq != PAD_ID).sum())
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -295,13 +294,13 @@ class ChainModel:
     def encode(self, image, train=False):
         return MemoryBank(entries=Tensor(np.zeros((1, 1, 4))), h_prime=1, w_prime=1)
 
-    def init_state(self, bank):
+    def init_state(self, entries):
         return None
 
-    def keep_rows(self, bank, state, rows):
-        return bank, state
+    def keep_rows(self, state, rows):
+        return state
 
-    def step(self, bank, state, tokens, train=False, rng=None):
+    def step(self, state, tokens, train=False, rng=None):
         logits = np.stack([self._row(t) for t in np.asarray(tokens)])
         return StepOutput(logits=Tensor(logits),
                           alpha=Tensor(np.ones((len(logits), 1))), state=None)
@@ -313,12 +312,12 @@ class ChainModel:
         return log_softmax(self._row(token)), None, np.array([1.0])
 
 
-def sample_and_score(model, bank, max_len, rngs, audit=None):
+def sample_and_score(model, entries, max_len, rngs, audit=None):
     """The path reinforce_step takes: sample off the tape, then score the
-    tokens with one packed teacher-forced pass over the same bank.
+    tokens with one packed teacher-forced pass over the same entries.
     Returns (tokens, finished, per-row nll, (per-token ce Tensor, rows))."""
-    tokens, lengths, finished = _sample_rollout(model, bank, max_len, rngs, audit)
-    logits, targets, rows = training._teacher_forced(model, bank, tokens, lengths,
+    tokens, lengths, finished = _sample_rollout(model, entries, max_len, rngs, audit)
+    logits, targets, rows = training._teacher_forced(model, entries, tokens, lengths,
                                                      train=False)
     ce = T.cross_entropy(logits, targets)
     nll = np.bincount(rows, weights=ce.data, minlength=tokens.shape[0])
@@ -328,9 +327,9 @@ def sample_and_score(model, bank, max_len, rngs, audit=None):
 def rollout_one(model, image, max_len, seed, audit=None):
     """(content ids, nll, finished) of one sampled and scored rollout."""
     with T.no_grad():
-        bank = model.encode(image, train=False)
+        entries = model.encode(image, train=False).entries
         tokens, finished, nll, _ = sample_and_score(
-            model, bank, max_len, [np.random.default_rng(seed)], audit)
+            model, entries, max_len, [np.random.default_rng(seed)], audit)
     return strip_sentinels(tokens[0]), float(nll[0]), bool(finished[0])
 
 
@@ -366,7 +365,7 @@ class StaticModel(ChainModel):
     def _row(self, last):
         return self.row
 
-    def step(self, bank, state, tokens, train=False, rng=None):
+    def step(self, state, tokens, train=False, rng=None):
         b = len(np.asarray(tokens))
         return StepOutput(logits=Tensor(np.tile(self.row, (b, 1))),
                           alpha=Tensor(np.ones((b, 1))), state=None)
@@ -378,10 +377,9 @@ def test_single_step_sample_frequencies_match_probabilities():
     p = np.exp(row) / np.exp(row).sum()
     n = 100_000
     model = StaticModel(row)
-    bank = MemoryBank(entries=Tensor(np.zeros((n, 1, 4))), h_prime=1, w_prime=1)
     rngs = [np.random.default_rng((9, i)) for i in range(n)]
     with T.no_grad():
-        tokens, _, _ = _sample_rollout(model, bank, 1, rngs)
+        tokens, _, _ = _sample_rollout(model, Tensor(np.zeros((n, 1, 4))), 1, rngs)
     freq = np.bincount(tokens[:, 0], minlength=len(row)) / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(freq - p) <= 3 * sigma).all()
@@ -397,17 +395,17 @@ def test_sampled_rollout_feeds_back_its_own_samples():
     assert audit.violations == 0
 
 
-def full_batch_rollout(model, bank, max_len, rngs):
+def full_batch_rollout(model, entries, max_len, rngs):
     """The rollout before finished rows left the batch: all B rows step
     until the last one samples END, and a finished row's nll is masked."""
-    b = bank.entries.shape[0]
-    state = model.init_state(bank)
+    b = entries.shape[0]
+    state = model.init_state(entries)
     last = np.full(b, START_ID, dtype=np.int64)
     finished = np.zeros(b, dtype=bool)
     nll_total = None
     columns = []
     for _ in range(max_len):
-        out = model.step(bank, state, last, train=False)
+        out = model.step(state, last, train=False)
         state = out.state
         z = out.logits.data.astype(np.float64)
         z = z - z.max(axis=1, keepdims=True)
@@ -463,9 +461,7 @@ def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
     weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
     results = []
     for full_batch in (False, True):
-        bank = model.encode(images, train=False)
-        tiled = MemoryBank(entries=T.repeat_rows(bank.entries, repeats),
-                           h_prime=bank.h_prime, w_prime=bank.w_prime)
+        tiled = T.repeat_rows(model.encode(images, train=False).entries, repeats)
         if full_batch:
             tokens, nll, finished = full_batch_rollout(model, tiled, max_len, make_rngs())
             loss = training.reinforce_loss(nll, weights, np.arange(weights.size))
@@ -542,7 +538,7 @@ def test_sampled_sentinels_keep_their_score(monkeypatch):
 
 
 class RowTaggedModel:
-    """Double whose bank row r holds the value r, so every step records
+    """Double whose entries row r holds the value r, so every step records
     which original rows it ran.  Row r samples content id 4 + r % 4 for
     r steps, then END; rows r >= max_len are cut off."""
 
@@ -556,29 +552,31 @@ class RowTaggedModel:
         ids = np.arange(self.n, dtype=np.float64)[:, None, None]
         return MemoryBank(entries=Tensor(ids), h_prime=1, w_prime=1)
 
-    def init_state(self, bank):
-        return 0
+    def init_state(self, entries):
+        return (entries, 0)
 
-    def keep_rows(self, bank, state, rows):
+    def keep_rows(self, state, rows):
+        entries, t = state
         rows = np.arange(rows) if isinstance(rows, int) else rows
-        return MemoryBank(entries=T.take_rows(bank.entries, rows), h_prime=1, w_prime=1), state
+        return T.take_rows(entries, rows), t
 
-    def step(self, bank, state, tokens, train=False, rng=None):
-        rows = bank.entries.data[:, 0, 0].astype(int)
+    def step(self, state, tokens, train=False, rng=None):
+        entries, t = state
+        rows = entries.data[:, 0, 0].astype(int)
         self.calls.append((rows, np.array(tokens)))
         logits = np.zeros((len(rows), self.V))
-        logits[np.arange(len(rows)), 4 + rows % 4] = np.where(rows > state, 50.0, 0.0)
-        logits[:, END_ID] = np.where(rows > state, 0.0, 50.0)
+        logits[np.arange(len(rows)), 4 + rows % 4] = np.where(rows > t, 50.0, 0.0)
+        logits[:, END_ID] = np.where(rows > t, 0.0, 50.0)
         return StepOutput(logits=Tensor(logits), alpha=Tensor(np.ones((len(rows), 1))),
-                          state=state + 1)
+                          state=(entries, t + 1))
 
 
 def test_finished_rows_are_never_fed_again():
     model = RowTaggedModel(5)
-    bank = model.encode(None)
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
     audit = InputFeedAudit()
-    tokens, finished, nll, _ = sample_and_score(model, bank, 4, rngs, audit)
+    tokens, finished, nll, _ = sample_and_score(model, model.encode(None).entries, 4,
+                                                rngs, audit)
     sampling, scoring = model.calls[:4], model.calls[4:]
     # row r runs steps 0..r (END at step r); row 4 is cut off after 4 steps
     assert [list(rows) for rows, _ in sampling] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
@@ -605,16 +603,16 @@ class MisfeedModel(RowTaggedModel):
     """Feeds itself the running rows' tokens in reverse order, as a row
     mix-up after compaction would."""
 
-    def step(self, bank, state, tokens, train=False, rng=None):
+    def step(self, state, tokens, train=False, rng=None):
         tokens[:] = tokens[::-1].copy()
-        return super().step(bank, state, tokens, train, rng)
+        return super().step(state, tokens, train, rng)
 
 
 def test_misaligned_feed_is_counted_as_a_violation():
     model = MisfeedModel(5)
     audit = InputFeedAudit()
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
-    _sample_rollout(model, model.encode(None), 4, rngs, audit)
+    _sample_rollout(model, model.encode(None).entries, 4, rngs, audit)
     # reversed feeds [4, 7, 6, 5], [4, 7, 6] and [4, 7]: only the middle
     # row of step 2 matches its own previous token
     assert audit.steps_checked == 9
@@ -743,6 +741,41 @@ def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
     assert names.count("cross_entropy") == 1
     assert names.count("take_rows") <= 1     # the length sort
     assert all(not start < rec.seq < stop for rec in taped)
+
+
+def test_a_state_built_under_no_grad_keeps_its_key_projection_off_the_tape():
+    model = tiny_model(seed=4)
+    entries = model.encode(np.random.default_rng(4).random((2, 1, 16, 24))).entries
+    with T.no_grad():
+        rollout = model.init_state(entries)
+    assert rollout.proj._op is None and not rollout.proj.requires_grad
+    scoring = model.init_state(entries)
+    assert scoring.proj._op is not None and scoring.proj is not rollout.proj
+    assert np.array_equal(scoring.proj.data, rollout.proj.data)
+
+
+def test_a_reinforce_step_tapes_one_key_projection_the_scoring_passes(monkeypatch):
+    model = tiny_model(seed=4)
+    opt = Adam(model.parameters(), lr=1e-4)
+    images = np.random.default_rng(4).random((2, 1, 16, 24))
+    w2 = model.params["dec.attn.w2"].tensor
+    real_loss = training.reinforce_loss
+    projections = []
+
+    def loss_spy(*args):
+        loss = real_loss(*args)
+        projections.extend(rec for rec in tape_records(loss) if w2 in rec.inputs)
+        return loss
+
+    monkeypatch.setattr(training, "reinforce_loss", loss_spy)
+    with T.profile() as prof:
+        reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=1, step=1, max_len=12)
+    # the loss reaches one W2 e_l matmul, and the whole step records no
+    # other projection: its reshapes are the encoder's one and the
+    # scoring projection's two, where an on-tape rollout would add two
+    (rec,) = projections
+    assert rec.name == "matmul"
+    assert prof.records["reshape"] == 1 + 2
 
 
 def test_reinforce_step_stops_before_backward_on_a_non_finite_loss():
