@@ -16,14 +16,14 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, SCHEMA, format_effective, format_help, load_config
-from .data import (END_ID, DataError, PgmError, assign_bucket, load_buckets,
-                   load_dataset, pad_image, read_pgm, write_pgm)
+from .data import (END_ID, DataError, PgmError, load_buckets, load_dataset,
+                   pad_for_model, read_pgm, write_pgm)
 from .decoding import DecodeError, beam_decode, greedy_decode
 from .encoder import positional_encoding
 from .metrics import MetricError, MetricReport, bleu4, evaluate_pair
 from .model import Model
 from .synth import GrammarConfig, ParseError, SynthError, rasterize, synth_generate
-from .training import DivergenceError, TrainError, pad_to_multiple, train
+from .training import DivergenceError, TrainError, train
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -42,18 +42,6 @@ def _load_model(path: str) -> Model:
     return model
 
 
-def _prepare_image(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
-    """Pad an input like training would: to its bucket when a bucket file
-    is given, else to the next multiple of 8.  The flag is True when a
-    bucket file was given but no bucket fits, so the image fell back to
-    the multiple-of-8 padding."""
-    if buckets:
-        fit = assign_bucket(image.shape[0], image.shape[1], buckets)
-        if fit is not None:
-            return pad_image(image, fit[1], fit[0]), False
-    return pad_to_multiple(image), bool(buckets)
-
-
 def _read_buckets(path):
     return load_buckets(path) if path else None
 
@@ -70,7 +58,7 @@ def _decode_manifest(args, row) -> tuple[list, str]:
     rows = []
     cut_off = misfits = 0
     for ex in load_dataset(args.manifest):
-        image, misfit = _prepare_image(ex.image, buckets)
+        image, misfit = pad_for_model(ex.image, buckets)
         if args.greedy or args.beam == 1:
             res = greedy_decode(model, image, max_len=args.max_len)
         else:
@@ -197,27 +185,25 @@ def _write_heatmap(path, alpha: np.ndarray, h_prime: int, w_prime: int) -> None:
 def cmd_inspect(args) -> int:
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
-    image, _ = _prepare_image(read_pgm(args.image), buckets)
+    image, _ = pad_for_model(read_pgm(args.image), buckets)
+    h_prime, w_prime = image.shape[0] // 8, image.shape[1] // 8
     os.makedirs(args.out, exist_ok=True)
     res = greedy_decode(model, image, max_len=args.max_len)
-    bank = model.encode(image[None, None, :, :], train=False)
     emitted = res.tokens + ([END_ID] if res.finished else [])
     lines = ["step\ttoken_id\ttoken\theatmap"]
     for t, (tok, alpha) in enumerate(zip(emitted, res.alphas)):
         name = f"step_{t:03d}.pgm"
-        _write_heatmap(os.path.join(args.out, name), alpha,
-                       bank.h_prime, bank.w_prime)
+        _write_heatmap(os.path.join(args.out, name), alpha, h_prime, w_prime)
         lines.append(f"{t}\t{tok}\t{model.vocab[tok]}\t{name}")
     with open(os.path.join(args.out, "steps.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     if args.dump_pe:
-        pe = positional_encoding(image.shape[0] // 8, image.shape[1] // 8,
-                                 model.config.d, model.config.timescale)
+        pe = positional_encoding(h_prime, w_prime, model.config.d, model.config.timescale)
         for c in range(pe.shape[0]):
             write_pgm(os.path.join(args.out, f"pe_{c:03d}.pgm"),
                       (pe[c] + 1.0) / 2.0)
     if args.dump_features:
-        feats = bank.entries.data[0].reshape(bank.h_prime, bank.w_prime, -1)
+        feats = model.encode(image, train=False).data[0].reshape(h_prime, w_prime, -1)
         for c in range(feats.shape[2]):
             fmap = feats[:, :, c]
             span = fmap.max() - fmap.min()

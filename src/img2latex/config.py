@@ -59,14 +59,17 @@ SCHEMA: dict[str, KeySpec] = {
                          **_POSITIVE),
     "lr": KeySpec(float, 0.1, 0.001, "Adam learning rate for the mle phase", **_POSITIVE),
     "rl_lr": KeySpec(float, 5e-05, 5e-05, "Adam learning rate for the rl phase", **_POSITIVE),
-    "steps": KeySpec(int, 100000, 2000, "total optimizer steps for the run"),
+    "steps": KeySpec(int, 100000, 2000, "total optimizer steps for the run",
+                     **_AT_LEAST_1),
     "batch_size": KeySpec(int, 16, 32, "examples per batch within a bucket", **_AT_LEAST_1),
     "validate_every": KeySpec(int, 1000, 100, "steps between validation passes",
                               **_AT_LEAST_1),
-    "patience": KeySpec(int, 3, 50, "stale validations tolerated before early stop"),
+    "patience": KeySpec(int, 3, 50, "stale validations tolerated before early stop",
+                        **_AT_LEAST_1),
     "max_len": KeySpec(int, 200, 50, "decoding and sampling length cap, in tokens",
                        **_AT_LEAST_1),
-    "k": KeySpec(int, 20, 5, "sampled rollouts per image in the rl phase"),
+    "k": KeySpec(int, 20, 5, "sampled rollouts per image in the rl phase",
+                 lambda v: v >= 2, "at least 2"),
     "clip_norm": KeySpec(float, 5.0, 5.0, "global gradient-norm clip", **_POSITIVE),
     "leave_one_out": KeySpec(
         bool, False, False, "exclude each rollout from its own reward baseline"),

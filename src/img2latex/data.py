@@ -258,6 +258,23 @@ def pad_image(image: np.ndarray, height: int, width: int) -> np.ndarray:
     return out
 
 
+def pad_for_model(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
+    """Pad an (H, W) image white, bottom/right, to the size the model takes.
+
+    The one padding policy of training, validation, predict, evaluate and
+    inspect: the smallest bucket that holds the image (`assign_bucket`),
+    else, with no buckets or when none fits, the next multiples of 8.
+    Returns (padded, misfit): misfit is True when buckets were given but
+    none fits.
+    """
+    h, w = image.shape
+    if buckets:
+        fit = assign_bucket(h, w, buckets)
+        if fit is not None:
+            return pad_image(image, fit[1], fit[0]), False
+    return pad_image(image, -(-h // 8) * 8, -(-w // 8) * 8), bool(buckets)
+
+
 @dataclass
 class Batch:
     ids: list[str]
@@ -269,23 +286,22 @@ def bucket_and_pad(examples, buckets, batch_size: int = 16,
                    vocab: Vocabulary | None = None) -> tuple[list[Batch], int]:
     """Group examples into same-bucket batches of at most batch_size.
 
-    Images are padded white to their bucket; sequences (when a vocab is
+    Images are padded by `pad_for_model`; sequences (when a vocab is
     given) are encoded as ids, terminated with END and padded with PAD
-    to the batch max.  Returns (batches, dropped_count); oversize images
-    are dropped with a log line.
+    to the batch max.  Returns (batches, dropped_count); images that fit
+    no bucket are dropped with a log line.
     Batch composition follows the input order, so shuffling the examples
     reshuffles the batches.
     """
     grouped: dict[tuple[int, int], list[tuple[Example, np.ndarray]]] = {}
     dropped = 0
     for ex in examples:
-        h, w = ex.image.shape
-        bucket = assign_bucket(h, w, buckets)
-        if bucket is None:
+        image, misfit = pad_for_model(ex.image, buckets)
+        if misfit:
             dropped += 1
             continue
-        bw, bh = bucket
-        grouped.setdefault(bucket, []).append((ex, pad_image(ex.image, bh, bw)))
+        bh, bw = image.shape
+        grouped.setdefault((bw, bh), []).append((ex, image))
     if dropped:
         log.info("dropped %d oversize image(s)", dropped)
     batches = []

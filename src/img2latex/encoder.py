@@ -5,7 +5,8 @@ on the three deepest convs) with four max pools whose strides multiply
 to 8 along both axes, so an H x W input becomes an H/8 x W/8 x d
 feature map.  A fixed two-axis sinusoidal signal is added so each
 feature vector carries its grid position, then the map is flattened
-row-major into a MemoryBank the decoder attends over.
+row-major into the (B, L, d) memory entries the decoder attends over:
+L = H/8 * W/8, and entry l came from feature-map cell divmod(l, W/8).
 
 Each layer runs conv -> batch norm (if any) -> max pool (if any) -> ReLU.
 ReLU is np.maximum(v, 0), which is monotone and maps every v <= 0 (-0.0
@@ -16,8 +17,6 @@ same element when the window's max is positive; otherwise every element
 of the window gets a zero in both orders, whose sign alone may differ.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,19 +58,6 @@ def positional_encoding(height: int, width: int, d: int, timescale: float) -> np
     pe[d // 2::2] = np.sin(ang_y)[:, :, None]
     pe[d // 2 + 1::2] = np.cos(ang_y)[:, :, None]
     return pe
-
-
-@dataclass(frozen=True)
-class MemoryBank:
-    """Flattened encoder output the decoder attends over.
-
-    entries has shape (B, L, d) with L = h_prime * w_prime; entry l of an
-    image came from feature-map cell divmod(l, w_prime).  The decoder
-    takes the entries alone, and its state holds their key projection.
-    """
-    entries: Tensor
-    h_prime: int
-    w_prime: int
 
 
 # (out_channels as a fraction of d, batchnorm?) per conv, and the pool
@@ -144,8 +130,8 @@ class Encoder:
             out = T.relu(out)
         return out
 
-    def encode(self, images, train: bool = False) -> MemoryBank:
-        """Images -> MemoryBank.
+    def encode(self, images, train: bool = False) -> Tensor:
+        """Images -> memory entries (B, H/8 * W/8, d), flattened row-major.
 
         Accepts a single (H, W) grayscale array or a batch (B, 1, H, W)
         array; values are expected in [0, 1] (0 = black ink, 1 = white).
@@ -157,5 +143,4 @@ class Encoder:
         b, d, hp, wp = feats.shape
         pe = positional_encoding(hp, wp, d, self.config.timescale)
         feats = feats + Tensor(pe[None].astype(feats.dtype))
-        entries = T.reshape(T.transpose(feats, (0, 2, 3, 1)), (b, hp * wp, d))
-        return MemoryBank(entries=entries, h_prime=hp, w_prime=wp)
+        return T.reshape(T.transpose(feats, (0, 2, 3, 1)), (b, hp * wp, d))

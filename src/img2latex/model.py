@@ -15,7 +15,7 @@ from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ModelConfig
 from .decoder import Decoder, DecoderState
-from .encoder import Encoder, MemoryBank
+from .encoder import Encoder
 from .tensor import Parameter, Tensor
 
 # purpose tags for seed derivation
@@ -33,8 +33,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise log softmax over the last axis, numerically stable."""
-    m = z.max(axis=-1, keepdims=True)
-    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+    m, _, s = T.softmax_terms(z)
+    return z - (m + np.log(s))
 
 
 class Model:
@@ -60,7 +60,7 @@ class Model:
             p.zero_grad()
 
     # -- forward pieces used by training --------------------------------
-    def encode(self, images, train: bool = False) -> MemoryBank:
+    def encode(self, images, train: bool = False) -> Tensor:
         return self.encoder.encode(images, train=train)
 
     def init_state(self, entries: Tensor) -> DecoderState:
@@ -78,7 +78,7 @@ class Model:
     def decode_start(self, image: np.ndarray) -> DecoderState:
         """Encode one (H, W) image and return the initial decode state."""
         with T.no_grad():
-            return self.init_state(self.encode(image, train=False).entries)
+            return self.init_state(self.encode(image, train=False))
 
     def decode_step(self, state: DecoderState, token: int):
         """Feed one token id; returns (logp over vocab, next state, alpha).

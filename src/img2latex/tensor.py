@@ -494,11 +494,19 @@ def tanh(a: Tensor) -> Tensor:
     return _record("tanh", out, (a,), lambda g: (g * (1.0 - y * y),))
 
 
+def softmax_terms(x: np.ndarray):
+    """(m, e, s) over the last axis of x: the row max m, e = exp(x - m)
+    and the row sum s of e, with m and s keeping the axis.  Every
+    softmax, log-softmax and cross entropy here is built from these."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=-1, keepdims=True)
+
+
 def _row_softmax(x: np.ndarray):
     """Softmax over the last axis of x, and the VJP that maps dy to dx."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    _, e, s = softmax_terms(x)
+    y = e / s
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -659,9 +667,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             f"cross_entropy: targets shape {targets.shape} does not match batch {logits.shape[0]}"
         )
     z = logits.data
-    m = z.max(axis=-1, keepdims=True)
-    sm = np.exp(z - m)
-    total = sm.sum(axis=-1, keepdims=True)
+    m, sm, total = softmax_terms(z)
     lse = m[:, 0] + np.log(total[:, 0])
     rows = np.arange(z.shape[0])
     out = Tensor(lse - z[rows, targets])

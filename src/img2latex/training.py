@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
-                   build_vocab, load_buckets, load_dataset, pad_image)
+                   build_vocab, load_buckets, load_dataset, pad_for_model)
 from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
@@ -118,8 +118,8 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
     lengths = _target_counts(seq)
-    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train).entries,
-                                         seq, lengths, train, rng)
+    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train), seq,
+                                         lengths, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
 
@@ -182,10 +182,8 @@ def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
             feeds.append((rows, last))
             out = model.step(state, last, train=False)
             state = out.state
-            z = out.logits.data.astype(np.float64)
-            z = z - z.max(axis=1, keepdims=True)
-            probs = np.exp(z)
-            probs /= probs.sum(axis=1, keepdims=True)
+            _, probs, total = T.softmax_terms(out.logits.data.astype(np.float64))
+            probs /= total
             sampled = _multinomial_rows(probs, [rngs[i] for i in rows])
             tokens[rows, t] = sampled
             ended = sampled == END_ID
@@ -274,7 +272,7 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     b = images.shape[0]
     if b == 0:
         raise TrainError("reinforce_step: empty batch")
-    tiled = T.repeat_rows(model.encode(images, train=False).entries, k)
+    tiled = T.repeat_rows(model.encode(images, train=False), k)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
     tokens, lengths, _ = _sample_rollout(model, tiled, max_len, rngs, audit)
     rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
@@ -296,30 +294,26 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
 # validation helpers
 # ---------------------------------------------------------------------
 
-def pad_to_multiple(image: np.ndarray, factor: int = 8) -> np.ndarray:
-    h, w = image.shape
-    return pad_image(image, -(-h // factor) * factor, -(-w // factor) * factor)
-
-
 def token_accuracy(model: Model, batches) -> float:
     """Teacher-forced argmax accuracy over the packed targets (eval mode)."""
     correct = 0
     total = 0
     with T.no_grad():
         for batch in batches:
-            logits, targets, _ = _teacher_forced(model, model.encode(batch.images).entries,
-                                                 batch.seq, _target_counts(batch.seq),
-                                                 train=False)
+            logits, targets, _ = _teacher_forced(model, model.encode(batch.images), batch.seq,
+                                                 _target_counts(batch.seq), train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size
     return correct / total if total else 0.0
 
 
-def greedy_bleu(model: Model, examples, vocab: Vocabulary, max_len: int) -> float:
-    """Mean sentence BLEU of greedy decodes against references."""
+def greedy_bleu(model: Model, examples, vocab: Vocabulary, max_len: int,
+                buckets) -> float:
+    """Mean sentence BLEU of greedy decodes against references, each
+    image padded by `pad_for_model`, as `predict --buckets` pads it."""
     scores = []
     for ex in examples:
-        result = greedy_decode(model, pad_to_multiple(ex.image), max_len=max_len)
+        result = greedy_decode(model, pad_for_model(ex.image, buckets)[0], max_len=max_len)
         cand = [vocab.token_of(i) for i in result.tokens]
         scores.append(sentence_bleu4(cand, ex.tokens))
     return float(np.mean(scores)) if scores else 0.0
@@ -427,15 +421,17 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
 
     # batch count per epoch is order-independent, so the schedule is a
     # pure function of (seed, step) and resuming lands on the same batch
-    per_epoch = len(_epoch_batches(train_examples, buckets, batch_size, vocab, seed, 0))
+    epoch_cache = (0, _epoch_batches(train_examples, buckets, batch_size, vocab, seed, 0))
+    per_epoch = len(epoch_cache[1])
     if per_epoch == 0:
         raise TrainError("no training example fits any bucket")
-    epoch_cache: tuple[int, list] | None = None
+    if phase == "mle":
+        val_batches, _ = bucket_and_pad(val_examples, buckets, batch_size, vocab)
     step = start_step
     try:
         for step in range(start_step + 1, steps + 1):
             epoch, idx = divmod(step - 1, per_epoch)
-            if epoch_cache is None or epoch_cache[0] != epoch:
+            if epoch_cache[0] != epoch:
                 epoch_cache = (epoch, _epoch_batches(
                     train_examples, buckets, batch_size, vocab, seed, epoch))
             batch = epoch_cache[1][idx]
@@ -465,10 +461,9 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
 
             if step % validate_every == 0 or step == steps:
                 if phase == "mle":
-                    val_batches, _ = bucket_and_pad(val_examples, buckets, batch_size, vocab)
                     metric = token_accuracy(model, val_batches)
                 else:
-                    metric = greedy_bleu(model, val_examples, vocab, max_len)
+                    metric = greedy_bleu(model, val_examples, vocab, max_len, buckets)
                 improved = metric > best_metric
                 if improved:
                     best_metric = metric

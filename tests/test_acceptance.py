@@ -180,15 +180,15 @@ def test_criterion_2_encoder_law():
     rng = np.random.default_rng(1)
     dims = []
     for h, w in ((64, 128), (40, 320)):
-        bank = enc.encode(rng.random((h, w)))
-        dims.append((bank.h_prime, bank.w_prime, bank.entries.shape[2]))
+        dims.append(enc.encode(rng.random((h, w))).shape)
     pe = positional_encoding(8, 16, 64, 10000.0)
     pe_err = float(np.abs(pe - pe_closed_form(8, 16, 64, 10000.0)).max())
     const_y = float(np.abs(pe[:32] - pe[:32, :1, :]).max())
     const_x = float(np.abs(pe[32:] - pe[32:, :, :1]).max())
-    report(2, dims == [(8, 16, 64), (5, 40, 64)] and pe_err <= 1e-12
+    # L = (H/8) * (W/8) entries of width d
+    report(2, dims == [(1, 8 * 16, 64), (1, 5 * 40, 64)] and pe_err <= 1e-12
            and const_y == 0.0 and const_x == 0.0,
-           f"bank dims {dims}, PE err {pe_err:.1e}, half constancy "
+           f"entries shapes {dims}, PE err {pe_err:.1e}, half constancy "
            f"({const_y:.1e} along y, {const_x:.1e} along x)")
 
 
@@ -369,7 +369,7 @@ def test_criterion_7_input_feeding_audit(desk_data, desk_run):
     passes = 0
     with T.no_grad():
         while audit.steps_checked < 10_000:
-            tiled = T.repeat_rows(model.encode(batches[0].images, train=False).entries, 2)
+            tiled = T.repeat_rows(model.encode(batches[0].images, train=False), 2)
             rngs = [derive_rng(2, RNG_SAMPLE, passes, i) for i in range(tiled.shape[0])]
             _sample_rollout(model, tiled, 50, rngs, audit)
             passes += 1

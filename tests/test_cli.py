@@ -11,12 +11,15 @@ import pytest
 
 from gradcheck import misfeed_rollouts
 
+from img2latex import training
 from img2latex.checkpoint import MAGIC, CheckpointError
-from img2latex.cli import _prepare_image, build_parser, main
+from img2latex.cli import build_parser, main
 from img2latex.config import (SCHEMA, ModelConfig, desk_defaults, full_defaults,
                               load_config)
-from img2latex.data import build_vocab, load_buckets, load_dataset, read_pgm_raw
+from img2latex.data import (assign_bucket, build_vocab, load_buckets, load_dataset,
+                            pad_for_model, read_pgm_raw)
 from img2latex.decoding import greedy_decode
+from img2latex.encoder import Encoder
 from img2latex.metrics import MetricReport
 from img2latex.model import Model
 
@@ -151,6 +154,39 @@ def test_train_rl_input_feed_violation_is_a_one_line_usage_error(ws, tmp_path, c
     assert len(err) == 1 and "input-feed audit failed at step 1" in err[0]
 
 
+def test_rl_validation_decodes_what_predict_decodes(ws, tmp_path, capsys, monkeypatch):
+    # buckets that pad most images past the next multiple of 8 and leave
+    # the widest without a bucket
+    examples = load_dataset(ws["manifest"])
+    widths = sorted(-(-ex.image.shape[1] // 8) * 8 for ex in examples)
+    height = max(-(-ex.image.shape[0] // 8) * 8 for ex in examples)
+    buckets = tmp_path / "buckets.txt"
+    buckets.write_text(f"{widths[2]} {height}\n{widths[-1] - 8} {height}\n")
+    misfits = sum(assign_bucket(*ex.image.shape, load_buckets(str(buckets))) is None
+                  for ex in examples)
+    assert misfits >= 1
+    decoded = []
+
+    def recorded(model, image, max_len):
+        res = greedy_decode(model, image, max_len=max_len)
+        decoded.append(" ".join(model.vocab[i] for i in res.tokens))
+        return res
+
+    monkeypatch.setattr(training, "greedy_decode", recorded)
+    run = tmp_path / "rl"
+    assert main(["train", "--train-manifest", ws["manifest"], "--buckets", str(buckets),
+                 "--out", str(run), "--phase", "rl", "--init", ws["ckpt"]]
+                + TINY + ["--set", "steps=1", "--set", "validate_every=1"]) == 0
+    assert len(decoded) == len(examples)
+    # best.ckpt holds the model the validation pass decoded with
+    out = tmp_path / "pred.tsv"
+    assert main(["predict", "--checkpoint", str(run / "best.ckpt"), "--manifest",
+                 ws["manifest"], "--out", str(out), "--greedy", "--max-len", "20",
+                 "--buckets", str(buckets)]) == 0
+    assert f"{misfits} fit no bucket" in capsys.readouterr().out
+    assert [line.split("\t")[1] for line in out.read_text().splitlines()] == decoded
+
+
 # ---------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------
@@ -185,7 +221,7 @@ def test_predict_beam_one_file_equals_greedy_file(ws, tmp_path):
 def test_predict_summary_counts_decodes_stopped_at_max_len(ws, tmp_path, capsys):
     model, _ = Model.load(ws["ckpt"])
     buckets = load_buckets(ws["buckets"])
-    images = [_prepare_image(ex.image, buckets)[0] for ex in load_dataset(ws["manifest"])]
+    images = [pad_for_model(ex.image, buckets)[0] for ex in load_dataset(ws["manifest"])]
     counts = []
     for max_len in ("1", "8"):
         expected = sum(not greedy_decode(model, im, int(max_len)).finished for im in images)
@@ -336,6 +372,32 @@ def test_inspect_dumps_recoverable_heatmaps(ws, tmp_path):
     assert len([p for p in os.listdir(out) if p.startswith("feature_")]) == 8
 
 
+def test_inspect_encodes_again_only_for_feature_maps(ws, tmp_path, monkeypatch):
+    calls = []
+    encode = Encoder.encode
+
+    def counted(self, images, train=False):
+        calls.append(1)
+        return encode(self, images, train=train)
+
+    monkeypatch.setattr(Encoder, "encode", counted)
+    image = str(ws["data"] / "images" / "0001.pgm")
+    counts, files = [], []
+    for extra in ([], ["--dump-features"]):
+        out = tmp_path / f"inspect{len(extra)}"
+        calls.clear()
+        assert main(["inspect", "--checkpoint", ws["ckpt"], "--image", image, "--out",
+                     str(out), "--max-len", "6", "--buckets", ws["buckets"],
+                     "--dump-pe"] + extra) == 0
+        counts.append(len(calls))
+        files.append({p: (out / p).read_bytes() for p in os.listdir(out)})
+    # one encode for the greedy decode, a second only for the feature maps
+    assert counts == [1, 2]
+    plain, full = files
+    assert {p: full[p] for p in plain} == plain
+    assert sorted(set(full) - set(plain)) == [f"feature_{c:03d}.pgm" for c in range(8)]
+
+
 def test_inspect_missing_image_is_an_io_error(ws, tmp_path, capsys):
     rc = main(["inspect", "--checkpoint", ws["ckpt"], "--image",
                str(tmp_path / "no.pgm"), "--out", str(tmp_path / "o")])
@@ -426,15 +488,18 @@ def test_help_documents_every_config_key():
 
 
 # each value used to crash train with a traceback, exit 3 as "diverged",
-# or train without a word in float64, with inverted gradient steps or
-# with running statistics that grow without bound
+# train without a word in float64, with inverted gradient steps or with
+# running statistics that grow without bound, or exit 0 unchecked
+# (steps=0 wrote an untrained best.ckpt, patience=0 stopped at the first
+# validation, and k=1 only failed later, in the rl phase)
 BAD_VALUES = [("d", "12", []), ("d", "0", []), ("d", "-8", []), ("hidden", "0", []),
               ("batch_size", "0", []), ("validate_every", "0", []),
               ("dropout", "1.5", []), ("dropout", "-0.1", []),
               ("max_len", "0", ["--phase", "rl", "--init"]),
               ("dtype", "f16", []), ("dtype", "F32", []), ("timescale", "0", []),
               ("lr", "0", []), ("rl_lr", "-1", ["--phase", "rl", "--init"]),
-              ("clip_norm", "-1", []), ("bn_momentum", "2", []), ("seed", "-1", [])]
+              ("clip_norm", "-1", []), ("bn_momentum", "2", []), ("seed", "-1", []),
+              ("steps", "0", []), ("patience", "0", []), ("k", "1", [])]
 
 
 @pytest.mark.parametrize("via", ["set", "file"])

@@ -1,4 +1,4 @@
-"""Encoder shape law, positional-encoding values, memory-bank layout."""
+"""Encoder shape law, positional-encoding values, memory-entry layout."""
 import math
 
 import numpy as np
@@ -56,9 +56,7 @@ def test_positional_encoding_rejects_bad_width():
                                        (8, 8, 1, 1)])
 def test_encode_shape_law(h, w, hp, wp):
     enc = make_encoder(d=16)
-    bank = enc.encode(np.ones((h, w)))
-    assert (bank.h_prime, bank.w_prime) == (hp, wp)
-    assert bank.entries.shape == (1, hp * wp, 16)
+    assert enc.encode(np.ones((h, w))).shape == (1, hp * wp, 16)
 
 
 def test_encode_requires_multiples_of_8():
@@ -71,13 +69,14 @@ def test_memory_entries_follow_row_major_order():
     # feed a batch through and check entry l really is feature cell divmod(l, W')
     enc = make_encoder(d=8)
     img = np.random.default_rng(5).random((16, 24))
-    bank = enc.encode(img)
+    entries = enc.encode(img)
     feats = enc.cnn_forward(Tensor(img[None, None, :, :]))
     pe = positional_encoding(2, 3, 8, 10000.0)
     grid = feats.data[0] + pe
-    for l in range(bank.entries.shape[1]):
-        r, c = divmod(l, bank.w_prime)
-        assert np.allclose(bank.entries.data[0, l], grid[:, r, c], atol=1e-12)
+    assert entries.shape == (1, 2 * 3, 8)
+    for l in range(entries.shape[1]):
+        r, c = divmod(l, 3)
+        assert np.allclose(entries.data[0, l], grid[:, r, c], atol=1e-12)
 
 
 def test_batch_and_single_agree():
@@ -87,7 +86,7 @@ def test_batch_and_single_agree():
     b = rng.random((16, 16))
     batch = enc.encode(np.stack([a, b])[:, None, :, :])
     single = enc.encode(a)
-    assert np.allclose(batch.entries.data[0], single.entries.data[0], atol=1e-12)
+    assert np.allclose(batch.data[0], single.data[0], atol=1e-12)
 
 
 def test_train_mode_updates_bn_buffers_eval_does_not():
@@ -117,15 +116,14 @@ def test_d_must_be_multiple_of_8():
 
 def test_f32_encoder_produces_f32_entries():
     enc = make_encoder(d=8, dtype="f32")
-    bank = enc.encode(np.ones((8, 8)))
-    assert bank.entries.dtype == np.float32
+    assert enc.encode(np.ones((8, 8))).dtype == np.float32
 
 
 def test_pe_addition_is_position_dependent():
     # two identical white images at different grid cells must differ
     enc = make_encoder(d=8)
-    bank = enc.encode(np.ones((16, 16)))
-    assert not np.allclose(bank.entries.data[0, 0], bank.entries.data[0, 1])
+    entries = enc.encode(np.ones((16, 16)))
+    assert not np.allclose(entries.data[0, 0], entries.data[0, 1])
 
 
 def relu_before_pool(self, x, train=False):

@@ -17,7 +17,6 @@ from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_dataset)
 from img2latex.decoder import StepOutput
 from img2latex.decoding import greedy_decode
-from img2latex.encoder import MemoryBank
 from img2latex.model import Model, log_softmax
 from img2latex.optim import Adam
 from img2latex.synth import GrammarConfig, synth_generate
@@ -155,7 +154,7 @@ def masked_reference(model, images, seq, train=True, rng=None):
     steps, and each step's PAD targets are masked out of the loss.
     Returns (loss, token count, argmax hits on the targets)."""
     b = seq.shape[0]
-    state = model.init_state(model.encode(images, train=train).entries)
+    state = model.init_state(model.encode(images, train=train))
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
     total, n_tokens, hits = None, 0, 0
     for t in range(seq.shape[1]):
@@ -292,7 +291,7 @@ class ChainModel:
         return row
 
     def encode(self, image, train=False):
-        return MemoryBank(entries=Tensor(np.zeros((1, 1, 4))), h_prime=1, w_prime=1)
+        return Tensor(np.zeros((1, 1, 4)))
 
     def init_state(self, entries):
         return None
@@ -327,7 +326,7 @@ def sample_and_score(model, entries, max_len, rngs, audit=None):
 def rollout_one(model, image, max_len, seed, audit=None):
     """(content ids, nll, finished) of one sampled and scored rollout."""
     with T.no_grad():
-        entries = model.encode(image, train=False).entries
+        entries = model.encode(image, train=False)
         tokens, finished, nll, _ = sample_and_score(
             model, entries, max_len, [np.random.default_rng(seed)], audit)
     return strip_sentinels(tokens[0]), float(nll[0]), bool(finished[0])
@@ -461,7 +460,7 @@ def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
     weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
     results = []
     for full_batch in (False, True):
-        tiled = T.repeat_rows(model.encode(images, train=False).entries, repeats)
+        tiled = T.repeat_rows(model.encode(images, train=False), repeats)
         if full_batch:
             tokens, nll, finished = full_batch_rollout(model, tiled, max_len, make_rngs())
             loss = training.reinforce_loss(nll, weights, np.arange(weights.size))
@@ -550,7 +549,7 @@ class RowTaggedModel:
 
     def encode(self, images, train=False):
         ids = np.arange(self.n, dtype=np.float64)[:, None, None]
-        return MemoryBank(entries=Tensor(ids), h_prime=1, w_prime=1)
+        return Tensor(ids)
 
     def init_state(self, entries):
         return (entries, 0)
@@ -575,7 +574,7 @@ def test_finished_rows_are_never_fed_again():
     model = RowTaggedModel(5)
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
     audit = InputFeedAudit()
-    tokens, finished, nll, _ = sample_and_score(model, model.encode(None).entries, 4,
+    tokens, finished, nll, _ = sample_and_score(model, model.encode(None), 4,
                                                 rngs, audit)
     sampling, scoring = model.calls[:4], model.calls[4:]
     # row r runs steps 0..r (END at step r); row 4 is cut off after 4 steps
@@ -612,7 +611,7 @@ def test_misaligned_feed_is_counted_as_a_violation():
     model = MisfeedModel(5)
     audit = InputFeedAudit()
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
-    _sample_rollout(model, model.encode(None).entries, 4, rngs, audit)
+    _sample_rollout(model, model.encode(None), 4, rngs, audit)
     # reversed feeds [4, 7, 6, 5], [4, 7, 6] and [4, 7]: only the middle
     # row of step 2 matches its own previous token
     assert audit.steps_checked == 9
@@ -745,7 +744,7 @@ def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
 
 def test_a_state_built_under_no_grad_keeps_its_key_projection_off_the_tape():
     model = tiny_model(seed=4)
-    entries = model.encode(np.random.default_rng(4).random((2, 1, 16, 24))).entries
+    entries = model.encode(np.random.default_rng(4).random((2, 1, 16, 24)))
     with T.no_grad():
         rollout = model.init_state(entries)
     assert rollout.proj._op is None and not rollout.proj.requires_grad
