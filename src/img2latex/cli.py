@@ -30,6 +30,9 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+DEFAULT_BEAM = 5
+DEFAULT_THRESHOLD = 0.5
+
 
 # ---------------------------------------------------------------------
 # shared helpers
@@ -218,7 +221,7 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------------
 
 def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=int, default=SCHEMA["beam"].full,
+    p.add_argument("--beam", type=int, default=DEFAULT_BEAM,
                    help="beam width (default %(default)s)")
     p.add_argument("--greedy", action="store_true", help="greedy decoding")
     p.add_argument("--max-len", type=int, default=SCHEMA["max_len"].full,
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="img2latex",
         description="Grayscale formula images to LaTeX token sequences.",
-        epilog="config keys (full-scale default, desk default):\n" + format_help(),
+        epilog=format_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser(
         "train", help="run one training phase",
-        epilog="config keys (full-scale default, desk default):\n" + format_help(),
+        epilog=format_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     t.add_argument("--train-manifest", required=True)
     t.add_argument("--val-manifest", help="defaults to the training manifest")
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--manifest", required=True)
     e.add_argument("--out", required=True, help="output TSV path")
-    e.add_argument("--threshold", type=float, default=SCHEMA["threshold"].full,
+    e.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="binarization threshold for image metrics")
     _add_decode_flags(e)
     e.set_defaults(func=cmd_evaluate)

@@ -19,12 +19,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class KeySpec:
-    """One config key: python type, full-scale and desk defaults, help,
-    and the rule a value must meet (`valid`, described by `rule`)."""
+    """One config key: python type, full-scale default, help, and the
+    rule a value must meet (`valid`, described by `rule`)."""
 
     type: type
     full: object
-    desk: object
     help: str
     valid: Callable[[object], bool] = lambda value: True
     rule: str = ""
@@ -35,46 +34,41 @@ _POSITIVE = {"valid": lambda v: v > 0.0, "rule": "positive"}
 
 
 SCHEMA: dict[str, KeySpec] = {
-    "seed": KeySpec(int, 0, 0, "master seed; every RNG stream derives from it",
+    "seed": KeySpec(int, 0, "master seed; every RNG stream derives from it",
                     lambda v: v >= 0, "at least 0"),
-    "dtype": KeySpec(str, "f64", "f32", "parameter/activation precision: f64 or f32",
+    "dtype": KeySpec(str, "f64", "parameter/activation precision: f64 or f32",
                      lambda v: v in ("f32", "f64"), "f32 or f64"),
-    "d": KeySpec(int, 512, 64, "encoder feature and memory dimension (multiple of 8)",
+    "d": KeySpec(int, 512, "encoder feature and memory dimension (multiple of 8)",
                  lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8"),
-    "d_emb": KeySpec(int, 32, 16, "token embedding size", **_AT_LEAST_1),
-    "hidden": KeySpec(int, 512, 64, "LSTM hidden size per decoder layer", **_AT_LEAST_1),
-    "attn_dim": KeySpec(int, 512, 64, "attention projection width", **_AT_LEAST_1),
-    "out_dim": KeySpec(int, 512, 64, "output head width, fed back to the next step",
+    "d_emb": KeySpec(int, 32, "token embedding size", **_AT_LEAST_1),
+    "hidden": KeySpec(int, 512, "LSTM hidden size per decoder layer", **_AT_LEAST_1),
+    "attn_dim": KeySpec(int, 512, "attention projection width", **_AT_LEAST_1),
+    "out_dim": KeySpec(int, 512, "output head width, fed back to the next step",
                        **_AT_LEAST_1),
-    "dropout": KeySpec(float, 0.4, 0.0, "dropout rate in the decoder",
+    "dropout": KeySpec(float, 0.4, "dropout rate in the decoder",
                        lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "standard_cell_output": KeySpec(
-        bool, False, False, "use h = o * tanh(c) instead of the literal h = o * c"),
+        bool, False, "use h = o * tanh(c) instead of the literal h = o * c"),
     "attend_current_hidden": KeySpec(
-        bool, False, False, "attention query is the current top hidden state "
-                            "instead of the previous one"),
-    "bn_momentum": KeySpec(float, 0.1, 0.1, "batch-norm running-statistics momentum",
+        bool, False, "attention query is the current top hidden state "
+                     "instead of the previous one"),
+    "bn_momentum": KeySpec(float, 0.1, "batch-norm running-statistics momentum",
                            lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "timescale": KeySpec(float, 10000.0, 10000.0, "positional-encoding timescale",
-                         **_POSITIVE),
-    "lr": KeySpec(float, 0.1, 0.001, "Adam learning rate for the mle phase", **_POSITIVE),
-    "rl_lr": KeySpec(float, 5e-05, 5e-05, "Adam learning rate for the rl phase", **_POSITIVE),
-    "steps": KeySpec(int, 100000, 2000, "total optimizer steps for the run",
-                     **_AT_LEAST_1),
-    "batch_size": KeySpec(int, 16, 32, "examples per batch within a bucket", **_AT_LEAST_1),
-    "validate_every": KeySpec(int, 1000, 100, "steps between validation passes",
-                              **_AT_LEAST_1),
-    "patience": KeySpec(int, 3, 50, "stale validations tolerated before early stop",
+    "timescale": KeySpec(float, 10000.0, "positional-encoding timescale", **_POSITIVE),
+    "lr": KeySpec(float, 0.1, "Adam learning rate for the mle phase", **_POSITIVE),
+    "rl_lr": KeySpec(float, 5e-05, "Adam learning rate for the rl phase", **_POSITIVE),
+    "steps": KeySpec(int, 100000, "total optimizer steps for the run", **_AT_LEAST_1),
+    "batch_size": KeySpec(int, 16, "examples per batch within a bucket", **_AT_LEAST_1),
+    "validate_every": KeySpec(int, 1000, "steps between validation passes", **_AT_LEAST_1),
+    "patience": KeySpec(int, 3, "stale validations tolerated before early stop",
                         **_AT_LEAST_1),
-    "max_len": KeySpec(int, 200, 50, "decoding and sampling length cap, in tokens",
+    "max_len": KeySpec(int, 200, "decoding and sampling length cap, in tokens",
                        **_AT_LEAST_1),
-    "k": KeySpec(int, 20, 5, "sampled rollouts per image in the rl phase",
+    "k": KeySpec(int, 20, "sampled rollouts per image in the rl phase",
                  lambda v: v >= 2, "at least 2"),
-    "clip_norm": KeySpec(float, 5.0, 5.0, "global gradient-norm clip", **_POSITIVE),
+    "clip_norm": KeySpec(float, 5.0, "global gradient-norm clip", **_POSITIVE),
     "leave_one_out": KeySpec(
-        bool, False, False, "exclude each rollout from its own reward baseline"),
-    "beam": KeySpec(int, 5, 5, "default beam width for prediction"),
-    "threshold": KeySpec(float, 0.5, 0.5, "ink threshold for binarizing image metrics"),
+        bool, False, "exclude each rollout from its own reward baseline"),
 }
 
 
@@ -117,10 +111,6 @@ class ModelConfig:
 
 def full_defaults() -> dict:
     return {key: spec.full for key, spec in SCHEMA.items()}
-
-
-def desk_defaults() -> dict:
-    return {key: spec.desk for key, spec in SCHEMA.items()}
 
 
 def coerce(key: str, raw: str, where: str = "") -> object:
@@ -202,9 +192,8 @@ def format_effective(cfg: dict) -> str:
 
 
 def format_help() -> str:
-    """Per-key listing with both defaults, for --help output."""
-    lines = []
+    """Per-key listing with the full-scale defaults, for --help output."""
+    lines = ["config keys (full-scale default; configs/desk.cfg is the desk preset):"]
     for key, spec in SCHEMA.items():
-        lines.append(f"  {key} (default {format_value(spec.full)}, "
-                     f"desk {format_value(spec.desk)}): {spec.help}")
+        lines.append(f"  {key} (default {format_value(spec.full)}): {spec.help}")
     return "\n".join(lines)

@@ -29,6 +29,8 @@ class Vocabulary:
     """Token text <-> id map with the four reserved ids pinned first."""
 
     def __init__(self, tokens: list[str]):
+        if not all(isinstance(t, str) for t in tokens):
+            raise DataError("vocabulary tokens must be strings")
         if tuple(tokens[:4]) != RESERVED:
             raise DataError(f"vocabulary must begin with {RESERVED}, got {tokens[:4]}")
         if len(set(tokens)) != len(tokens):
@@ -46,9 +48,6 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
 
     def encode(self, tokens) -> list[int]:
         return [self.id_of(t) for t in tokens]

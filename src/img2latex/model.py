@@ -14,6 +14,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ModelConfig
+from .data import DataError, Vocabulary
 from .decoder import Decoder, DecoderState
 from .encoder import Encoder
 from .tensor import Parameter, Tensor
@@ -91,28 +92,23 @@ class Model:
         return logp, out.state, out.alpha.data[0]
 
     # -- persistence ------------------------------------------------------
-    def save(self, path, step: int = 0, phase: str = "mle",
-             best_metric: float | None = None, optimizer: dict | None = None,
-             extra_meta: dict | None = None) -> None:
-        meta = {
-            "config": asdict(self.config),
-            "vocab": self.vocab,
-            "step": int(step),
-            "phase": phase,
-            "best_metric": best_metric,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
+    def save(self, path, run: dict | None = None, optimizer: dict | None = None) -> None:
+        """Write the model; `run` (a training run's state) joins the
+        config and vocab in the meta, and `optimizer` is Adam's state."""
+        meta = {"config": asdict(self.config), "vocab": self.vocab, **(run or {})}
         params = {name: p.data for name, p in self.params.items()}
         save_checkpoint(path, meta, params, self.buffers, optimizer)
 
     @classmethod
     def load(cls, path):
-        """Rebuild a model from a checkpoint; returns (model, checkpoint)."""
+        """Rebuild a model from a checkpoint; returns (model, checkpoint).
+        The meta's config must meet the config rules and its vocab those
+        of `data.Vocabulary`, else CheckpointError."""
         ckpt = load_checkpoint(path)
         try:
-            model = cls(ModelConfig(**ckpt.meta["config"]), ckpt.meta["vocab"])
-        except (KeyError, TypeError, ValueError) as exc:
+            vocab = Vocabulary(ckpt.meta["vocab"])
+            model = cls(ModelConfig(**ckpt.meta["config"]), vocab.tokens)
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise CheckpointError(f"{path}: meta does not describe a model: {exc!r}") from None
         model.load_params(ckpt.params)
         for name, arr in ckpt.buffers.items():

@@ -55,10 +55,25 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Adopt a state_dict; both moments must name every parameter,
+        and only those, at its shape, with finite values and a
+        non-negative second moment (OptimError otherwise)."""
+        for key in ("m", "v"):
+            moments = state[key]
+            missing, extra = set(self.m) - set(moments), set(moments) - set(self.m)
+            if missing or extra:
+                raise OptimError(f"optimizer state {key!r} mismatch: missing {sorted(missing)}, "
+                                 f"unexpected {sorted(extra)}")
+            rule = "finite and non-negative" if key == "v" else "finite"
+            for name, ours in self.m.items():
+                arr = np.asarray(moments[name])
+                if arr.shape != ours.shape:
+                    raise OptimError(f"optimizer state {key!r} for '{name}' has shape "
+                                     f"{arr.shape}, not {ours.shape}")
+                if not np.isfinite(arr).all() or (key == "v" and (arr < 0).any()):
+                    raise OptimError(f"optimizer state {key!r} for '{name}' must be {rule}")
         self.step_count = int(state["step_count"])
         for name in self.m:
-            if name not in state["m"]:
-                raise OptimError(f"optimizer state missing moments for '{name}'")
             self.m[name] = np.array(state["m"][name], dtype=self.m[name].dtype)
             self.v[name] = np.array(state["v"][name], dtype=self.v[name].dtype)
 

@@ -7,11 +7,13 @@ per-image mean reward as a baseline, and ascends reward-weighted
 log-probabilities.
 
 Every source of randomness is derived from (seed, purpose, step,
-element) coordinates, never carried between steps, so a run can resume
-from any checkpoint bit-exactly.
+element) coordinates, never carried between steps, so a resumed run
+draws what the uninterrupted run draws (`train` states what else a
+resume reproduces).
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import Checkpoint, CheckpointError
 from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
                    build_vocab, load_buckets, load_dataset, pad_for_model)
 from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
 from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
-from .optim import Adam, clip_global_norm
+from .optim import Adam, OptimError, clip_global_norm
 from .tensor import Tensor
 
 
@@ -122,6 +125,20 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
                                          lengths, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
+
+
+def _descend(model: Model, optimizer: Adam, loss: Tensor, step: int,
+             clip_norm: float) -> float:
+    """Backward, global-norm clip and one Adam step; returns the loss value.
+    A non-finite loss raises DivergenceError before backward."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(step, value)
+    model.zero_grad()
+    loss.backward()
+    clip_global_norm(model.parameters(), clip_norm)
+    optimizer.step()
+    return value
 
 
 # ---------------------------------------------------------------------
@@ -280,13 +297,7 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     weights = reinforce_weights(rewards.reshape(b, k), leave_one_out).reshape(b * k)
     logits, targets, rows = _teacher_forced(model, tiled, tokens, lengths, train=False)
     loss = reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
-    value = loss.item()
-    if not np.isfinite(value):
-        raise DivergenceError(step, value)
-    model.zero_grad()
-    loss.backward()
-    clip_global_norm(model.parameters(), clip_norm)
-    optimizer.step()
+    _descend(model, optimizer, loss, step, clip_norm)
     return float(rewards.mean())
 
 
@@ -307,14 +318,13 @@ def token_accuracy(model: Model, batches) -> float:
     return correct / total if total else 0.0
 
 
-def greedy_bleu(model: Model, examples, vocab: Vocabulary, max_len: int,
-                buckets) -> float:
+def greedy_bleu(model: Model, examples, max_len: int, buckets) -> float:
     """Mean sentence BLEU of greedy decodes against references, each
     image padded by `pad_for_model`, as `predict --buckets` pads it."""
     scores = []
     for ex in examples:
         result = greedy_decode(model, pad_for_model(ex.image, buckets)[0], max_len=max_len)
-        cand = [vocab.token_of(i) for i in result.tokens]
+        cand = [model.vocab[i] for i in result.tokens]
         scores.append(sentence_bleu4(cand, ex.tokens))
     return float(np.mean(scores)) if scores else 0.0
 
@@ -334,6 +344,45 @@ class TrainOutcome:
     losses: list[float] = field(default_factory=list)
 
 
+# the run state `train` saves beside the model: each field, its rule and
+# the rule's wording; best_metric is None before the first validation
+_COUNT = (lambda v: type(v) is int and v >= 0, "a count")
+_RUN_FIELDS = {
+    "step": _COUNT,
+    "phase": (lambda v: v in ("mle", "rl"), "'mle' or 'rl'"),
+    "best_metric": (lambda v: v is None or (type(v) is float and math.isfinite(v)),
+                    "null or a finite float"),
+    "stale_validations": _COUNT,
+}
+
+
+def _resume(ckpt: Checkpoint, path: str, phase: str,
+            optimizer: Adam) -> tuple[int, float, int]:
+    """Load the checkpoint's Adam state into `optimizer`; return its run
+    state as (step, best_metric, stale validations).  A missing or bad
+    field, or Adam state that is missing or does not fit the model,
+    raises CheckpointError; a checkpoint of the other phase TrainError."""
+    meta = ckpt.meta
+    for name, (valid, rule) in _RUN_FIELDS.items():
+        if name not in meta:
+            raise CheckpointError(f"{path}: the run state has no {name!r}, so it cannot "
+                                  "be resumed (--init can start a phase from it)")
+        if not valid(meta[name]):
+            raise CheckpointError(f"{path}: run state {name!r} must be {rule}, "
+                                  f"got {meta[name]!r}")
+    if ckpt.optimizer is None:
+        raise CheckpointError(f"{path}: no optimizer state to resume")
+    if meta["phase"] != phase:
+        raise TrainError(f"{path} is a {meta['phase']} checkpoint and cannot resume the "
+                         f"{phase} phase; start the {phase} phase from it with --init")
+    try:
+        optimizer.load_state_dict(ckpt.optimizer)
+    except OptimError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    best = meta["best_metric"]
+    return meta["step"], -np.inf if best is None else best, meta["stale_validations"]
+
+
 def _epoch_batches(examples, buckets, batch_size, vocab, seed, epoch):
     order = derive_rng(seed, RNG_SHUFFLE, epoch).permutation(len(examples))
     shuffled = [examples[i] for i in order]
@@ -346,14 +395,20 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
           log_fn=None, reward_fn=sentence_bleu4) -> TrainOutcome:
     """Run one training phase; writes best.ckpt, last.ckpt and a TSV log.
 
-    resume continues a checkpoint of the same phase bit-exactly; init
-    starts the rl phase (or mle fine-tuning) from an existing
-    checkpoint with a fresh optimizer.  Every rl step runs an
-    InputFeedAudit, and a step that fed any row a token other than its
-    own previous sample raises TrainError.
+    init starts the rl phase (or mle fine-tuning) from a checkpoint with
+    a fresh optimizer; resume continues a checkpoint of the same phase
+    (see `_resume`), and not both.  Resuming in the same out_dir is
+    byte-exact when the interrupted run's `steps` is a multiple of
+    `validate_every`.  Otherwise that run validated at its last step,
+    off schedule, which counts toward patience and may pick best.ckpt,
+    so only the parameters and optimizer state are exact.  Every rl
+    step runs an InputFeedAudit, and a step that fed any row a token
+    other than its own previous sample raises TrainError.
     """
     if phase not in ("mle", "rl"):
         raise TrainError(f"unknown phase {phase!r}")
+    if init and resume:
+        raise TrainError("--init starts a phase and --resume continues one; give one of them")
     if phase == "rl" and not (init or resume):
         raise TrainError("rl phase requires an mle checkpoint via init "
                          "(train the mle phase first)")
@@ -365,29 +420,17 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     buckets = load_buckets(buckets_path)
     seed = int(cfg["seed"])
 
-    start_step = 0
-    best_metric = -np.inf
-    stale = 0
-    optimizer_state = None
-    if resume:
-        model, ckpt = Model.load(resume)
-        start_step = int(ckpt.meta["step"])
-        saved_best = ckpt.meta.get("best_metric")
-        best_metric = -np.inf if saved_best is None else float(saved_best)
-        stale = int(ckpt.meta.get("stale_validations", 0))
-        optimizer_state = ckpt.optimizer
-        vocab = Vocabulary(model.vocab)
-    elif init:
-        model, _ = Model.load(init)
+    start_step, best_metric, stale = 0, -np.inf, 0
+    if init or resume:
+        model, ckpt = Model.load(init or resume)
         vocab = Vocabulary(model.vocab)
     else:
         vocab = build_vocab([train_manifest])
         model = Model(ModelConfig.from_cfg(cfg, len(vocab)), vocab.tokens)
-
     lr = float(cfg["rl_lr"] if phase == "rl" else cfg["lr"])
     optimizer = Adam(model.parameters(), lr=lr)
-    if optimizer_state:
-        optimizer.load_state_dict(optimizer_state)
+    if resume:
+        start_step, best_metric, stale = _resume(ckpt, resume, phase, optimizer)
 
     steps = int(cfg["steps"])
     batch_size = int(cfg["batch_size"])
@@ -414,10 +457,10 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             log_fn(line)
 
     def save(path, step):
-        model.save(path, step=step, phase=phase,
-                   best_metric=None if best_metric == -np.inf else float(best_metric),
-                   optimizer=optimizer.state_dict(),
-                   extra_meta={"stale_validations": stale})
+        run = {"step": int(step), "phase": phase,
+               "best_metric": None if best_metric == -np.inf else float(best_metric),
+               "stale_validations": stale}
+        model.save(path, run, optimizer.state_dict())
 
     # batch count per epoch is order-independent, so the schedule is a
     # pure function of (seed, step) and resuming lands on the same batch
@@ -439,13 +482,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             if phase == "mle":
                 rng = derive_rng(seed, RNG_DROPOUT, step)
                 loss, _ = mle_loss(model, batch.images, batch.seq, train=True, rng=rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(step, value)
-                model.zero_grad()
-                loss.backward()
-                clip_global_norm(model.parameters(), clip)
-                optimizer.step()
+                value = _descend(model, optimizer, loss, step, clip)
             else:
                 refs = [strip_sentinels(row) for row in batch.seq]
                 audit = InputFeedAudit()
@@ -463,7 +500,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                 if phase == "mle":
                     metric = token_accuracy(model, val_batches)
                 else:
-                    metric = greedy_bleu(model, val_examples, vocab, max_len, buckets)
+                    metric = greedy_bleu(model, val_examples, max_len, buckets)
                 improved = metric > best_metric
                 if improved:
                     best_metric = metric

@@ -1,12 +1,15 @@
 """Helpers shared by the test modules: a finite-difference gradient
-oracle, a model-config builder and a fault that misfeeds rollouts.
+oracle, a model-config builder, the shipped desk preset and a fault that
+misfeeds rollouts.
 
 Central difference with h = 1e-5 in float64; compared against the
 analytic gradient with relative error |a - f| / max(|a|, |f|, 1e-6).
 """
+import os
+
 import numpy as np
 
-from img2latex.config import ModelConfig, full_defaults
+from img2latex.config import ModelConfig, full_defaults, load_config
 from img2latex.model import Model
 
 H = 1e-5
@@ -49,6 +52,11 @@ def model_config(vocab_size: int, **kw) -> ModelConfig:
     cfg = full_defaults()
     cfg.update(kw)
     return ModelConfig.from_cfg(cfg, vocab_size)
+
+
+def desk_config() -> dict:
+    """The config `configs/desk.cfg` resolves to: the desk preset."""
+    return load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
 
 
 def misfeed_rollouts(monkeypatch):

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import test_gradients as tg
-from gradcheck import fd_grad, model_config, rel_err
+from gradcheck import desk_config, fd_grad, model_config, rel_err
 
 from img2latex import tensor as T
 from img2latex.cli import main as cli_main
-from img2latex.config import desk_defaults
 from img2latex.data import (END_ID, START_ID, RESERVED, Vocabulary,
                             bucket_and_pad, load_buckets, load_dataset,
                             pad_image)
@@ -53,12 +52,11 @@ def desk_data(tmp_path_factory):
 
 def match_rate(model, examples, bucket, max_len=50):
     """Exact greedy-decode match fraction, inputs padded to their bucket."""
-    vocab = Vocabulary(model.vocab)
     bw, bh = bucket
     hits = 0
     for ex in examples:
         res = greedy_decode(model, pad_image(ex.image, bh, bw), max_len=max_len)
-        hits += [vocab.token_of(i) for i in res.tokens] == ex.tokens
+        hits += [model.vocab[i] for i in res.tokens] == ex.tokens
     return hits / len(examples)
 
 
@@ -67,7 +65,7 @@ def desk_run(desk_data, tmp_path_factory):
     """Criterion-5 training: desk preset, chunked so it can stop as soon
     as the train-set match crosses the bar (resume is bit-exact)."""
     run_dir = str(tmp_path_factory.mktemp("desk_run"))
-    cfg = desk_defaults()
+    cfg = desk_config()
     t0 = time.monotonic()
     first_losses = None
     reached_step = None
@@ -328,7 +326,7 @@ def test_criterion_6_rl_recovery_and_bandit(desk_data, desk_run):
     model, _ = Model.load(desk_run["ckpt"])
     add_parameter_noise(model, 0.10, seed=0)
     vocab = Vocabulary(model.vocab)
-    cfg = desk_defaults()
+    cfg = desk_config()
     batches, _ = bucket_and_pad(desk_data["examples"],
                                 [desk_data["bucket"]], 4, vocab)
     refs = [[strip_sentinels(row) for row in b.seq] for b in batches]

@@ -9,13 +9,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gradcheck import misfeed_rollouts
+from gradcheck import desk_config, misfeed_rollouts
 
 from img2latex import training
-from img2latex.checkpoint import MAGIC, CheckpointError
+from img2latex.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from img2latex.cli import build_parser, main
-from img2latex.config import (SCHEMA, ModelConfig, desk_defaults, full_defaults,
-                              load_config)
+from img2latex.config import SCHEMA, ModelConfig, full_defaults, load_config
 from img2latex.data import (assign_bucket, build_vocab, load_buckets, load_dataset,
                             pad_for_model, read_pgm_raw)
 from img2latex.decoding import greedy_decode
@@ -104,11 +103,12 @@ def test_train_echoes_config_and_outcome(ws, tmp_path, capsys):
 
 
 def test_train_unknown_key_is_a_usage_error(ws, tmp_path, capsys):
-    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
-               ws["buckets"], "--out", str(tmp_path / "x"),
-               "--set", "bogus=1"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # beam and threshold are predict's and evaluate's flags, not config keys
+    for key in ("bogus=1", "beam=3", "threshold=0.5"):
+        rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
+                   ws["buckets"], "--out", str(tmp_path / "x")] + TINY + ["--set", key])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_train_rl_without_init_is_a_usage_error(ws, tmp_path, capsys):
@@ -185,6 +185,69 @@ def test_rl_validation_decodes_what_predict_decodes(ws, tmp_path, capsys, monkey
                  "--buckets", str(buckets)]) == 0
     assert f"{misfits} fit no bucket" in capsys.readouterr().out
     assert [line.split("\t")[1] for line in out.read_text().splitlines()] == decoded
+
+
+# ---------------------------------------------------------------------
+# resume: what a checkpoint must hold to be continued
+# ---------------------------------------------------------------------
+
+def edited_checkpoint(src, dst, edit):
+    """A copy of checkpoint `src` at `dst`, after `edit(ckpt)` has changed
+    its meta or optimizer state in place."""
+    ckpt = load_checkpoint(src)
+    edit(ckpt)
+    save_checkpoint(str(dst), ckpt.meta, ckpt.params, ckpt.buffers, ckpt.optimizer)
+    return str(dst)
+
+
+def resume(ws, tmp_path, checkpoint, *extra):
+    return main(["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+                 "--out", str(tmp_path / "resumed"), "--resume", checkpoint]
+                + TINY + ["--set", "steps=3", *extra])
+
+
+def _flatten_first_matrix(moments):
+    name = next(n for n, m in moments.items() if m.ndim == 2 and min(m.shape) > 1)
+    moments[name] = moments[name].reshape(-1)
+
+
+# each used to escape cli.main as a traceback (KeyError, ValueError,
+# TypeError, OptimError, a broadcast error in Adam.step), or to resume
+# with a fresh optimizer and exit 0
+UNRESUMABLE = {
+    "no-step": lambda c: c.meta.pop("step"),
+    "text-step": lambda c: c.meta.update(step="x"),
+    "text-best-metric": lambda c: c.meta.update(best_metric="x"),
+    "list-stale-validations": lambda c: c.meta.update(stale_validations=[1]),
+    "no-optimizer-state": lambda c: setattr(c, "optimizer", None),
+    "no-second-moment": lambda c: c.optimizer.update(v={}),
+    "first-moment-of-another-parameter": lambda c: c.optimizer["m"].update(
+        {"other": c.optimizer["m"].pop(sorted(c.optimizer["m"])[0])}),
+    "mis-shaped-moment": lambda c: _flatten_first_matrix(c.optimizer["v"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESUMABLE))
+def test_unresumable_checkpoint_is_a_one_line_io_error(ws, tmp_path, capsys, case):
+    bad = edited_checkpoint(ws["run"] / "last.ckpt", tmp_path / "bad.ckpt", UNRESUMABLE[case])
+    assert_one_line_error(capsys, resume(ws, tmp_path, bad), 1)
+
+
+def test_resuming_an_mle_checkpoint_as_the_rl_phase_points_to_init(ws, tmp_path, capsys):
+    # it used to carry the mle Adam moments and step count into REINFORCE
+    rc = resume(ws, tmp_path, str(ws["run"] / "last.ckpt"), "--phase", "rl")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--init" in err, err
+
+
+def test_init_and_resume_together_are_a_one_line_usage_error(ws, tmp_path, capsys):
+    # --resume used to win silently
+    rc = resume(ws, tmp_path, str(ws["run"] / "last.ckpt"), "--init", ws["ckpt"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "--init" in err, err
+    assert not (tmp_path / "resumed" / "last.ckpt").exists()
 
 
 # ---------------------------------------------------------------------
@@ -294,6 +357,28 @@ def test_corrupted_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys, corru
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+# vocabularies a checkpoint's meta may not hold: each used to crash
+# predict or evaluate with a traceback, or exit 0 with nonsense tokens
+BAD_VOCABS = {
+    "ints": lambda v: list(range(len(v))),
+    "nested-lists": lambda v: [[t] for t in v],
+    "no-reserved-tokens": lambda v: [f"r{i}" for i in range(4)] + v[4:],
+    "one-token-repeated": lambda v: ["x"] * len(v),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("case", sorted(BAD_VOCABS))
+def test_checkpoint_with_a_bad_vocabulary_is_a_one_line_io_error(ws, tmp_path, capsys,
+                                                                 case, command):
+    bad = edited_checkpoint(ws["ckpt"], tmp_path / "bad.ckpt",
+                            lambda c: c.meta.update(vocab=BAD_VOCABS[case](c.meta["vocab"])))
+    rc = main([command, "--checkpoint", bad, "--manifest", ws["manifest"],
+               "--out", str(tmp_path / "o.tsv"), "--greedy", "--max-len", "4"])
+    assert_one_line_error(capsys, rc, 1)
+    assert not (tmp_path / "o.tsv").exists()
 
 
 # ---------------------------------------------------------------------
@@ -476,15 +561,13 @@ def test_non_utf8_bucket_file_is_a_one_line_io_error(ws, tmp_path, capsys):
 # configuration surface
 # ---------------------------------------------------------------------
 
-def test_shipped_desk_config_matches_builtin_desk_defaults():
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
-    assert load_config(path, []) == desk_defaults()
-
-
 def test_help_documents_every_config_key():
     text = build_parser().format_help()
     for key in SCHEMA:
         assert key in text, key
+    # full-scale defaults only: configs/desk.cfg is the one desk preset
+    assert "configs/desk.cfg is the desk preset" in text
+    assert "  d (default 512): encoder feature" in text
 
 
 # each value used to crash train with a traceback, exit 3 as "diverged",
@@ -522,9 +605,11 @@ def test_bad_config_value_is_a_one_line_usage_error(ws, tmp_path, capsys,
 
 
 def test_checkpoint_config_keys_are_stable(ws):
-    # the keys a VERSION 2 checkpoint's meta["config"] carries; renaming
-    # or adding one makes every existing checkpoint unloadable
+    # the keys a VERSION 2 checkpoint's meta and meta["config"] carry;
+    # renaming or adding one makes every existing checkpoint unloadable
     _, ckpt = Model.load(ws["ckpt"])
+    assert set(ckpt.meta) == {"config", "vocab", "step", "phase", "best_metric",
+                              "stale_validations"}
     assert set(ckpt.meta["config"]) == {
         "vocab_size", "d", "d_emb", "hidden", "attn_dim", "out_dim", "dropout",
         "standard_cell_output", "attend_current_hidden", "bn_momentum",
@@ -549,7 +634,7 @@ def test_decoding_is_byte_identical_across_blas_thread_counts(tmp_path):
     manifest = str(data / "manifest.tsv")
     vocab = build_vocab([manifest])
     ckpt = str(tmp_path / "desk.ckpt")
-    Model(ModelConfig.from_cfg(desk_defaults(), len(vocab)), vocab.tokens).save(ckpt)
+    Model(ModelConfig.from_cfg(desk_config(), len(vocab)), vocab.tokens).save(ckpt)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     outputs = {}
     for threads in ("1", "2"):

@@ -2,9 +2,11 @@
 
 Each case mutates one well-formed input (a manifest, a bucket file, a
 config file, a `--set` value, a PGM image or a checkpoint) and runs the
-command that reads it, in process, through `cli.main`.  Whatever the
-mutant holds, the command must exit 0, or exit 1 or 2 with exactly one
-stderr line that starts with `error:`: never a traceback.
+command that reads it, in process, through `cli.main`; a mutated
+checkpoint is read by `predict`, and also by `train --resume`.  Whatever
+the mutant holds, the command must exit 0, or exit 1 or 2 with exactly
+one stderr line that starts with `error:`: never a traceback.  A resumed
+run may also exit 3, the same way, when a mutant parameter is not finite.
 
 The inputs are tiny (two 8x16 images, d=8, hidden=4, one training step),
 so a case costs milliseconds.  A config file that lost a line to a
@@ -156,6 +158,8 @@ def argv_for(kind, base, out, mutant):
         return predict_argv(base, out, buckets=str(path))
     if kind == "checkpoint":
         return predict_argv(base, out, checkpoint=str(path))
+    if kind == "resume":
+        return train_argv(base, out, override="steps=2") + ["--resume", str(path)]
     if kind == "config":
         return train_argv(base, out, config=str(path))
     assert kind == "pgm"
@@ -163,28 +167,32 @@ def argv_for(kind, base, out, mutant):
             "--out", str(out / "inspect"), "--max-len", "3"]
 
 
-@pytest.mark.parametrize("kind", ["manifest", "buckets", "config", "set", "pgm",
-                                  "checkpoint"])
+KINDS = ["manifest", "buckets", "config", "set", "pgm", "checkpoint", "resume"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_mutated_input_exits_cleanly(kind, base, tmp_path, capfd):
     # capfd, not capsys: like the interpreter's own stderr, its stream
     # survives the lone surrogates an undecodable argv byte becomes
     inputs = base["inputs"]
+    source = "checkpoint" if kind == "resume" else kind
     if kind == "set":
         pool = [line.encode("utf-8").replace(b" = ", b"=")
                 for line in BASE_CONFIG.splitlines()[1:]]
         others = list(inputs.values())
     else:
-        others = [data for name, data in inputs.items() if name != kind]
-    seed = ["manifest", "buckets", "config", "set", "pgm", "checkpoint"].index(kind)
+        others = [data for name, data in inputs.items() if name != source]
+    seed = KINDS.index(kind)
     codes = []
     for case in range(CASES):
         rng = np.random.default_rng((seed, case))
-        data = pool[rng.integers(len(pool))] if kind == "set" else inputs[kind]
+        data = pool[rng.integers(len(pool))] if kind == "set" else inputs[source]
         mutant = mutate(data, rng, others)
         capfd.readouterr()
         rc = main(argv_for(kind, base, tmp_path, mutant))
         err = capfd.readouterr().err
-        assert rc in (0, 1, 2), (case, mutant[:200], rc, err)
+        assert rc in ((0, 1, 2, 3) if kind == "resume" else (0, 1, 2)), (
+            case, mutant[:200], rc, err)
         if rc:
             assert len(err.splitlines()) == 1 and err.startswith("error:"), (
                 case, mutant[:200], err)

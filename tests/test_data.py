@@ -24,7 +24,12 @@ def test_vocabulary_reserves_sentinels_first():
     assert v.tokens[4:] == ["a", "b", "c"]
     assert v.id_of("a") == 4
     assert v.id_of("never-seen") == UNK_ID
-    assert v.token_of(4) == "a"
+
+
+@pytest.mark.parametrize("token", [7, ["x"], None])
+def test_vocabulary_rejects_a_token_that_is_not_a_string(token):
+    with pytest.raises(DataError, match="must be strings"):
+        Vocabulary(list(RESERVED) + ["a", token])
 
 
 def test_vocabulary_rejects_duplicates():

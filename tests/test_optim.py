@@ -101,6 +101,31 @@ def test_adam_state_rejects_wrong_names():
         opt2.load_state_dict(opt.state_dict())
 
 
+@pytest.mark.parametrize("key", ["m", "v"])
+def test_adam_state_rejects_a_missing_or_mis_shaped_moment(key):
+    opt = Adam([Parameter("w", np.zeros((2, 3)))], lr=0.1)
+    state = opt.state_dict()
+    state[key] = {}
+    with pytest.raises(OptimError, match=r"missing \['w'\]"):
+        opt.load_state_dict(state)
+    state = opt.state_dict()
+    state[key]["w"] = np.zeros(6)
+    with pytest.raises(OptimError, match=r"shape \(6,\)"):
+        opt.load_state_dict(state)
+    assert opt.state_dict()["m"]["w"].shape == (2, 3)
+
+
+@pytest.mark.parametrize("key,value", [("m", np.nan), ("v", np.inf), ("v", -1e-3)])
+def test_adam_state_rejects_moments_adam_cannot_step_from(key, value):
+    # a negative second moment used to turn the parameters into NaN at
+    # the first step, through sqrt(v)
+    opt = Adam([Parameter("w", np.zeros((2, 3)))], lr=0.1)
+    state = opt.state_dict()
+    state[key]["w"][1, 2] = value
+    with pytest.raises(OptimError, match="must be finite"):
+        opt.load_state_dict(state)
+
+
 def test_clip_global_norm_pythagorean_case():
     # grads (3, 4) -> global norm 5; cap 1 rescales both by 0.2
     ps = params_with_grads([np.array([3.0]), np.array([4.0])])

@@ -8,11 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradcheck import misfeed_rollouts, model_config
+from gradcheck import desk_config, misfeed_rollouts, model_config
 
 from img2latex import tensor as T
 from img2latex import training
-from img2latex.config import ModelConfig, desk_defaults, full_defaults
+from img2latex.checkpoint import load_checkpoint
+from img2latex.config import ModelConfig, full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_dataset)
 from img2latex.decoder import StepOutput
@@ -251,7 +252,7 @@ def test_pad_before_a_target_is_rejected():
 
 def test_profile_of_a_desk_mle_step_covers_the_tape_and_backward():
     vocab = list(RESERVED) + [f"t{i}" for i in range(60)]
-    model = Model(ModelConfig.from_cfg(desk_defaults(), len(vocab)), vocab)
+    model = Model(ModelConfig.from_cfg(desk_config(), len(vocab)), vocab)
     r = np.random.default_rng(31)
     images = r.random((32, 1, 56, 176)).astype(np.float32)
     lengths = r.integers(10, 41, size=32)
@@ -855,6 +856,50 @@ def test_train_resume_is_bit_exact(corpus, tmp_path):
     with open(resumed.last_path, "rb") as f:
         resumed_bytes = f.read()
     assert whole_bytes == resumed_bytes
+
+
+def rl_resume_runs(corpus, tmp_path, whole_steps, part_steps):
+    """An rl run of whole_steps, and one of part_steps that is then
+    resumed in its own directory to whole_steps; validate_every=2."""
+    args = (corpus["manifest"], corpus["manifest"], corpus["buckets"])
+    base = train(tiny_cfg(steps=1), *args, str(tmp_path / "mle"))
+    whole = train(tiny_cfg(steps=whole_steps, validate_every=2), *args,
+                  str(tmp_path / "whole"), phase="rl", init=base.last_path)
+    part = train(tiny_cfg(steps=part_steps, validate_every=2), *args,
+                 str(tmp_path / "part"), phase="rl", init=base.last_path)
+    resumed = train(tiny_cfg(steps=whole_steps, validate_every=2), *args,
+                    str(tmp_path / "part"), phase="rl", resume=part.last_path)
+    assert resumed.steps_run == whole_steps
+    return whole, resumed
+
+
+def log_rows(result):
+    with open(result.log_path, encoding="utf-8") as f:
+        return [line.split("\t")[:4] for line in f]       # the last field is wall time
+
+
+def test_rl_resume_after_a_scheduled_validation_is_byte_exact(corpus, tmp_path):
+    whole, resumed = rl_resume_runs(corpus, tmp_path, whole_steps=4, part_steps=2)
+    for name in ("best_path", "last_path"):
+        with open(getattr(whole, name), "rb") as f, open(getattr(resumed, name), "rb") as g:
+            assert f.read() == g.read(), name
+    assert log_rows(whole) == log_rows(resumed)
+
+
+def test_rl_resume_after_an_off_schedule_stop_keeps_parameters_and_optimizer(corpus,
+                                                                             tmp_path):
+    whole, resumed = rl_resume_runs(corpus, tmp_path, whole_steps=5, part_steps=3)
+    a, b = load_checkpoint(whole.last_path), load_checkpoint(resumed.last_path)
+    for arrays in ("params", "buffers"):
+        x, y = getattr(a, arrays), getattr(b, arrays)
+        assert x.keys() == y.keys() and all(np.array_equal(x[n], y[n]) for n in x)
+    assert a.optimizer["step_count"] == b.optimizer["step_count"] == 5
+    for moment in ("m", "v"):
+        assert all(np.array_equal(a.optimizer[moment][n], b.optimizer[moment][n])
+                   for n in a.optimizer[moment])
+    # the stopped run validated at step 3, off the every-2 schedule, and
+    # that validation is part of the resumed run's patience and best.ckpt
+    assert log_rows(whole)[2][3] == "" and log_rows(resumed)[2][3] != ""
 
 
 def test_train_log_is_tab_separated(corpus, tmp_path):
