@@ -19,6 +19,7 @@ Files are written to a temp path and moved into place, so an interrupted
 save never clobbers the previous checkpoint.  The reader checks every
 length field against the bytes left in the file and maps every decode
 failure to CheckpointError, so a corrupt file fails with one line.
+What the arrays must hold to be loaded is `check_arrays`' one rule.
 """
 from __future__ import annotations
 
@@ -98,6 +99,28 @@ def _read_arrays(f) -> dict[str, np.ndarray]:
             raise CheckpointError(f"array '{name}' has shape {shape}: {exc}") from None
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="))
     return arrays
+
+
+def check_arrays(what: str, arrays: dict[str, np.ndarray], like: dict,
+                 non_negative=()) -> None:
+    """The rule for every array set a checkpoint loads: `arrays` must hold
+    exactly the names of `like`, each at the shape of its `like` entry
+    (an array or a Tensor), with finite values, and no negative value in
+    the arrays named in `non_negative`.  Else CheckpointError, naming
+    the array after `what`."""
+    missing, extra = like.keys() - arrays.keys(), arrays.keys() - like.keys()
+    if missing or extra:
+        raise CheckpointError(f"{what} mismatch: missing {sorted(missing)}, "
+                              f"unexpected {sorted(extra)}")
+    for name, ours in like.items():
+        arr = np.asarray(arrays[name])
+        if arr.shape != ours.shape:
+            raise CheckpointError(f"{what} '{name}' has shape {arr.shape}, not {ours.shape}")
+        if name in non_negative:
+            if not (np.isfinite(arr).all() and (arr >= 0).all()):
+                raise CheckpointError(f"{what} '{name}' must be finite and non-negative")
+        elif not np.isfinite(arr).all():
+            raise CheckpointError(f"{what} '{name}' must be finite")
 
 
 def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray],

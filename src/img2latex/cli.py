@@ -103,15 +103,16 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    os.makedirs(args.out, exist_ok=True)
-    effective = format_effective(cfg)
-    print("# effective config")
-    print(effective)
-    with open(os.path.join(args.out, "effective.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(effective + "\n")
-    outcome = train(cfg, args.train_manifest, args.val_manifest, args.buckets,
-                    args.out, phase=args.phase, init=args.init, resume=args.resume)
+    def echo(cfg):
+        effective = format_effective(cfg)
+        print("# effective config")
+        print(effective)
+        with open(os.path.join(args.out, "effective.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(effective + "\n")
+
+    outcome = train(load_config(args.config, args.set or []), args.train_manifest,
+                    args.val_manifest, args.buckets, args.out, phase=args.phase,
+                    init=args.init, resume=args.resume, config_fn=echo)
     print(f"trained steps={outcome.steps_run} best_metric={outcome.best_metric:.6f} "
           f"best={outcome.best_path} last={outcome.last_path}"
           f"{' (stopped early)' if outcome.stopped_early else ''}")

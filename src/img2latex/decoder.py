@@ -48,7 +48,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -79,14 +79,14 @@ class Decoder:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         dt = config.np_dtype()
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
 
         def add(name, shape, fan_in, fan_out):
-            self.params[name] = Parameter(
-                name, T.glorot_uniform(shape, fan_in, fan_out, rng, dt))
+            self.params[name] = Tensor(T.glorot_uniform(shape, fan_in, fan_out, rng, dt),
+                                       requires_grad=True)
 
         def add_zeros(name, shape):
-            self.params[name] = Parameter(name, np.zeros(shape, dtype=dt))
+            self.params[name] = Tensor(np.zeros(shape, dtype=dt), requires_grad=True)
 
         v, h = config.vocab_size, config.hidden
         add("dec.embed", (v, config.d_emb), v, config.d_emb)
@@ -100,8 +100,8 @@ class Decoder:
                 wx = T.glorot_uniform((n_in, h), n_in, h, rng, dt)
                 wh = T.glorot_uniform((h, h), h, h, rng, dt)
                 blocks.append(np.concatenate([wx, wh], axis=0))
-            self.params[f"dec.lstm{layer}.w"] = Parameter(
-                f"dec.lstm{layer}.w", np.concatenate(blocks, axis=1))
+            self.params[f"dec.lstm{layer}.w"] = Tensor(np.concatenate(blocks, axis=1),
+                                                       requires_grad=True)
             add_zeros(f"dec.lstm{layer}.b", (_N_GATES * h,))
         for layer in (1, 2):
             add(f"dec.init.h{layer}.w", (config.d, h), config.d, h)
@@ -114,22 +114,18 @@ class Decoder:
         add("dec.w3", (h + config.d, config.out_dim), h + config.d, config.out_dim)
         add("dec.w4", (config.out_dim, v), config.out_dim, v)
 
-    def _p(self, name: str) -> Tensor:
-        return self.params[name].tensor
-
     def init_state(self, entries: Tensor) -> DecoderState:
         """Hidden/cell states from the mean annotation vector, O_0 = 0,
         and the key projection of entries (B, L, d)."""
+        p = self.params
         mean = T.reduce_mean(entries, axis=1)           # (B, d)
         hs, cs = [], []
         for layer in (1, 2):
-            hs.append(T.tanh(mean @ self._p(f"dec.init.h{layer}.w")
-                             + self._p(f"dec.init.h{layer}.b")))
-            cs.append(T.tanh(mean @ self._p(f"dec.init.c{layer}.w")
-                             + self._p(f"dec.init.c{layer}.b")))
+            hs.append(T.tanh(mean @ p[f"dec.init.h{layer}.w"] + p[f"dec.init.h{layer}.b"]))
+            cs.append(T.tanh(mean @ p[f"dec.init.c{layer}.w"] + p[f"dec.init.c{layer}.b"]))
         b, length, d = entries.shape
         o0 = Tensor(np.zeros((b, self.config.out_dim), dtype=self.config.np_dtype()))
-        proj = T.reshape(T.reshape(entries, (b * length, d)) @ self._p("dec.attn.w2"),
+        proj = T.reshape(T.reshape(entries, (b * length, d)) @ p["dec.attn.w2"],
                          (b, length, self.config.attn_dim))
         return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj)
 
@@ -153,30 +149,30 @@ class Decoder:
                             proj=cut(state.proj))
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
-        hc = T.lstm_cell(x, h, c, self._p(f"dec.lstm{layer}.w"),
-                         self._p(f"dec.lstm{layer}.b"), self.config.standard_cell_output)
+        hc = T.lstm_cell(x, h, c, self.params[f"dec.lstm{layer}.w"],
+                         self.params[f"dec.lstm{layer}.b"], self.config.standard_cell_output)
         n = self.config.hidden
         return T.slice_cols(hc, 0, n), T.slice_cols(hc, n, 2 * n)
 
     def _attend(self, state: DecoderState, query: Tensor):
-        alpha = T.attention_scores(query, self._p("dec.attn.w1"), state.proj,
-                                   self._p("dec.attn.beta"))             # (B, L)
+        alpha = T.attention_scores(query, self.params["dec.attn.w1"], state.proj,
+                                   self.params["dec.attn.beta"])         # (B, L)
         return T.attention_context(alpha, state.entries), alpha
 
     def step(self, state: DecoderState, tokens,
              train: bool = False, rng: np.random.Generator | None = None) -> StepOutput:
         """Advance one step given the previous tokens, shape (B,) int."""
-        cfg = self.config
-        emb = T.embedding_lookup(self._p("dec.embed"), np.asarray(tokens))
+        cfg, p = self.config, self.params
+        emb = T.embedding_lookup(p["dec.embed"], np.asarray(tokens))
         emb = T.dropout(emb, cfg.dropout, train, rng)
         x1 = T.concat([emb, state.o_prev], axis=1)
         h1, c1 = self._cell(1, x1, state.h[0], state.c[0])
         h2, c2 = self._cell(2, h1, state.h[1], state.c[1])
         query = h2 if cfg.attend_current_hidden else state.h[1]
         ctx, alpha = self._attend(state, query)
-        o = T.tanh(T.concat([h2, ctx], axis=1) @ self._p("dec.w3"))
+        o = T.tanh(T.concat([h2, ctx], axis=1) @ p["dec.w3"])
         o = T.dropout(o, cfg.dropout, train, rng)
-        logits = o @ self._p("dec.w4")
+        logits = o @ p["dec.w4"]
         return StepOutput(logits=logits, alpha=alpha,
                           state=DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o,
                                              entries=state.entries, proj=state.proj))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .tensor import Parameter, Tensor, TensorError
+from .tensor import Tensor, TensorError
 
 
 # batch-norm variance floor
@@ -74,33 +74,39 @@ _CONV_PLAN = [
 
 
 class Encoder:
-    """Six-conv feature extractor with total downsampling 8x8."""
+    """Six-conv feature extractor with total downsampling 8x8.
+
+    `layers` holds, per conv, (w, b, bn, pool): the conv's parameter
+    tensors, bn = (gamma, beta, running_mean, running_var) or None, and
+    the pool or None; `params` and `buffers` name the same objects.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         dt = config.np_dtype()
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.layers = []
+
+        def param(name, data):
+            self.params[name] = Tensor(data, requires_grad=True)
+            return self.params[name]
+
         for idx, (in_frac, out_frac, has_bn, pool) in enumerate(_CONV_PLAN, start=1):
             cin = 1 if in_frac is None else config.d // in_frac
             cout = config.d // out_frac
             fan_in = cin * 9
             fan_out = cout * 9
-            w = Parameter(f"enc.conv{idx}.w",
-                          T.glorot_uniform((cout, cin, 3, 3), fan_in, fan_out, rng, dt))
-            b = Parameter(f"enc.conv{idx}.b", np.zeros(cout, dtype=dt))
-            self.params[w.name] = w
-            self.params[b.name] = b
+            w = param(f"enc.conv{idx}.w",
+                      T.glorot_uniform((cout, cin, 3, 3), fan_in, fan_out, rng, dt))
+            b = param(f"enc.conv{idx}.b", np.zeros(cout, dtype=dt))
             bn = None
             if has_bn:
-                gamma = Parameter(f"enc.bn{idx}.gamma", np.ones(cout, dtype=dt))
-                beta = Parameter(f"enc.bn{idx}.beta", np.zeros(cout, dtype=dt))
-                self.params[gamma.name] = gamma
-                self.params[beta.name] = beta
-                self.buffers[f"enc.bn{idx}.running_mean"] = np.zeros(cout, dtype=np.float64)
-                self.buffers[f"enc.bn{idx}.running_var"] = np.ones(cout, dtype=np.float64)
-                bn = idx
+                # running statistics stay float64 whatever the model dtype
+                mean = self.buffers[f"enc.bn{idx}.running_mean"] = np.zeros(cout)
+                var = self.buffers[f"enc.bn{idx}.running_var"] = np.ones(cout)
+                bn = (param(f"enc.bn{idx}.gamma", np.ones(cout, dtype=dt)),
+                      param(f"enc.bn{idx}.beta", np.zeros(cout, dtype=dt)), mean, var)
             self.layers.append((w, b, bn, pool))
 
     def cnn_forward(self, x: Tensor, train: bool = False) -> Tensor:
@@ -114,17 +120,11 @@ class Encoder:
                 "(white, bottom/right) to the next multiple of 8 first"
             )
         out = x
-        for w_p, b_p, bn, pool in self.layers:
-            out = T.conv2d(out, w_p.tensor, b_p.tensor, stride=1, padding=1)
+        for w, b, bn, pool in self.layers:
+            out = T.conv2d(out, w, b, stride=1, padding=1)
             if bn is not None:
-                out = T.batchnorm2d(
-                    out, self.params[f"enc.bn{bn}.gamma"].tensor,
-                    self.params[f"enc.bn{bn}.beta"].tensor,
-                    self.buffers[f"enc.bn{bn}.running_mean"],
-                    self.buffers[f"enc.bn{bn}.running_var"],
-                    momentum=self.config.bn_momentum, eps=BN_EPS,
-                    train=train,
-                )
+                out = T.batchnorm2d(out, *bn, momentum=self.config.bn_momentum, eps=BN_EPS,
+                                    train=train)
             if pool is not None:
                 out = T.maxpool2d(out, pool, pool)
             out = T.relu(out)

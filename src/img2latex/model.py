@@ -12,12 +12,12 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_arrays, load_checkpoint, save_checkpoint
 from .config import ModelConfig
 from .data import DataError, Vocabulary
 from .decoder import Decoder, DecoderState
 from .encoder import Encoder
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 # purpose tags for seed derivation
 RNG_INIT = 0
@@ -39,7 +39,11 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """CNN encoder + attentional LSTM decoder over a fixed vocabulary."""
+    """CNN encoder + attentional LSTM decoder over a fixed vocabulary.
+
+    A parameter is a Tensor with requires_grad=True, named by its key in
+    `params`; `buffers` holds the batch-norm running statistics.
+    """
 
     def __init__(self, config: ModelConfig, vocab: list[str]):
         if config.vocab_size != len(vocab):
@@ -50,11 +54,8 @@ class Model:
         rng = derive_rng(config.seed, RNG_INIT)
         self.encoder = Encoder(config, rng)
         self.decoder = Decoder(config, rng)
-        self.params: dict[str, Parameter] = {**self.encoder.params, **self.decoder.params}
+        self.params: dict[str, Tensor] = {**self.encoder.params, **self.decoder.params}
         self.buffers: dict[str, np.ndarray] = self.encoder.buffers
-
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -103,30 +104,21 @@ class Model:
     def load(cls, path):
         """Rebuild a model from a checkpoint; returns (model, checkpoint).
         The meta's config must meet the config rules and its vocab those
-        of `data.Vocabulary`, else CheckpointError."""
+        of `data.Vocabulary`, and the parameters and buffers must meet
+        `check_arrays` (a running variance non-negative) before any is
+        copied, else CheckpointError."""
         ckpt = load_checkpoint(path)
         try:
             vocab = Vocabulary(ckpt.meta["vocab"])
             model = cls(ModelConfig(**ckpt.meta["config"]), vocab.tokens)
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise CheckpointError(f"{path}: meta does not describe a model: {exc!r}") from None
-        model.load_params(ckpt.params)
-        for name, arr in ckpt.buffers.items():
-            if name not in model.buffers:
-                raise CheckpointError(f"checkpoint buffer '{name}' not in model")
-            np.copyto(model.buffers[name], arr)
+        check_arrays(f"{path}: parameter", ckpt.params, model.params)
+        check_arrays(f"{path}: buffer", ckpt.buffers, model.buffers,
+                     non_negative=[n for n in model.buffers if n.endswith(".running_var")])
+        dt = model.config.np_dtype()
+        for name, p in model.params.items():
+            p.data = np.ascontiguousarray(ckpt.params[name], dtype=dt)
+        for name, buf in model.buffers.items():
+            np.copyto(buf, ckpt.buffers[name])
         return model, ckpt
-
-    def load_params(self, params: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(params)
-        extra = set(params) - set(self.params)
-        if missing or extra:
-            raise CheckpointError(
-                f"parameter mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        dt = self.config.np_dtype()
-        for name, arr in params.items():
-            p = self.params[name]
-            if tuple(arr.shape) != tuple(p.data.shape):
-                raise CheckpointError(
-                    f"parameter '{name}' shape {arr.shape} != model shape {p.data.shape}")
-            p.data = np.ascontiguousarray(arr, dtype=dt)

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, TensorError
+from .checkpoint import check_arrays
+from .tensor import Tensor, TensorError
 
 
 class OptimError(TensorError):
@@ -13,34 +14,31 @@ class OptimError(TensorError):
 class Adam:
     """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
 
-    def __init__(self, params: list[Parameter], lr: float,
+    def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise OptimError(f"learning rate must be > 0, got {lr}")
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise OptimError("duplicate parameter names in optimizer")
-        self.params = list(params)
+        self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self) -> None:
-        for p in self.params:
+        for name, p in self.params.items():
             if p.grad is None:
-                raise OptimError(f"parameter '{p.name}' has no gradient")
+                raise OptimError(f"parameter '{name}' has no gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p in self.params:
+        for name, p in self.params.items():
             g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
+            m = self.m[name]
+            v = self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -55,31 +53,19 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Adopt a state_dict; both moments must name every parameter,
-        and only those, at its shape, with finite values and a
-        non-negative second moment (OptimError otherwise)."""
-        for key in ("m", "v"):
-            moments = state[key]
-            missing, extra = set(self.m) - set(moments), set(moments) - set(self.m)
-            if missing or extra:
-                raise OptimError(f"optimizer state {key!r} mismatch: missing {sorted(missing)}, "
-                                 f"unexpected {sorted(extra)}")
-            rule = "finite and non-negative" if key == "v" else "finite"
-            for name, ours in self.m.items():
-                arr = np.asarray(moments[name])
-                if arr.shape != ours.shape:
-                    raise OptimError(f"optimizer state {key!r} for '{name}' has shape "
-                                     f"{arr.shape}, not {ours.shape}")
-                if not np.isfinite(arr).all() or (key == "v" and (arr < 0).any()):
-                    raise OptimError(f"optimizer state {key!r} for '{name}' must be {rule}")
+        """Adopt a state_dict whose moments meet `check_arrays` against the
+        parameters, the second moment non-negative (CheckpointError)."""
+        check_arrays("first moment", state["m"], self.params)
+        check_arrays("second moment", state["v"], self.params, non_negative=self.params)
         self.step_count = int(state["step_count"])
         for name in self.m:
             self.m[name] = np.array(state["m"][name], dtype=self.m[name].dtype)
             self.v[name] = np.array(state["v"][name], dtype=self.v[name].dtype)
 
 
-def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_global_norm(params, max_norm: float) -> float:
+    """Scale all gradients of the tensors `params` so their global L2 norm
+    is at most max_norm."""
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -89,5 +75,5 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.tensor.grad = p.grad * scale
+                p.grad = p.grad * scale
     return norm

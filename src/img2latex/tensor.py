@@ -163,33 +163,6 @@ class Tensor:
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
 
-class Parameter:
-    """Named trainable tensor; names are unique within a model."""
-
-    def __init__(self, name: str, data):
-        self.name = name
-        self.tensor = data if isinstance(data, Tensor) else Tensor(data)
-        self.tensor.requires_grad = True
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = value
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self):
-        self.tensor.zero_grad()
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
 from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
-from .optim import Adam, OptimError, clip_global_norm
+from .optim import Adam, clip_global_norm
 from .tensor import Tensor
 
 
@@ -136,7 +136,7 @@ def _descend(model: Model, optimizer: Adam, loss: Tensor, step: int,
         raise DivergenceError(step, value)
     model.zero_grad()
     loss.backward()
-    clip_global_norm(model.parameters(), clip_norm)
+    clip_global_norm(model.params.values(), clip_norm)
     optimizer.step()
     return value
 
@@ -377,7 +377,7 @@ def _resume(ckpt: Checkpoint, path: str, phase: str,
                          f"{phase} phase; start the {phase} phase from it with --init")
     try:
         optimizer.load_state_dict(ckpt.optimizer)
-    except OptimError as exc:
+    except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     best = meta["best_metric"]
     return meta["step"], -np.inf if best is None else best, meta["stale_validations"]
@@ -392,7 +392,7 @@ def _epoch_batches(examples, buckets, batch_size, vocab, seed, epoch):
 
 def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
           phase: str = "mle", init: str | None = None, resume: str | None = None,
-          log_fn=None, reward_fn=sentence_bleu4) -> TrainOutcome:
+          log_fn=None, reward_fn=sentence_bleu4, config_fn=None) -> TrainOutcome:
     """Run one training phase; writes best.ckpt, last.ckpt and a TSV log.
 
     init starts the rl phase (or mle fine-tuning) from a checkpoint with
@@ -401,9 +401,11 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     byte-exact when the interrupted run's `steps` is a multiple of
     `validate_every`.  Otherwise that run validated at its last step,
     off schedule, which counts toward patience and may pick best.ckpt,
-    so only the parameters and optimizer state are exact.  Every rl
-    step runs an InputFeedAudit, and a step that fed any row a token
-    other than its own previous sample raises TrainError.
+    so only the parameters and optimizer state are exact.  A checkpoint
+    past `steps` is not resumed (TrainError).  Every rl step runs an
+    InputFeedAudit, and a step that fed any row a token other than its
+    own previous sample raises TrainError.  config_fn, if given, gets
+    the run's effective config before the first step.
     """
     if phase not in ("mle", "rl"):
         raise TrainError(f"unknown phase {phase!r}")
@@ -428,11 +430,19 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         vocab = build_vocab([train_manifest])
         model = Model(ModelConfig.from_cfg(cfg, len(vocab)), vocab.tokens)
     lr = float(cfg["rl_lr"] if phase == "rl" else cfg["lr"])
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model.params, lr=lr)
+    steps = int(cfg["steps"])
     if resume:
         start_step, best_metric, stale = _resume(ckpt, resume, phase, optimizer)
+        if start_step > steps:
+            raise TrainError(f"{resume} is at step {start_step}, past steps={steps}; "
+                             "raise steps to continue it")
+    if config_fn:
+        # the model's keys are the model's, the checkpoint's under init or
+        # resume; seed stays the config's, since train draws from it
+        config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
+                   "seed": cfg["seed"]})
 
-    steps = int(cfg["steps"])
     batch_size = int(cfg["batch_size"])
     validate_every = int(cfg["validate_every"])
     patience = int(cfg["patience"])

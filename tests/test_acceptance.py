@@ -330,7 +330,7 @@ def test_criterion_6_rl_recovery_and_bandit(desk_data, desk_run):
     batches, _ = bucket_and_pad(desk_data["examples"],
                                 [desk_data["bucket"]], 4, vocab)
     refs = [[strip_sentinels(row) for row in b.seq] for b in batches]
-    opt = Adam(model.parameters(), lr=float(cfg["rl_lr"]))
+    opt = Adam(model.params, lr=float(cfg["rl_lr"]))
     audit = InputFeedAudit()
     rewards = []
     for step in range(1, 501):

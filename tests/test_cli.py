@@ -119,28 +119,32 @@ def test_train_rl_without_init_is_a_usage_error(ws, tmp_path, capsys):
     assert "rl phase requires" in capsys.readouterr().err
 
 
-def test_train_divergence_exit_code(ws, tmp_path, capsys):
+def poisoned_checkpoint(ws, tmp_path):
+    """The ws checkpoint with dec.w4 at the dtype's largest finite value:
+    it loads, and its logits overflow at the first step."""
     model, _ = Model.load(ws["ckpt"])
-    model.params["dec.w4"].data[:] = np.nan
+    w4 = model.params["dec.w4"].data
+    w4[:] = np.finfo(w4.dtype).max
     poisoned = tmp_path / "poisoned.ckpt"
     model.save(str(poisoned))
-    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
-               ws["buckets"], "--out", str(tmp_path / "x"),
-               "--init", str(poisoned)] + TINY + ["--set", "steps=1"])
+    return str(poisoned)
+
+
+def train_to_divergence(ws, tmp_path, capsys, *phase):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
+                   ws["buckets"], "--out", str(tmp_path / "x"), *phase,
+                   "--init", poisoned_checkpoint(ws, tmp_path)] + TINY + ["--set", "steps=1"])
     assert rc == 3
-    assert "non-finite loss" in capsys.readouterr().err
+    assert "non-finite loss nan at step 1" in capsys.readouterr().err
+
+
+def test_train_divergence_exit_code(ws, tmp_path, capsys):
+    train_to_divergence(ws, tmp_path, capsys)
 
 
 def test_train_rl_divergence_exit_code(ws, tmp_path, capsys):
-    model, _ = Model.load(ws["ckpt"])
-    model.params["dec.w3"].data[0, 0] = np.nan
-    poisoned = tmp_path / "poisoned.ckpt"
-    model.save(str(poisoned))
-    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets",
-               ws["buckets"], "--out", str(tmp_path / "x"), "--phase", "rl",
-               "--init", str(poisoned)] + TINY + ["--set", "steps=1"])
-    assert rc == 3
-    assert "non-finite loss" in capsys.readouterr().err
+    train_to_divergence(ws, tmp_path, capsys, "--phase", "rl")
 
 
 def test_train_rl_input_feed_violation_is_a_one_line_usage_error(ws, tmp_path, capsys,
@@ -250,6 +254,38 @@ def test_init_and_resume_together_are_a_one_line_usage_error(ws, tmp_path, capsy
     assert not (tmp_path / "resumed" / "last.ckpt").exists()
 
 
+def test_resume_past_steps_is_a_one_line_usage_error(ws, tmp_path, capsys):
+    # it used to run no step, print trained steps=2 and rewrite last.ckpt
+    last = tmp_path / "resumed" / "last.ckpt"
+    last.parent.mkdir()
+    last.write_bytes((ws["run"] / "last.ckpt").read_bytes())
+    rc = resume(ws, tmp_path, str(last), "--set", "steps=1")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "step 2" in err and "steps=1" in err, err
+    assert last.read_bytes() == (ws["run"] / "last.ckpt").read_bytes()
+    # a checkpoint at exactly `steps` still resumes, running no step
+    assert resume(ws, tmp_path, str(last), "--set", "steps=2") == 0
+    assert "trained steps=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("start", ["--init", "--resume"])
+def test_effective_cfg_holds_the_model_keys_of_the_checkpoint(ws, tmp_path, capsys, start):
+    # the desk preset's d = 64 used to be written for the d = 8 model
+    ckpt = str(ws["run"] / "last.ckpt")
+    run = tmp_path / "run"
+    assert main(["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+                 "--out", str(run), "--config", os.path.join(
+                     os.path.dirname(__file__), "..", "configs", "desk.cfg"),
+                 start, ckpt, "--set", "steps=3", "--set", "seed=5"]) == 0
+    expected = dict(desk_config(), steps=3, seed=5)
+    expected.update((f.name, getattr(Model.load(ckpt)[0].config, f.name))
+                    for f in fields(ModelConfig) if f.name not in ("vocab_size", "seed"))
+    assert expected["d"] == 8 and expected["dtype"] == "f64"
+    assert load_config(str(run / "effective.cfg"), []) == expected
+    assert "\nd = 8\n" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------
@@ -357,6 +393,45 @@ def test_corrupted_checkpoint_is_refused_in_one_line(ws, tmp_path, capsys, corru
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+def _first_set_to(value):
+    def make(arr):
+        arr.flat[0] = value
+        return arr
+    return make
+
+
+# model state a checkpoint may not hold, as (section, array, the array's
+# replacement or None to drop it): each used to exit 0 with different
+# tokens or NaN scores, or to escape as a traceback
+BAD_STATES = {
+    "one-element-buffer": ("buffers", "enc.bn3.running_var", lambda a: a[:1]),
+    "three-element-buffer": ("buffers", "enc.bn3.running_var", lambda a: a[:3]),
+    "missing-buffer": ("buffers", "enc.bn3.running_var", lambda a: None),
+    "nan-parameter": ("params", "dec.w4", _first_set_to(np.nan)),
+    "negative-running-var": ("buffers", "enc.bn3.running_var", _first_set_to(-1.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_STATES))
+def test_checkpoint_with_bad_model_state_is_a_one_line_io_error(ws, tmp_path, capsys, case):
+    section, name, make = BAD_STATES[case]
+
+    def edit(ckpt):
+        arrays = getattr(ckpt, section)
+        arr = make(arrays.pop(name).copy())
+        if arr is not None:
+            arrays[name] = arr
+
+    bad = edited_checkpoint(ws["ckpt"], tmp_path / "bad.ckpt", edit)
+    rc = main(["predict", "--checkpoint", bad, "--manifest", ws["manifest"],
+               "--out", str(tmp_path / "o.tsv"), "--greedy", "--max-len", "4"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and name in err, err
+    assert not (tmp_path / "o.tsv").exists()
 
 
 # vocabularies a checkpoint's meta may not hold: each used to crash

@@ -6,7 +6,14 @@ command that reads it, in process, through `cli.main`; a mutated
 checkpoint is read by `predict`, and also by `train --resume`.  Whatever
 the mutant holds, the command must exit 0, or exit 1 or 2 with exactly
 one stderr line that starts with `error:`: never a traceback.  A resumed
-run may also exit 3, the same way, when a mutant parameter is not finite.
+run may also exit 3, the same way: a checkpoint's parameters must be
+finite, but a flipped exponent bit can leave one finite and so large
+that the first loss overflows.
+
+The `state` kind rewrites one parameter or buffer of the checkpoint
+through the container's own reader and writer, so every mutant passes
+the container checks and reaches `Model.load`, which must refuse it:
+`predict` exits 1.
 
 The inputs are tiny (two 8x16 images, d=8, hidden=4, one training step),
 so a case costs milliseconds.  A config file that lost a line to a
@@ -17,6 +24,7 @@ and its other keys reach training.
 import numpy as np
 import pytest
 
+from img2latex.checkpoint import load_checkpoint, save_checkpoint
 from img2latex.cli import main
 from img2latex.data import write_pgm
 
@@ -97,6 +105,53 @@ def mutate(data, rng, others):
     return flip_bits(other, rng) if rng.random() < 0.5 else other
 
 
+def _resized(arr, rng):
+    """arr one longer or one shorter along one axis, zero-filled."""
+    shape = list(arr.shape)
+    axis = int(rng.integers(len(shape)))
+    shape[axis] += 1 if shape[axis] == 0 or rng.random() < 0.5 else -1
+    out = np.zeros(shape, dtype=arr.dtype)
+    common = tuple(slice(0, min(a, b)) for a, b in zip(arr.shape, shape))
+    out[common] = arr[common]
+    return out
+
+
+def mutate_state(checkpoint, rng, scratch):
+    """The bytes of `checkpoint` with one parameter or buffer rewritten:
+    a NaN or an infinity at a random index, a negative running variance,
+    the array dropped, renamed or joined by an extra one, one longer or
+    shorter along one axis, or cut to a single element."""
+    ckpt = load_checkpoint(checkpoint)
+    arrays = ckpt.params if rng.random() < 0.5 else ckpt.buffers
+    kind = rng.integers(7)
+    if kind == 1:
+        arrays = ckpt.buffers
+        name = str(rng.choice(sorted(n for n in arrays if n.endswith(".running_var"))))
+    else:
+        name = str(rng.choice(sorted(arrays)))
+    arr = arrays[name].copy()
+    if kind == 0:
+        arr.flat[rng.integers(arr.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        arrays[name] = arr
+    elif kind == 1:
+        arr.flat[rng.integers(arr.size)] = -rng.uniform(1e-3, 10.0)
+        arrays[name] = arr
+    elif kind == 2:
+        del arrays[name]
+    elif kind == 3:
+        arrays[name + ".old"] = arrays.pop(name)
+    elif kind == 4:
+        arrays[name + ".extra"] = arr
+    elif kind == 5:
+        arrays[name] = _resized(arr, rng)
+    else:
+        one = arr.reshape(-1)[:1]
+        arrays[name] = one if one.shape != arr.shape else one.reshape(1, 1)
+    save_checkpoint(scratch, ckpt.meta, ckpt.params, ckpt.buffers, ckpt.optimizer)
+    with open(scratch, "rb") as fh:
+        return fh.read()
+
+
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
     """Two tiny images, their manifest, a bucket file, the base config and
@@ -156,7 +211,7 @@ def argv_for(kind, base, out, mutant):
         return predict_argv(base, out, manifest=str(path))
     if kind == "buckets":
         return predict_argv(base, out, buckets=str(path))
-    if kind == "checkpoint":
+    if kind in ("checkpoint", "state"):
         return predict_argv(base, out, checkpoint=str(path))
     if kind == "resume":
         return train_argv(base, out, override="steps=2") + ["--resume", str(path)]
@@ -167,7 +222,9 @@ def argv_for(kind, base, out, mutant):
             "--out", str(out / "inspect"), "--max-len", "3"]
 
 
-KINDS = ["manifest", "buckets", "config", "set", "pgm", "checkpoint", "resume"]
+KINDS = ["manifest", "buckets", "config", "set", "pgm", "checkpoint", "resume", "state"]
+# the exit codes a kind's command may give, where they are not 0, 1 and 2
+EXITS = {"resume": (0, 1, 2, 3), "state": (1,)}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -186,16 +243,19 @@ def test_mutated_input_exits_cleanly(kind, base, tmp_path, capfd):
     codes = []
     for case in range(CASES):
         rng = np.random.default_rng((seed, case))
-        data = pool[rng.integers(len(pool))] if kind == "set" else inputs[source]
-        mutant = mutate(data, rng, others)
+        if kind == "state":
+            mutant = mutate_state(base["ckpt"], rng, str(tmp_path / "state.ckpt"))
+        else:
+            data = pool[rng.integers(len(pool))] if kind == "set" else inputs[source]
+            mutant = mutate(data, rng, others)
         capfd.readouterr()
         rc = main(argv_for(kind, base, tmp_path, mutant))
         err = capfd.readouterr().err
-        assert rc in ((0, 1, 2, 3) if kind == "resume" else (0, 1, 2)), (
-            case, mutant[:200], rc, err)
+        assert rc in EXITS.get(kind, (0, 1, 2)), (case, mutant[:200], rc, err)
         if rc:
             assert len(err.splitlines()) == 1 and err.startswith("error:"), (
                 case, mutant[:200], err)
         codes.append(rc)
-    # the mutants reach both sides: some are accepted, some refused
-    assert 0 < codes.count(0) < CASES
+    # the mutants reach both sides: some are accepted, some refused (every
+    # state mutant is refused)
+    assert kind == "state" or 0 < codes.count(0) < CASES

@@ -232,7 +232,7 @@ def gates_record(z, c, standard_output):
 def unfused_step_reference(dec, state, tokens, train=False, rng=None):
     """Decoder.step built from generic tape ops: 28 records per step in
     eval mode, against Decoder.step's 14."""
-    cfg, p = dec.config, dec._p
+    cfg, p = dec.config, dec.params.__getitem__
     emb = T.dropout(T.embedding_lookup(p("dec.embed"), np.asarray(tokens)),
                     cfg.dropout, train, rng)
     x = T.concat([emb, state.o_prev], axis=1)

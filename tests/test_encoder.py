@@ -130,16 +130,11 @@ def relu_before_pool(self, x, train=False):
     """Encoder.cnn_forward with each layer's ReLU ahead of its max pool:
     conv -> batch norm (if any) -> ReLU -> pool (if any)."""
     out = x
-    for w_p, b_p, bn, pool in self.layers:
-        out = T.conv2d(out, w_p.tensor, b_p.tensor, stride=1, padding=1)
+    for w, b, bn, pool in self.layers:
+        out = T.conv2d(out, w, b, stride=1, padding=1)
         if bn is not None:
-            out = T.batchnorm2d(
-                out, self.params[f"enc.bn{bn}.gamma"].tensor,
-                self.params[f"enc.bn{bn}.beta"].tensor,
-                self.buffers[f"enc.bn{bn}.running_mean"],
-                self.buffers[f"enc.bn{bn}.running_var"],
-                momentum=self.config.bn_momentum, eps=BN_EPS, train=train,
-            )
+            out = T.batchnorm2d(out, *bn, momentum=self.config.bn_momentum, eps=BN_EPS,
+                                train=train)
         out = T.relu(out)
         if pool is not None:
             out = T.maxpool2d(out, pool, pool)
@@ -158,13 +153,13 @@ def test_relu_before_the_pool_trains_to_the_same_bytes(dtype, monkeypatch):
         monkeypatch.setattr(Encoder, "cnn_forward", forward)
         model = Model(model_config(len(vocab), d=16, d_emb=4, hidden=8, attn_dim=8,
                                    out_dim=8, dropout=0.0, dtype=dtype, seed=3), vocab)
-        opt = Adam(model.parameters(), lr=1e-2)
+        opt = Adam(model.params, lr=1e-2)
         for _ in range(5):
             loss, _ = mle_loss(model, images, seq, train=True)
             model.zero_grad()
             loss.backward()
             opt.step()
-        state = {p.name: p.data.tobytes() for p in model.parameters()}
+        state = {name: p.data.tobytes() for name, p in model.params.items()}
         state.update((name, a.tobytes()) for name, a in model.buffers.items())
         trained.append(state)
     assert trained[0] == trained[1]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import img2latex.tensor as T
-from img2latex.tensor import Parameter, ShapeError, Tensor, TensorError, no_grad
+from img2latex.tensor import ShapeError, Tensor, TensorError, no_grad
 
 
 def rng(seed=0):
@@ -503,15 +503,6 @@ def test_float32_flows_through_ops():
     assert kept.dtype == np.float32
     T.reduce_sum(kept).backward()
     assert head.grad.dtype == np.float32
-
-
-def test_parameter_wraps_tensor():
-    p = Parameter("w", np.ones((2, 2)))
-    assert p.tensor.requires_grad
-    assert p.name == "w"
-    p.tensor.grad = np.ones((2, 2))
-    p.zero_grad()
-    assert p.grad is None
 
 
 def test_int_input_promotes_to_float64():

@@ -127,8 +127,8 @@ def test_f32_model_trains_in_float32(monkeypatch):
     assert loss.dtype == np.float32
     model.zero_grad()
     loss.backward()
-    for p in model.parameters():
-        assert p.grad.dtype == p.data.dtype == np.float32, p.name
+    for name, p in model.params.items():
+        assert p.grad.dtype == p.data.dtype == np.float32, name
 
     seen = []
     real_loss = training.reinforce_loss
@@ -139,11 +139,11 @@ def test_f32_model_trains_in_float32(monkeypatch):
         return out
 
     monkeypatch.setattr(training, "reinforce_loss", spy)
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     reinforce_step(model, images, [[4, 5], [6]], opt, k=2, seed=0, step=1, max_len=6)
     assert seen == [np.float32]
-    for p in model.parameters():
-        assert p.grad.dtype == p.data.dtype == np.float32, p.name
+    for name, p in model.params.items():
+        assert p.grad.dtype == p.data.dtype == np.float32, name
 
 
 # ---------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
         model.zero_grad()
         loss.backward()
         results.append((loss.item(), n_tokens,
-                        {p.name: p.grad.copy() for p in model.parameters()}))
+                        {name: p.grad.copy() for name, p in model.params.items()}))
     (loss, n_tokens, grads), (ref_loss, ref_n, ref_grads) = results
     assert cuts == expected_cuts
     lengths = (seq != PAD_ID).sum(axis=1)
@@ -472,7 +472,7 @@ def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
             loss = training.reinforce_loss(ce, weights, rows)
         model.zero_grad()
         loss.backward()
-        grads = {p.name: p.grad.copy() for p in model.parameters()}
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
         results.append((tokens, nll.copy(), finished, grads))
     (tok, nll, fin, grads), (ref_tok, ref_nll, ref_fin, ref_grads) = results
     assert np.array_equal(tok, ref_tok)
@@ -530,7 +530,7 @@ def test_sampled_sentinels_keep_their_score(monkeypatch):
         return real_loss(nll, weights, rows)
 
     monkeypatch.setattr(training, "reinforce_loss", spy)
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     reinforce_step(model, images, [[4], [5]], opt, k=2, seed=0, step=1, max_len=6)
     (ce, rows), = scored
     nll = np.bincount(rows, weights=ce, minlength=4)
@@ -674,7 +674,7 @@ def test_bandit_estimator_include_self_shrinks_by_k_minus_1_over_k():
 def test_reinforce_step_constant_reward_leaves_params_unchanged():
     model = tiny_model(seed=3)
     before = {k: p.data.copy() for k, p in model.params.items()}
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     images = np.random.default_rng(3).random((2, 1, 16, 24))
     mean = reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=0,
                           step=1, max_len=8, reward_fn=lambda c, r: 0.5)
@@ -685,7 +685,7 @@ def test_reinforce_step_constant_reward_leaves_params_unchanged():
 
 def test_reinforce_step_clamps_rewards():
     model = tiny_model(seed=3)
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     images = np.random.default_rng(3).random((1, 1, 16, 24))
     assert reinforce_step(model, images, [[4]], opt, k=2, seed=0, step=1,
                           max_len=4, reward_fn=lambda c, r: 7.3) == 1.0
@@ -695,7 +695,7 @@ def test_reinforce_step_clamps_rewards():
 
 def test_reinforce_step_requires_k_ge_2():
     model = tiny_model()
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     with pytest.raises(TrainError, match="k must be >= 2"):
         reinforce_step(model, np.zeros((1, 16, 24)), [[4]], opt, k=1,
                        seed=0, step=1)
@@ -715,7 +715,7 @@ def tape_records(loss):
 
 def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
     model = tiny_model(seed=4)
-    opt = Adam(model.parameters(), lr=1e-4)
+    opt = Adam(model.params, lr=1e-4)
     images = np.random.default_rng(4).random((2, 1, 16, 24))
     real_loss, real_sample = training.reinforce_loss, training._sample_rollout
     taped, sampled = [], []
@@ -756,9 +756,9 @@ def test_a_state_built_under_no_grad_keeps_its_key_projection_off_the_tape():
 
 def test_a_reinforce_step_tapes_one_key_projection_the_scoring_passes(monkeypatch):
     model = tiny_model(seed=4)
-    opt = Adam(model.parameters(), lr=1e-4)
+    opt = Adam(model.params, lr=1e-4)
     images = np.random.default_rng(4).random((2, 1, 16, 24))
-    w2 = model.params["dec.attn.w2"].tensor
+    w2 = model.params["dec.attn.w2"]
     real_loss = training.reinforce_loss
     projections = []
 
@@ -782,7 +782,7 @@ def test_reinforce_step_stops_before_backward_on_a_non_finite_loss():
     model = tiny_model(seed=3)
     model.params["dec.w3"].data[0, 0] = np.nan
     before = {k: p.data.copy() for k, p in model.params.items()}
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     images = np.random.default_rng(3).random((2, 1, 16, 24))
     with pytest.raises(DivergenceError, match="non-finite loss") as info:
         reinforce_step(model, images, [[4, 5], [6]], opt, k=2, seed=0, step=7, max_len=6)
@@ -793,7 +793,7 @@ def test_reinforce_step_stops_before_backward_on_a_non_finite_loss():
 
 def test_reinforce_step_passes_the_input_feed_audit():
     model = tiny_model(seed=4)
-    opt = Adam(model.parameters(), lr=1e-4)
+    opt = Adam(model.params, lr=1e-4)
     audit = InputFeedAudit()
     images = np.random.default_rng(4).random((2, 1, 16, 24))
     reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=1, step=1,
@@ -811,7 +811,7 @@ def test_ten_fixed_batch_steps_never_increase_loss(corpus):
     cfg = model_config(len(vocab), d=8, d_emb=4, hidden=8,
                        attn_dim=8, out_dim=8, dropout=0.0, seed=6)
     model = Model(cfg, vocab.tokens)
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params, lr=1e-3)
     losses = []
     for _ in range(10):
         loss, _ = mle_loss(model, batch.images, batch.seq, train=True)
@@ -947,10 +947,12 @@ def test_train_raises_divergence_error_on_non_finite_loss(corpus, tmp_path):
     base = train(tiny_cfg(steps=1), corpus["manifest"], corpus["manifest"],
                  corpus["buckets"], str(tmp_path / "base"))
     model, _ = Model.load(base.last_path)
-    model.params["dec.w4"].data[:] = np.nan
+    w4 = model.params["dec.w4"].data
+    w4[:] = np.finfo(w4.dtype).max      # finite, so the checkpoint loads
     poisoned = tmp_path / "poisoned.ckpt"
     model.save(str(poisoned))
-    with pytest.raises(DivergenceError, match="non-finite loss") as info:
+    with pytest.raises(DivergenceError, match="non-finite loss") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
         train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
               corpus["buckets"], str(tmp_path / "out"), init=str(poisoned))
     assert info.value.step == 1
@@ -960,10 +962,12 @@ def test_rl_training_raises_divergence_error_on_non_finite_loss(corpus, tmp_path
     base = train(tiny_cfg(steps=1), corpus["manifest"], corpus["manifest"],
                  corpus["buckets"], str(tmp_path / "base"))
     model, _ = Model.load(base.last_path)
-    model.params["dec.w3"].data[0, 0] = np.nan
+    w4 = model.params["dec.w4"].data
+    w4[:] = np.finfo(w4.dtype).max      # finite, so the checkpoint loads
     poisoned = tmp_path / "poisoned.ckpt"
     model.save(str(poisoned))
-    with pytest.raises(DivergenceError, match="non-finite loss") as info:
+    with pytest.raises(DivergenceError, match="non-finite loss") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
         train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
               corpus["buckets"], str(tmp_path / "out"), phase="rl", init=str(poisoned))
     assert info.value.step == 1
