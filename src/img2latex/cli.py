@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, SCHEMA, format_effective, format_help, load_config
-from .data import (END_ID, DataError, PgmError, load_buckets, load_dataset,
+from .data import (END_ID, DataError, load_buckets, load_dataset,
                    pad_for_model, read_pgm, write_pgm)
 from .decoding import DecodeError, beam_decode, greedy_decode
 from .encoder import positional_encoding
@@ -158,7 +158,7 @@ def cmd_evaluate(args) -> int:
             for ex, _, r in rows]
     if rows:
         examples, cands, reports = zip(*rows)
-        agg = (bleu4(list(cands), [ex.tokens for ex in examples], mode="corpus"),
+        agg = (bleu4(list(cands), [ex.tokens for ex in examples]),
                float(np.mean([r.edit_distance_score for r in reports])),
                float(np.mean([r.exact_match for r in reports])),
                float(np.mean([r.exact_match_no_ws for r in reports])))
@@ -207,7 +207,7 @@ def cmd_inspect(args) -> int:
             write_pgm(os.path.join(args.out, f"pe_{c:03d}.pgm"),
                       (pe[c] + 1.0) / 2.0)
     if args.dump_features:
-        feats = model.encode(image, train=False).data[0].reshape(h_prime, w_prime, -1)
+        feats = model.encoder.encode(image[None, None]).data[0].reshape(h_prime, w_prime, -1)
         for c in range(feats.shape[2]):
             fmap = feats[:, :, c]
             span = fmap.max() - fmap.min()

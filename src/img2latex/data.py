@@ -276,19 +276,18 @@ def pad_for_model(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class Batch:
-    ids: list[str]
-    images: np.ndarray            # (B, 1, H, W)
-    seq: np.ndarray | None = None  # (B, T) int ids: [tokens END PAD...]
+    images: np.ndarray      # (B, 1, H, W)
+    seq: np.ndarray         # (B, T) int ids: [tokens END PAD...]
 
 
-def bucket_and_pad(examples, buckets, batch_size: int = 16,
-                   vocab: Vocabulary | None = None) -> tuple[list[Batch], int]:
+def bucket_and_pad(examples, buckets, batch_size: int,
+                   vocab: Vocabulary) -> tuple[list[Batch], int]:
     """Group examples into same-bucket batches of at most batch_size.
 
-    Images are padded by `pad_for_model`; sequences (when a vocab is
-    given) are encoded as ids, terminated with END and padded with PAD
-    to the batch max.  Returns (batches, dropped_count); images that fit
-    no bucket are dropped with a log line.
+    Images are padded by `pad_for_model`; sequences are encoded as ids,
+    terminated with END and padded with PAD to the batch max.  Returns
+    (batches, dropped_count); images that fit no bucket are dropped with
+    a log line.
     Batch composition follows the input order, so shuffling the examples
     reshuffles the batches.
     """
@@ -310,13 +309,11 @@ def bucket_and_pad(examples, buckets, batch_size: int = 16,
             chunk = items[i:i + batch_size]
             images = np.stack([img for _, img in chunk])[:, None]
             rows = [ex.tokens for ex, _ in chunk]
-            seq = None
-            if vocab is not None:
-                t_max = max(len(r) for r in rows) + 1    # room for END
-                seq = np.full((len(chunk), t_max), PAD_ID, dtype=np.int64)
-                for j, r in enumerate(rows):
-                    ids = vocab.encode(r)
-                    seq[j, :len(ids)] = ids
-                    seq[j, len(ids)] = END_ID
-            batches.append(Batch(ids=[ex.id for ex, _ in chunk], images=images, seq=seq))
+            t_max = max(len(r) for r in rows) + 1    # room for END
+            seq = np.full((len(chunk), t_max), PAD_ID, dtype=np.int64)
+            for j, r in enumerate(rows):
+                ids = vocab.encode(r)
+                seq[j, :len(ids)] = ids
+                seq[j, len(ids)] = END_ID
+            batches.append(Batch(images=images, seq=seq))
     return batches, dropped

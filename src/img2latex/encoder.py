@@ -61,7 +61,8 @@ def positional_encoding(height: int, width: int, d: int, timescale: float) -> np
 
 
 # (out_channels as a fraction of d, batchnorm?) per conv, and the pool
-# that follows each stage; pools are (kh, kw) with stride = kernel.
+# that follows each stage; pools are (kh, kw) with stride = kernel, and
+# every conv is 3x3 with stride 1 and padding 1 (tensor.conv2d).
 _CONV_PLAN = [
     # (in_frac, out_frac, has_bn, pool_after)
     (None, 8, False, (2, 2)),   # 1 -> d/8
@@ -121,25 +122,19 @@ class Encoder:
             )
         out = x
         for w, b, bn, pool in self.layers:
-            out = T.conv2d(out, w, b, stride=1, padding=1)
+            out = T.conv2d(out, w, b)
             if bn is not None:
                 out = T.batchnorm2d(out, *bn, momentum=self.config.bn_momentum, eps=BN_EPS,
                                     train=train)
             if pool is not None:
-                out = T.maxpool2d(out, pool, pool)
+                out = T.maxpool2d(out, pool)
             out = T.relu(out)
         return out
 
-    def encode(self, images, train: bool = False) -> Tensor:
-        """Images -> memory entries (B, H/8 * W/8, d), flattened row-major.
-
-        Accepts a single (H, W) grayscale array or a batch (B, 1, H, W)
-        array; values are expected in [0, 1] (0 = black ink, 1 = white).
-        """
-        arr = np.asarray(images)
-        if arr.ndim == 2:
-            arr = arr[None, None]
-        feats = self.cnn_forward(Tensor(arr.astype(self.config.np_dtype())), train=train)
+    def encode(self, images: np.ndarray, train: bool = False) -> Tensor:
+        """(B, 1, H, W) images -> memory entries (B, H/8 * W/8, d),
+        flattened row-major; values in [0, 1] (0 = black ink, 1 = white)."""
+        feats = self.cnn_forward(Tensor(images.astype(self.config.np_dtype())), train=train)
         b, d, hp, wp = feats.shape
         pe = positional_encoding(hp, wp, d, self.config.timescale)
         feats = feats + Tensor(pe[None].astype(feats.dtype))

@@ -34,23 +34,18 @@ def _pair_counts(candidate, reference, n: int) -> tuple[int, int]:
     return matches, max(len(candidate) - n + 1, 0)
 
 
-def bleu4(candidates, references, mode: str = "corpus") -> float:
-    """Cumulative 4-gram BLEU over parallel token-sequence lists.
+def bleu4(candidates, references) -> float:
+    """Corpus BLEU-4 over parallel token-sequence lists.
 
-    corpus mode pools n-gram counts across all pairs (zero pooled
-    precision gives 0); sentence mode averages per-pair scores, with
-    zero-numerator precisions replaced by eps = 1e-9.  In both modes an
-    order with no candidate n-grams at all is skipped rather than scored.
+    N-gram counts are pooled across all pairs, and a zero pooled
+    precision gives 0; an order with no candidate n-grams at all is
+    skipped rather than scored.  `sentence_bleu4` scores one pair.
     """
     if len(candidates) != len(references):
         raise MetricError(
             f"bleu4: {len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise MetricError("bleu4: empty input")
-    if mode == "sentence":
-        return float(np.mean([sentence_bleu4(c, r) for c, r in zip(candidates, references)]))
-    if mode != "corpus":
-        raise MetricError(f"bleu4: unknown mode {mode!r}")
     matches = [0] * 4
     totals = [0] * 4
     c_len = 0
@@ -75,7 +70,8 @@ def bleu4(candidates, references, mode: str = "corpus") -> float:
 
 
 def sentence_bleu4(candidate, reference) -> float:
-    """Smoothed single-pair BLEU in [0, 1]; the RL reward function."""
+    """Smoothed single-pair BLEU in [0, 1], the RL reward: an order with
+    no matches scores SENTENCE_EPS, and one with no n-grams is skipped."""
     candidate, reference = list(candidate), list(reference)
     if not candidate:
         return 0.0
@@ -85,7 +81,7 @@ def sentence_bleu4(candidate, reference) -> float:
         m, t = _pair_counts(candidate, reference, n)
         if t == 0:
             # candidate too short to contain any n-gram of this order;
-            # skip rather than smooth, as in corpus mode
+            # skip rather than smooth
             continue
         log_p += np.log(m / t if m > 0 else SENTENCE_EPS)
         orders += 1

@@ -41,8 +41,11 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 class Model:
     """CNN encoder + attentional LSTM decoder over a fixed vocabulary.
 
-    A parameter is a Tensor with requires_grad=True, named by its key in
-    `params`; `buffers` holds the batch-norm running statistics.
+    A container, not a layer: training calls `encoder` and `decoder`
+    directly, and the model adds the single-image decode protocol and
+    checkpoint I/O.  A parameter is a Tensor with requires_grad=True,
+    named by its key in `params`; `buffers` holds the batch-norm running
+    statistics.
     """
 
     def __init__(self, config: ModelConfig, vocab: list[str]):
@@ -61,26 +64,11 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    # -- forward pieces used by training --------------------------------
-    def encode(self, images, train: bool = False) -> Tensor:
-        return self.encoder.encode(images, train=train)
-
-    def init_state(self, entries: Tensor) -> DecoderState:
-        return self.decoder.init_state(entries)
-
-    def step(self, state, tokens, train: bool = False, rng=None):
-        return self.decoder.step(state, tokens, train=train, rng=rng)
-
-    def keep_rows(self, state: DecoderState, rows) -> DecoderState:
-        """state restricted to batch rows `rows` (indices, or an int n for
-        the first n rows); see Decoder.keep_rows."""
-        return self.decoder.keep_rows(state, rows)
-
     # -- single-image decode protocol ------------------------------------
     def decode_start(self, image: np.ndarray) -> DecoderState:
         """Encode one (H, W) image and return the initial decode state."""
         with T.no_grad():
-            return self.init_state(self.encode(image, train=False))
+            return self.decoder.init_state(self.encoder.encode(image[None, None]))
 
     def decode_step(self, state: DecoderState, token: int):
         """Feed one token id; returns (logp over vocab, next state, alpha).

@@ -11,18 +11,17 @@ class OptimError(TensorError):
     pass
 
 
-class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # moment decay rates, denominator floor
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction, at BETA1, BETA2 and EPS."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise OptimError(f"learning rate must be > 0, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -33,17 +32,17 @@ class Adam:
                 raise OptimError(f"parameter '{name}' has no gradient")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
 
     def state_dict(self) -> dict:
         return {

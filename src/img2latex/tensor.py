@@ -159,8 +159,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
 
 def backward(loss: Tensor) -> None:
@@ -409,30 +409,22 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_cols", out, (a,), bwd)
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def reduce_sum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    out = Tensor(a.data.sum())
+    in_shape = a.shape
+    return _record("sum", out, (a,),
+                   lambda g: (np.broadcast_to(g, in_shape).astype(g.dtype, copy=False),))
+
+
+def reduce_mean(a: Tensor, axis: int) -> Tensor:
+    """Mean over one axis, which the output drops."""
+    n = a.shape[axis]
+    out = Tensor(a.data.mean(axis=axis))
     in_shape = a.shape
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape).astype(g.dtype, copy=False),)
-
-    return _record("sum", out, (a,), bwd)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        n = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    in_shape = a.shape
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, in_shape).astype(g.dtype, copy=False),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, in_shape).astype(g.dtype, copy=False),)
 
     return _record("mean", out, (a,), bwd)
 
@@ -658,71 +650,63 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # image ops
 # ---------------------------------------------------------------------
 
-def _pair(v):
-    return (v, v) if isinstance(v, int) else tuple(v)
+def _taps(n: int, offset: int):
+    """Output positions whose window tap `offset` (0, 1 or 2) reads the input.
 
-
-def _taps(n_in: int, n_out: int, stride: int, pad: int, offset: int):
-    """Output positions whose window tap `offset` reads the input.
-
-    Output position r reads input index r*stride + offset - pad.  Returns
-    (out, inp): the slice of output positions that read the input and
-    the slice of input indices they read, in the same order; the other
-    positions read padding.  Returns None when every position reads
-    padding: for example when pad >= the kernel size, or when the input
-    is smaller than the kernel.
+    With stride 1 and padding 1, output position r reads input index
+    r + offset - 1 of n.  Returns (out, inp): the slice of output
+    positions that read the input and the slice of input indices they
+    read, in the same order; the other positions read padding.  Returns
+    None when every position reads padding, as taps 0 and 2 do when n = 1.
     """
-    lo = max(0, -((offset - pad) // stride))
-    hi = min(n_out, (n_in - 1 + pad - offset) // stride + 1)
+    lo = max(0, 1 - offset)
+    hi = min(n, n + 1 - offset)
     if hi <= lo:
         return None
-    start = lo * stride + offset - pad
-    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+    return slice(lo, hi), slice(lo + offset - 1, hi + offset - 1)
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           stride=1, padding=0) -> Tensor:
-    """2-D convolution over (B, C, H, W) with an (O, C, kh, kw) kernel.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """The encoder's convolution: (B, C, H, W) with an (O, C, 3, 3) kernel
+    and an (O,) bias, stride 1 and zero padding 1, so the output is
+    (B, O, H, W).
 
-    im2col: the input is unrolled into a (B, C, kh, kw, Ho, Wo) column
-    buffer, viewed as (B, C*kh*kw, Ho*Wo) and multiplied by the
-    (O, C*kh*kw) kernel matrix in one stacked matmul.  Each (i, j) plane
-    of the buffer is copied from a strided view of x, and only its border
-    strips, which read zero padding, are zeroed, so no padded copy of x
-    is made.  The product is (B, O, Ho*Wo), so the output is C-contiguous
-    NCHW with no transpose copy, and every later op reads contiguous
-    memory.  The backward pass forms one image's dcols at a time, with the
-    GEMM a stacked matmul would run for it, and scatters it back (col2im)
+    im2col: the input is unrolled into a (B, C, 3, 3, H, W) column
+    buffer, viewed as (B, C*9, H*W) and multiplied by the (O, C*9) kernel
+    matrix in one stacked matmul.  Each (i, j) plane of the buffer is
+    copied from a strided view of x, and only its border strips, which
+    read zero padding, are zeroed, so no padded copy of x is made.  The
+    product is (B, O, H*W), so the output is C-contiguous NCHW with no
+    transpose copy, and every later op reads contiguous memory.  The
+    backward pass forms one image's dcols at a time, with the GEMM a
+    stacked matmul would run for it, and scatters it back (col2im)
     straight into a C-contiguous (B, C, H, W) dx while it is in cache.
 
     The kernel gradient runs one GEMM per image, each reducing over
-    Ho*Wo, and numpy then sums the B products.  OpenBLAS splits a GEMM's
+    H*W, and numpy then sums the B products.  OpenBLAS splits a GEMM's
     reduction by thread, so dk's last bits, and with them training
     outputs, depend on OPENBLAS_NUM_THREADS.  The forward pass does not:
     predict and evaluate are byte-identical at 1 and 2 threads (tested).
     """
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d: expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
+        raise ShapeError(f"conv2d: expects a 4-D input and an (O, C, 3, 3) kernel, "
+                         f"got {x.shape} and {kernel.shape}")
     B, C, H, W = x.shape
-    O, Ck, kh, kw = kernel.shape
+    O, Ck = kernel.shape[:2]
     if C != Ck:
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {Ck}")
-    Ho = (H + 2 * ph - kh) // sh + 1
-    Wo = (W + 2 * pw - kw) // sw + 1
-    if Ho < 1 or Wo < 1:
-        raise ShapeError(f"conv2d: input {H}x{W} too small for k=({kh},{kw}) p=({ph},{pw}) s=({sh},{sw})")
+    if bias.shape != (O,):
+        raise ShapeError(f"conv2d: bias must be ({O},), got {bias.shape}")
     # per (i, j): the output rows and columns whose taps read x, then the
     # rows and columns of x they read, or None where the plane is padding
-    taps_w = [_taps(W, Wo, sw, pw, j) for j in range(kw)]
+    taps_w = [_taps(W, j) for j in range(3)]
     blocks = {}
-    for i in range(kh):
-        th = _taps(H, Ho, sh, ph, i)
+    for i in range(3):
+        th = _taps(H, i)
         for j, tw in enumerate(taps_w):
             blocks[i, j] = None if th is None or tw is None else (th[0], tw[0], th[1], tw[1])
     xd = x.data
-    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=x.dtype)
+    cols = np.empty((B, C, 3, 3, H, W), dtype=x.dtype)
     for (i, j), block in blocks.items():
         plane = cols[:, :, i, j]
         if block is None:
@@ -734,53 +718,47 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         plane[:, :, rows, :cs.start] = 0
         plane[:, :, rows, cs.stop:] = 0
         plane[:, :, rows, cs] = xd[:, :, xrows, xcs]
-    cols = cols.reshape(B, C * kh * kw, Ho * Wo)
-    wmat = kernel.data.reshape(O, C * kh * kw)
+    cols = cols.reshape(B, C * 9, H * W)
+    wmat = kernel.data.reshape(O, C * 9)
     y = np.matmul(wmat, cols)
-    if bias is not None:
-        y += bias.data[:, None]
-    out = Tensor(y.reshape(B, O, Ho, Wo))
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    y += bias.data[:, None]
+    out = Tensor(y.reshape(B, O, H, W))
 
     def bwd(g):
-        g3 = g.reshape(B, O, Ho * Wo)
-        dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, kh, kw)
+        g3 = g.reshape(B, O, H * W)
+        dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, 3, 3)
         dx = None
         if x.requires_grad:
             # col2im: every dx element sums its windows in (i, j) order,
             # starting from +0.0
             dx = np.zeros((B, C, H, W), dtype=x.dtype)
-            dcols = np.empty((C * kh * kw, Ho * Wo), dtype=x.dtype)
-            planes = dcols.reshape(C, kh, kw, Ho, Wo)
+            dcols = np.empty((C * 9, H * W), dtype=x.dtype)
+            planes = dcols.reshape(C, 3, 3, H, W)
             for b in range(B):
                 np.matmul(wmat.T, g3[b], out=dcols)
                 for (i, j), block in blocks.items():
                     if block is not None:
                         rows, cs, xrows, xcs = block
                         dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]
-        if bias is None:
-            return dx, dk
         return dx, dk, g.sum(axis=(0, 2, 3))
 
-    return _record("conv2d", out, inputs, bwd)
+    return _record("conv2d", out, (x, kernel, bias), bwd)
 
 
-def maxpool2d(x: Tensor, kernel, stride=None) -> Tensor:
-    """Max pooling over (B, C, H, W) with non-overlapping windows.
+def maxpool2d(x: Tensor, kernel: tuple[int, int]) -> Tensor:
+    """Max pooling over (B, C, H, W) with non-overlapping (kh, kw) windows:
+    the stride is the kernel.
 
-    The stride must equal the kernel (its default); any other stride
-    raises ShapeError.  Sizes that the kernel does not divide are floored:
-    trailing rows and columns are dropped, and get a zero gradient.  The
-    forward pass takes np.maximum over the kh*kw strided sub-views of the
-    input, so no window is copied, and the output is C-contiguous NCHW.
-    The backward pass routes each window's gradient to its first maximal
-    element in (i, j) order, the tie-break of an argmax over the window.
+    Sizes that the kernel does not divide are floored: trailing rows and
+    columns are dropped, and get a zero gradient.  The forward pass takes
+    np.maximum over the kh*kw strided sub-views of the input, so no window
+    is copied, and the output is C-contiguous NCHW.  The backward pass
+    routes each window's gradient to its first maximal element in (i, j)
+    order, the tie-break of an argmax over the window.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: expects 4-D input, got {x.shape}")
-    kh, kw = _pair(kernel)
-    if stride is not None and _pair(stride) != (kh, kw):
-        raise ShapeError(f"maxpool2d: stride {_pair(stride)} must equal the kernel ({kh}, {kw})")
+    kh, kw = kernel
     B, C, H, W = x.shape
     Ho, Wo = H // kh, W // kw
     if Ho < 1 or Wo < 1:

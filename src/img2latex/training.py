@@ -27,6 +27,7 @@ from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
 from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
+from .decoder import Decoder
 from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
 from .optim import Adam, clip_global_norm
 from .tensor import Tensor
@@ -63,11 +64,12 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
     return live.sum(axis=1)
 
 
-def _teacher_forced(model: Model, entries: Tensor, seq: np.ndarray,
+def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray,
                     lengths: np.ndarray, train: bool,
                     rng: np.random.Generator | None = None):
-    """Packed teacher-forced pass; returns (logits Tensor (N, V), targets
-    (N,), rows (N,)), where rows[j] is the original row of target j.
+    """Packed teacher-forced pass of the decoder; returns (logits Tensor
+    (N, V), targets (N,), rows (N,)), where rows[j] is the original row
+    of target j.
 
     Row i's targets are seq[i, :lengths[i]], and its input at step t is
     target t-1 (START at t=0); a sampled rollout may hold PAD, START or
@@ -75,7 +77,7 @@ def _teacher_forced(model: Model, entries: Tensor, seq: np.ndarray,
     encoded, so batch-norm statistics keep their bits; their rows are
     sorted once by count, longest first (stable; no gather when already
     in order).  Step t runs only the first n_t rows, those with more than
-    t targets, cut through head_rows views (`Model.keep_rows` with an
+    t targets, cut through head_rows views (`Decoder.keep_rows` with an
     int), and the outputs pack every step's live rows, so N is the number
     of targets.
     """
@@ -86,14 +88,14 @@ def _teacher_forced(model: Model, entries: Tensor, seq: np.ndarray,
     n_live = (lengths[order][:, None] > np.arange(lengths.max())).sum(axis=0)
     if (order != np.arange(b)).any():
         entries = T.take_rows(entries, order)
-    state = model.init_state(entries)
+    state = decoder.init_state(entries)
     rows = b
     logits = []
     for t, n in enumerate(n_live):
         if n < rows:
             rows = int(n)
-            state = model.keep_rows(state, rows)
-        out = model.step(state, inputs[:rows, t], train=train, rng=rng)
+            state = decoder.keep_rows(state, rows)
+        out = decoder.step(state, inputs[:rows, t], train=train, rng=rng)
         state = out.state
         logits.append(out.logits)
     targets = np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
@@ -121,8 +123,8 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
     lengths = _target_counts(seq)
-    logits, targets, _ = _teacher_forced(model, model.encode(images, train=train), seq,
-                                         lengths, train, rng)
+    entries = model.encoder.encode(images, train=train)
+    logits, targets, _ = _teacher_forced(model.decoder, entries, seq, lengths, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
 
@@ -168,9 +170,10 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
+def _sample_rollout(decoder: Decoder, entries: Tensor, max_len: int, rngs,
                     audit: InputFeedAudit | None = None):
-    """Batched multinomial rollout in eval mode, under T.no_grad().
+    """Batched multinomial rollout of the decoder in eval mode, under
+    T.no_grad().
 
     Returns (tokens (B, T) with PAD after END, lengths (B,), finished
     mask) in the original row order: T is the number of steps run and
@@ -178,7 +181,7 @@ def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
     the state's key projection included; `reinforce_step` scores the
     tokens afterwards with a state of its own.
 
-    A row leaves the batch on the step it samples END: `model.keep_rows`
+    A row leaves the batch on the step it samples END: `Decoder.keep_rows`
     cuts the state to the rows still running.  Original row i always
     draws from rngs[i], so every live row sees the same draws as in a
     rollout that steps all B rows to the end; its tokens differ only when
@@ -194,10 +197,10 @@ def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
     finished = np.zeros(b, dtype=bool)
     feeds = []                              # (rows, fed tokens) per step
     with T.no_grad():
-        state = model.init_state(entries)
+        state = decoder.init_state(entries)
         for t in range(max_len):
             feeds.append((rows, last))
-            out = model.step(state, last, train=False)
+            out = decoder.step(state, last, train=False)
             state = out.state
             _, probs, total = T.softmax_terms(out.logits.data.astype(np.float64))
             probs /= total
@@ -210,7 +213,7 @@ def _sample_rollout(model: Model, entries: Tensor, max_len: int, rngs,
                 break
             if ended.any():
                 keep = np.flatnonzero(~ended)
-                state = model.keep_rows(state, keep)
+                state = decoder.keep_rows(state, keep)
                 rows, sampled = rows[keep], sampled[keep]
             last = sampled
     tokens = tokens[:, :len(feeds)]
@@ -289,13 +292,13 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     b = images.shape[0]
     if b == 0:
         raise TrainError("reinforce_step: empty batch")
-    tiled = T.repeat_rows(model.encode(images, train=False), k)
+    tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
-    tokens, lengths, _ = _sample_rollout(model, tiled, max_len, rngs, audit)
+    tokens, lengths, _ = _sample_rollout(model.decoder, tiled, max_len, rngs, audit)
     rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
                        for i, row in enumerate(tokens)], 0.0, 1.0)
     weights = reinforce_weights(rewards.reshape(b, k), leave_one_out).reshape(b * k)
-    logits, targets, rows = _teacher_forced(model, tiled, tokens, lengths, train=False)
+    logits, targets, rows = _teacher_forced(model.decoder, tiled, tokens, lengths, train=False)
     loss = reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
     _descend(model, optimizer, loss, step, clip_norm)
     return float(rewards.mean())
@@ -311,7 +314,8 @@ def token_accuracy(model: Model, batches) -> float:
     total = 0
     with T.no_grad():
         for batch in batches:
-            logits, targets, _ = _teacher_forced(model, model.encode(batch.images), batch.seq,
+            entries = model.encoder.encode(batch.images)
+            logits, targets, _ = _teacher_forced(model.decoder, entries, batch.seq,
                                                  _target_counts(batch.seq), train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size

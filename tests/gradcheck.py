@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from img2latex.config import ModelConfig, full_defaults, load_config
-from img2latex.model import Model
+from img2latex.decoder import Decoder
 
 H = 1e-5
 TOL = 1e-4
@@ -60,13 +60,13 @@ def desk_config() -> dict:
 
 
 def misfeed_rollouts(monkeypatch):
-    """Make Model.step reverse the fed tokens in place before stepping, so
-    each running row is fed another row's sample, as a row mix-up after
-    compaction would."""
-    step = Model.step
+    """Make Decoder.step reverse the fed tokens in place before stepping,
+    so each running row is fed another row's sample, as a row mix-up
+    after compaction would."""
+    step = Decoder.step
 
     def misfeed(self, state, tokens, train=False, rng=None):
         tokens[:] = tokens[::-1].copy()
         return step(self, state, tokens, train=train, rng=rng)
 
-    monkeypatch.setattr(Model, "step", misfeed)
+    monkeypatch.setattr(Decoder, "step", misfeed)

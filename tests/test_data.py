@@ -219,7 +219,7 @@ def test_bucket_and_pad_respects_batch_size():
     vocab = Vocabulary.from_corpus([["a"]])
     exs = make_examples([(8, 8)] * 5)
     batches, _ = bucket_and_pad(exs, [(8, 8)], 2, vocab)
-    assert [len(b.ids) for b in batches] == [2, 2, 1]
+    assert [len(b.seq) for b in batches] == [2, 2, 1]
 
 
 def test_batch_seq_pads_to_longest():

@@ -56,21 +56,28 @@ def test_positional_encoding_rejects_bad_width():
                                        (8, 8, 1, 1)])
 def test_encode_shape_law(h, w, hp, wp):
     enc = make_encoder(d=16)
-    assert enc.encode(np.ones((h, w))).shape == (1, hp * wp, 16)
+    assert enc.encode(np.ones((1, 1, h, w))).shape == (1, hp * wp, 16)
 
 
 def test_encode_requires_multiples_of_8():
     enc = make_encoder()
     with pytest.raises(Exception, match="multiple of 8"):
-        enc.encode(np.ones((30, 64)))
+        enc.encode(np.ones((1, 1, 30, 64)))
+
+
+def test_encode_takes_only_a_batch_of_one_channel_images():
+    enc = make_encoder()
+    for shape in ((16, 16), (1, 16, 16), (1, 2, 16, 16)):
+        with pytest.raises(T.TensorError, match=r"\(B, 1, H, W\)"):
+            enc.encode(np.ones(shape))
 
 
 def test_memory_entries_follow_row_major_order():
     # feed a batch through and check entry l really is feature cell divmod(l, W')
     enc = make_encoder(d=8)
-    img = np.random.default_rng(5).random((16, 24))
+    img = np.random.default_rng(5).random((1, 1, 16, 24))
     entries = enc.encode(img)
-    feats = enc.cnn_forward(Tensor(img[None, None, :, :]))
+    feats = enc.cnn_forward(Tensor(img))
     pe = positional_encoding(2, 3, 8, 10000.0)
     grid = feats.data[0] + pe
     assert entries.shape == (1, 2 * 3, 8)
@@ -85,17 +92,17 @@ def test_batch_and_single_agree():
     a = rng.random((16, 16))
     b = rng.random((16, 16))
     batch = enc.encode(np.stack([a, b])[:, None, :, :])
-    single = enc.encode(a)
+    single = enc.encode(a[None, None])
     assert np.allclose(batch.data[0], single.data[0], atol=1e-12)
 
 
 def test_train_mode_updates_bn_buffers_eval_does_not():
     enc = make_encoder(d=8)
     before = {k: v.copy() for k, v in enc.buffers.items()}
-    enc.encode(np.random.default_rng(7).random((16, 16)), train=False)
+    enc.encode(np.random.default_rng(7).random((1, 1, 16, 16)), train=False)
     for k in before:
         assert np.array_equal(enc.buffers[k], before[k])
-    enc.encode(np.random.default_rng(7).random((16, 16)), train=True)
+    enc.encode(np.random.default_rng(7).random((1, 1, 16, 16)), train=True)
     changed = sum(not np.array_equal(enc.buffers[k], before[k]) for k in before)
     assert changed == len(before)
 
@@ -116,13 +123,13 @@ def test_d_must_be_multiple_of_8():
 
 def test_f32_encoder_produces_f32_entries():
     enc = make_encoder(d=8, dtype="f32")
-    assert enc.encode(np.ones((8, 8))).dtype == np.float32
+    assert enc.encode(np.ones((1, 1, 8, 8))).dtype == np.float32
 
 
 def test_pe_addition_is_position_dependent():
     # two identical white images at different grid cells must differ
     enc = make_encoder(d=8)
-    entries = enc.encode(np.ones((16, 16)))
+    entries = enc.encode(np.ones((1, 1, 16, 16)))
     assert not np.allclose(entries.data[0, 0], entries.data[0, 1])
 
 
@@ -131,13 +138,13 @@ def relu_before_pool(self, x, train=False):
     conv -> batch norm (if any) -> ReLU -> pool (if any)."""
     out = x
     for w, b, bn, pool in self.layers:
-        out = T.conv2d(out, w, b, stride=1, padding=1)
+        out = T.conv2d(out, w, b)
         if bn is not None:
             out = T.batchnorm2d(out, *bn, momentum=self.config.bn_momentum, eps=BN_EPS,
                                 train=train)
         out = T.relu(out)
         if pool is not None:
-            out = T.maxpool2d(out, pool, pool)
+            out = T.maxpool2d(out, pool)
     return out
 
 

@@ -133,11 +133,9 @@ def test_reduce_sum_mean(seed):
     a = rng.standard_normal((3, 4, 2))
     l1 = _proj(rng, (3, 2))
     l2 = _proj(rng, (4, 2))
-    _check(lambda x: l1(T.reduce_sum(x, axis=1)), [a.copy()], f"sum seed={seed}")
-    _check(lambda x: l2(T.reduce_mean(x, axis=0)), [a.copy()], f"mean seed={seed}")
-    _check(lambda x: T.reduce_sum(x), [a.copy()], f"sum-all seed={seed}")
-    l3 = _proj(rng, (4,))
-    _check(lambda x: l3(T.reduce_mean(x, axis=(0, 2))), [a.copy()], f"mean-tuple seed={seed}")
+    _check(lambda x: l1(T.reduce_mean(x, axis=1)), [a.copy()], f"mean-1 seed={seed}")
+    _check(lambda x: l2(T.reduce_mean(x, axis=0)), [a.copy()], f"mean-0 seed={seed}")
+    _check(lambda x: T.reduce_sum(x), [a.copy()], f"sum seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -256,18 +254,12 @@ def test_conv2d(seed):
     k = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
     loss = _proj(rng, (2, 4, 6, 5))
-    _check(lambda xx, kk, bb: loss(T.conv2d(xx, kk, bb, stride=1, padding=1)),
-           [x, k, b], f"conv2d seed={seed}")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conv2d_strided(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 2, 7, 8))
-    k = rng.standard_normal((3, 2, 3, 3))
-    loss = _proj(rng, (1, 3, 4, 4))
-    _check(lambda xx, kk: loss(T.conv2d(xx, kk, stride=2, padding=1)),
-           [x, k], f"conv2d-strided seed={seed}")
+    _check(lambda xx, kk, bb: loss(T.conv2d(xx, kk, bb)), [x, k, b], f"conv2d seed={seed}")
+    # a one-row input: the top and bottom kernel rows read only padding
+    x1 = rng.standard_normal((2, 3, 1, 4))
+    loss1 = _proj(rng, (2, 4, 1, 4))
+    _check(lambda xx, kk, bb: loss1(T.conv2d(xx, kk, bb)), [x1, k.copy(), b.copy()],
+           f"conv2d-1x4 seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -282,7 +274,7 @@ def test_conv2d_constant_input_skips_dx(seed):
     vjps = {}
     for x_grad in (True, False):
         out = T.conv2d(T.Tensor(x, requires_grad=x_grad), T.Tensor(k, requires_grad=True),
-                       T.Tensor(b, requires_grad=True), stride=1, padding=1)
+                       T.Tensor(b, requires_grad=True))
         vjps[x_grad] = out._op.backward_fn(g)
     assert vjps[True][0].shape == x.shape
     assert vjps[False][0] is None
@@ -297,14 +289,14 @@ def test_maxpool2d(seed):
     n = 2 * 2 * 6 * 8
     x = (rng.permutation(n).astype(np.float64) / n).reshape(2, 2, 6, 8)
     loss = _proj(rng, (2, 2, 3, 4))
-    _check(lambda xx: loss(T.maxpool2d(xx, 2, 2)), [x], f"maxpool seed={seed}")
+    _check(lambda xx: loss(T.maxpool2d(xx, (2, 2))), [x], f"maxpool seed={seed}")
     loss2 = _proj(rng, (2, 2, 6, 4))
     _check(lambda xx: loss2(T.maxpool2d(xx, (1, 2))), [x.copy()], f"maxpool-1x2 seed={seed}")
     # an odd size is floored: the last row and column get a zero gradient
     n = 2 * 2 * 7 * 9
     odd = (rng.permutation(n).astype(np.float64) / n).reshape(2, 2, 7, 9)
     loss3 = _proj(rng, (2, 2, 3, 4))
-    _check(lambda xx: loss3(T.maxpool2d(xx, 2, 2)), [odd], f"maxpool-7x9 seed={seed}")
+    _check(lambda xx: loss3(T.maxpool2d(xx, (2, 2))), [odd], f"maxpool-7x9 seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -14,8 +14,9 @@ from img2latex.metrics import (MetricError, MetricReport, binarize, bleu4,
 
 def test_bleu_identical_corpus_is_one():
     refs = [["a", "b", "c", "d", "e"], ["x", "y", "z", "w"]]
-    assert bleu4(refs, refs, mode="corpus") == 1.0
-    assert bleu4(refs, refs, mode="sentence") == pytest.approx(1.0, abs=1e-9)
+    assert bleu4(refs, refs) == 1.0
+    for r in refs:
+        assert sentence_bleu4(r, r) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bleu_single_substitution_hand_counts():
@@ -24,7 +25,7 @@ def test_bleu_single_substitution_hand_counts():
     ref = [["a", "b", "c", "d", "f"]]
     want = (4 / 5 * 3 / 4 * 2 / 3 * 1 / 2) ** 0.25
     assert abs(want - 0.2 ** 0.25) < 1e-12
-    assert bleu4(cand, ref, mode="corpus") == pytest.approx(want, abs=1e-4)
+    assert bleu4(cand, ref) == pytest.approx(want, abs=1e-4)
 
 
 def test_bleu_disjoint_tokens_is_zero():
@@ -32,7 +33,7 @@ def test_bleu_disjoint_tokens_is_zero():
 
 
 def test_bleu_empty_candidate_scores_zero_not_error():
-    assert bleu4([[]], [["a", "b"]], mode="corpus") == 0.0
+    assert bleu4([[]], [["a", "b"]]) == 0.0
     assert sentence_bleu4([], ["a", "b"]) == 0.0
 
 
@@ -47,36 +48,28 @@ def test_bleu_brevity_penalty_applies():
     # candidate 3 tokens vs reference 6: all matches, BP = exp(1 - 6/3)
     cand = [["a", "b", "c"]]
     ref = [["a", "b", "c", "d", "e", "f"]]
-    got = bleu4(cand, ref, mode="corpus")
+    got = bleu4(cand, ref)
     assert got == pytest.approx(np.exp(1 - 2.0), abs=1e-9)
 
 
 def test_bleu_short_identical_pair_not_zeroed_by_missing_orders():
     # 3-token corpus has no 4-grams anywhere; absent orders are skipped
     pair = [["a", "b", "c"]]
-    assert bleu4(pair, pair, mode="corpus") == 1.0
+    assert bleu4(pair, pair) == 1.0
 
 
 def test_corpus_mode_pools_counts_across_pairs():
     # pooled: p1 = (2+0)/4, sentence avg would be (1.0 + 0.0)/2
     cands = [["a", "b"], ["x", "y"]]
     refs = [["a", "b"], ["p", "q"]]
-    corpus = bleu4(cands, refs, mode="corpus")
+    corpus = bleu4(cands, refs)
     assert corpus == pytest.approx((2 / 4 * 1 / 2) ** 0.5, abs=1e-9)
 
 
 def test_sentence_mode_epsilon_smoothing():
     # one pair with zero 4-gram matches gets eps, not a hard zero
-    cand = [["a", "b", "c", "x", "e"]]
-    ref = [["a", "b", "c", "d", "e"]]
-    got = bleu4(cand, ref, mode="sentence")
+    got = sentence_bleu4(["a", "b", "c", "x", "e"], ["a", "b", "c", "d", "e"])
     assert 0.0 < got < 1.0
-
-
-def test_sentence_bleu4_matches_sentence_mode():
-    cand = ["a", "b", "c", "d", "e"]
-    ref = ["a", "b", "c", "d", "f"]
-    assert sentence_bleu4(cand, ref) == bleu4([cand], [ref], mode="sentence")
 
 
 def test_bleu_range_property():

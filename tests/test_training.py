@@ -155,11 +155,11 @@ def masked_reference(model, images, seq, train=True, rng=None):
     steps, and each step's PAD targets are masked out of the loss.
     Returns (loss, token count, argmax hits on the targets)."""
     b = seq.shape[0]
-    state = model.init_state(model.encode(images, train=train))
+    state = model.decoder.init_state(model.encoder.encode(images, train=train))
     inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
     total, n_tokens, hits = None, 0, 0
     for t in range(seq.shape[1]):
-        out = model.step(state, inputs[:, t], train=train, rng=rng)
+        out = model.decoder.step(state, inputs[:, t], train=train, rng=rng)
         state = out.state
         targets, mask = seq[:, t], seq[:, t] != PAD_ID
         ce = T.cross_entropy(out.logits, targets)
@@ -192,8 +192,8 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
     model = tiny_model(seed=8)
     images = np.random.default_rng(8).random((seq.shape[0], 1, 16, 24))
     cuts = []
-    keep_rows = model.keep_rows
-    model.keep_rows = lambda state, rows: (cuts.append(rows), keep_rows(state, rows))[1]
+    keep_rows = model.decoder.keep_rows
+    model.decoder.keep_rows = lambda state, rows: (cuts.append(rows), keep_rows(state, rows))[1]
     gathers = []
     take_rows = T.take_rows
     monkeypatch.setattr(T, "take_rows", lambda a, rows: (gathers.append(rows), take_rows(a, rows))[1])
@@ -286,6 +286,9 @@ class ChainModel:
     def __init__(self, chain):
         self.chain = chain              # previous id -> next id
 
+    # the double is its own encoder and decoder
+    encoder = decoder = property(lambda self: self)
+
     def _row(self, last):
         row = np.zeros(self.V)
         row[self.chain.get(int(last), END_ID)] = 50.0
@@ -312,12 +315,12 @@ class ChainModel:
         return log_softmax(self._row(token)), None, np.array([1.0])
 
 
-def sample_and_score(model, entries, max_len, rngs, audit=None):
+def sample_and_score(decoder, entries, max_len, rngs, audit=None):
     """The path reinforce_step takes: sample off the tape, then score the
     tokens with one packed teacher-forced pass over the same entries.
     Returns (tokens, finished, per-row nll, (per-token ce Tensor, rows))."""
-    tokens, lengths, finished = _sample_rollout(model, entries, max_len, rngs, audit)
-    logits, targets, rows = training._teacher_forced(model, entries, tokens, lengths,
+    tokens, lengths, finished = _sample_rollout(decoder, entries, max_len, rngs, audit)
+    logits, targets, rows = training._teacher_forced(decoder, entries, tokens, lengths,
                                                      train=False)
     ce = T.cross_entropy(logits, targets)
     nll = np.bincount(rows, weights=ce.data, minlength=tokens.shape[0])
@@ -327,9 +330,9 @@ def sample_and_score(model, entries, max_len, rngs, audit=None):
 def rollout_one(model, image, max_len, seed, audit=None):
     """(content ids, nll, finished) of one sampled and scored rollout."""
     with T.no_grad():
-        entries = model.encode(image, train=False)
+        entries = model.encoder.encode(image, train=False)
         tokens, finished, nll, _ = sample_and_score(
-            model, entries, max_len, [np.random.default_rng(seed)], audit)
+            model.decoder, entries, max_len, [np.random.default_rng(seed)], audit)
     return strip_sentinels(tokens[0]), float(nll[0]), bool(finished[0])
 
 
@@ -389,23 +392,23 @@ def test_sampled_rollout_feeds_back_its_own_samples():
     audit = InputFeedAudit()
     for seed in range(5):
         model = tiny_model(seed=seed)
-        image = np.random.default_rng(seed).random((16, 24))
+        image = np.random.default_rng(seed).random((1, 1, 16, 24))
         rollout_one(model, image, 25, seed=seed, audit=audit)
     assert audit.steps_checked > 0
     assert audit.violations == 0
 
 
-def full_batch_rollout(model, entries, max_len, rngs):
+def full_batch_rollout(decoder, entries, max_len, rngs):
     """The rollout before finished rows left the batch: all B rows step
     until the last one samples END, and a finished row's nll is masked."""
     b = entries.shape[0]
-    state = model.init_state(entries)
+    state = decoder.init_state(entries)
     last = np.full(b, START_ID, dtype=np.int64)
     finished = np.zeros(b, dtype=bool)
     nll_total = None
     columns = []
     for _ in range(max_len):
-        out = model.step(state, last, train=False)
+        out = decoder.step(state, last, train=False)
         state = out.state
         z = out.logits.data.astype(np.float64)
         z = z - z.max(axis=1, keepdims=True)
@@ -461,13 +464,14 @@ def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
     weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
     results = []
     for full_batch in (False, True):
-        tiled = T.repeat_rows(model.encode(images, train=False), repeats)
+        tiled = T.repeat_rows(model.encoder.encode(images, train=False), repeats)
         if full_batch:
-            tokens, nll, finished = full_batch_rollout(model, tiled, max_len, make_rngs())
+            tokens, nll, finished = full_batch_rollout(model.decoder, tiled, max_len,
+                                                       make_rngs())
             loss = training.reinforce_loss(nll, weights, np.arange(weights.size))
             nll = nll.data
         else:
-            tokens, finished, nll, (ce, rows) = sample_and_score(model, tiled, max_len,
+            tokens, finished, nll, (ce, rows) = sample_and_score(model.decoder, tiled, max_len,
                                                                  make_rngs())
             loss = training.reinforce_loss(ce, weights, rows)
         model.zero_grad()
@@ -745,11 +749,11 @@ def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
 
 def test_a_state_built_under_no_grad_keeps_its_key_projection_off_the_tape():
     model = tiny_model(seed=4)
-    entries = model.encode(np.random.default_rng(4).random((2, 1, 16, 24)))
+    entries = model.encoder.encode(np.random.default_rng(4).random((2, 1, 16, 24)))
     with T.no_grad():
-        rollout = model.init_state(entries)
+        rollout = model.decoder.init_state(entries)
     assert rollout.proj._op is None and not rollout.proj.requires_grad
-    scoring = model.init_state(entries)
+    scoring = model.decoder.init_state(entries)
     assert scoring.proj._op is not None and scoring.proj is not rollout.proj
     assert np.array_equal(scoring.proj.data, rollout.proj.data)
 
