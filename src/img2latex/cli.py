@@ -17,12 +17,12 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .config import ConfigError, SCHEMA, format_effective, format_help, load_config
 from .data import (END_ID, DataError, load_buckets, load_dataset,
-                   pad_for_model, read_pgm, write_pgm)
+                   pad_for_model, read_pgm, round_up, write_pgm)
 from .decoding import DecodeError, beam_decode, greedy_decode
-from .encoder import positional_encoding
+from .encoder import DOWNSAMPLE, positional_encoding
 from .metrics import MetricError, MetricReport, bleu4, evaluate_pair
 from .model import Model
-from .synth import GrammarConfig, ParseError, SynthError, rasterize, synth_generate
+from .synth import RULES, GrammarConfig, ParseError, SynthError, rasterize, synth_generate
 from .training import DivergenceError, TrainError, train
 
 EXIT_OK = 0
@@ -71,24 +71,34 @@ def _decode_manifest(args, row) -> tuple[list, str]:
         misfits += misfit
         rows.append(row(model, ex, res))
     return rows, (f"{cut_off} stopped at --max-len, "
-                  f"{misfits} fit no bucket and were padded to a multiple of 8")
+                  f"{misfits} fit no bucket and were padded to a multiple of {DOWNSAMPLE}")
 
 
 # ---------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------
 
+# gen-data's flag for each generator setting of synth.RULES
+_GEN_FLAGS = {"count": "--count", "seed": "--seed", "max_depth": "--max-depth",
+              "max_terms": "--max-terms", "max_len": "--formula-max-len"}
+
+
 def cmd_gen_data(args) -> int:
+    for name, flag in _GEN_FLAGS.items():
+        valid, rule = RULES[name]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not valid(value):
+            raise ConfigError(f"{flag} must be {rule}, got {value}")
     grammar = GrammarConfig(max_depth=args.max_depth, max_len=args.formula_max_len,
                             max_terms=args.max_terms)
     stats = synth_generate(args.out, args.count, args.seed, grammar)
     # one covering bucket: every image padded to a common size keeps batch
     # composition (and batch-norm statistics) identical across epochs
     if stats["sizes"]:
-        bw = max(-(-w // 8) * 8 for _, w in stats["sizes"])
-        bh = max(-(-h // 8) * 8 for h, _ in stats["sizes"])
+        bw = max(round_up(w) for _, w in stats["sizes"])
+        bh = max(round_up(h) for h, _ in stats["sizes"])
     else:
-        bw = bh = 8
+        bw = bh = DOWNSAMPLE
     with open(os.path.join(args.out, "buckets.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"{bw} {bh}\n")
     print(f"generated count={stats['count']} mean_len={stats['mean_len']:.1f} "
@@ -174,14 +184,15 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------
 
 def _write_heatmap(path, alpha: np.ndarray, h_prime: int, w_prime: int) -> None:
-    """One attention map as a PGM, each weight spread over an 8x8 block.
+    """One attention map as a PGM, each weight spread over the
+    DOWNSAMPLE x DOWNSAMPLE block of input pixels its cell covers.
 
     Cell values are quantized to 16 bits; the comment records the pixel
     total so `value / total` recovers weights that sum to exactly 1.
     """
     cells = np.rint(alpha.reshape(h_prime, w_prime) * 65535.0)
-    total = int(cells.sum()) * 64
-    big = np.kron(cells, np.ones((8, 8)))
+    total = int(cells.sum()) * DOWNSAMPLE ** 2
+    big = np.kron(cells, np.ones((DOWNSAMPLE, DOWNSAMPLE)))
     write_pgm(path, big / 65535.0, maxval=65535,
               comments=(f"alpha-pixel-total {total}",))
 
@@ -190,7 +201,7 @@ def cmd_inspect(args) -> int:
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
     image, _ = pad_for_model(read_pgm(args.image), buckets)
-    h_prime, w_prime = image.shape[0] // 8, image.shape[1] // 8
+    h_prime, w_prime = image.shape[0] // DOWNSAMPLE, image.shape[1] // DOWNSAMPLE
     os.makedirs(args.out, exist_ok=True)
     res = greedy_decode(model, image, max_len=args.max_len)
     emitted = res.tokens + ([END_ID] if res.finished else [])

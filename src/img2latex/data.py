@@ -3,16 +3,16 @@
 File formats (all plain text or PGM):
   manifest  one example per line, `relative/path.pgm<TAB>tok tok tok`
   buckets   one `W H` pair per line, width first, multiples of 8
+            (encoder.DOWNSAMPLE)
 """
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+from .encoder import DOWNSAMPLE
 
 PAD_ID = 0
 UNK_ID = 1
@@ -183,7 +183,9 @@ def _read_lines(path) -> list[str]:
 
 
 def load_manifest(path) -> list[tuple[str, list[str]]]:
-    """Manifest lines -> [(relative image path, token list), ...]."""
+    """Manifest lines -> [(relative image path, token list), ...].  A
+    reserved token (<PAD>, <UNK>, <START>, <END>) is not content, and a
+    line holding one is a DataError."""
     out = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.rstrip("\n")
@@ -194,7 +196,12 @@ def load_manifest(path) -> list[tuple[str, list[str]]]:
         rel, toks = line.split("\t", 1)
         if "\0" in rel:
             raise DataError(f"{path}:{lineno}: image path holds a NUL byte")
-        out.append((rel, toks.split()))
+        tokens = toks.split()
+        reserved = [t for t in tokens if t in RESERVED]
+        if reserved:
+            raise DataError(f"{path}:{lineno}: token {reserved[0]!r} is reserved "
+                            "and cannot appear in a manifest")
+        out.append((rel, tokens))
     return out
 
 
@@ -219,7 +226,8 @@ def load_dataset(manifest_path) -> list[Example]:
 # ---------------------------------------------------------------------
 
 def load_buckets(path) -> list[tuple[int, int]]:
-    """Bucket file -> [(width, height), ...], validated multiples of 8."""
+    """Bucket file -> [(width, height), ...], validated multiples of
+    DOWNSAMPLE."""
     buckets = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
@@ -230,8 +238,9 @@ def load_buckets(path) -> list[tuple[int, int]]:
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise DataError(f"{path}:{lineno}: expected 'W H', got {line!r}")
         w, h = int(parts[0]), int(parts[1])
-        if w % 8 or h % 8 or w == 0 or h == 0:
-            raise DataError(f"{path}:{lineno}: bucket {w}x{h} must be positive multiples of 8")
+        if w % DOWNSAMPLE or h % DOWNSAMPLE or w == 0 or h == 0:
+            raise DataError(f"{path}:{lineno}: bucket {w}x{h} must be positive "
+                            f"multiples of {DOWNSAMPLE}")
         buckets.append((w, h))
     if not buckets:
         raise DataError(f"{path}: no buckets defined")
@@ -257,21 +266,26 @@ def pad_image(image: np.ndarray, height: int, width: int) -> np.ndarray:
     return out
 
 
+def round_up(n: int) -> int:
+    """n rounded up to a multiple of DOWNSAMPLE, the encoder's factor."""
+    return -(-n // DOWNSAMPLE) * DOWNSAMPLE
+
+
 def pad_for_model(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
     """Pad an (H, W) image white, bottom/right, to the size the model takes.
 
     The one padding policy of training, validation, predict, evaluate and
     inspect: the smallest bucket that holds the image (`assign_bucket`),
-    else, with no buckets or when none fits, the next multiples of 8.
-    Returns (padded, misfit): misfit is True when buckets were given but
-    none fits.
+    else, with no buckets or when none fits, the next multiples of
+    DOWNSAMPLE (`round_up`).  Returns (padded, misfit): misfit is True
+    when buckets were given but none fits.
     """
     h, w = image.shape
     if buckets:
         fit = assign_bucket(h, w, buckets)
         if fit is not None:
             return pad_image(image, fit[1], fit[0]), False
-    return pad_image(image, -(-h // 8) * 8, -(-w // 8) * 8), bool(buckets)
+    return pad_image(image, round_up(h), round_up(w)), bool(buckets)
 
 
 @dataclass
@@ -286,8 +300,8 @@ def bucket_and_pad(examples, buckets, batch_size: int,
 
     Images are padded by `pad_for_model`; sequences are encoded as ids,
     terminated with END and padded with PAD to the batch max.  Returns
-    (batches, dropped_count); images that fit no bucket are dropped with
-    a log line.
+    (batches, dropped): images that fit no bucket are dropped, and
+    dropped counts them.
     Batch composition follows the input order, so shuffling the examples
     reshuffles the batches.
     """
@@ -300,8 +314,6 @@ def bucket_and_pad(examples, buckets, batch_size: int,
             continue
         bh, bw = image.shape
         grouped.setdefault((bw, bh), []).append((ex, image))
-    if dropped:
-        log.info("dropped %d oversize image(s)", dropped)
     batches = []
     for bucket in sorted(grouped):
         items = grouped[bucket]

@@ -18,6 +18,8 @@ of the window gets a zero in both orders, whose sign alone may differ.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -73,6 +75,11 @@ _CONV_PLAN = [
     (1, 1, True, None),         # d -> d
 ]
 
+# the factor the stack shrinks each axis by: the product of the pool
+# kernels, the same along rows and columns
+DOWNSAMPLE = math.prod(pool[0] for *_, pool in _CONV_PLAN if pool)
+assert DOWNSAMPLE == math.prod(pool[1] for *_, pool in _CONV_PLAN if pool)
+
 
 class Encoder:
     """Six-conv feature extractor with total downsampling 8x8.
@@ -115,10 +122,10 @@ class Encoder:
         if x.ndim != 4 or x.shape[1] != 1:
             raise TensorError(f"encoder input must be (B, 1, H, W), got {x.shape}")
         _, _, h, w = x.shape
-        if h % 8 != 0 or w % 8 != 0:
+        if h % DOWNSAMPLE != 0 or w % DOWNSAMPLE != 0:
             raise TensorError(
-                f"encoder input {h}x{w} is not a multiple of 8; pad the image "
-                "(white, bottom/right) to the next multiple of 8 first"
+                f"encoder input {h}x{w} is not a multiple of {DOWNSAMPLE}; pad the image "
+                f"(white, bottom/right) to the next multiple of {DOWNSAMPLE} first"
             )
         out = x
         for w, b, bn, pool in self.layers:

@@ -255,6 +255,16 @@ def rasterize(tokens: list[str]) -> np.ndarray:
 # grammar sampling
 # ---------------------------------------------------------------------
 
+# the rule each generator setting must meet: (valid, wording)
+RULES = {
+    "count": (lambda v: v >= 0, "at least 0"),
+    "seed": (lambda v: v >= 0, "at least 0"),
+    "max_depth": (lambda v: v >= 0, "at least 0"),
+    "max_len": (lambda v: v >= 1, "at least 1"),
+    "max_terms": (lambda v: v >= 1, "at least 1"),
+}
+
+
 @dataclass
 class GrammarConfig:
     max_depth: int = 2        # nesting of frac / parens / scripts
@@ -262,8 +272,10 @@ class GrammarConfig:
     max_terms: int = 3        # infix terms at each level
 
     def validate(self) -> None:
-        if self.max_depth < 0 or self.max_len < 1 or self.max_terms < 1:
-            raise SynthError(f"invalid grammar config {self}")
+        for name in ("max_depth", "max_len", "max_terms"):
+            valid, rule = RULES[name]
+            if not valid(getattr(self, name)):
+                raise SynthError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 _ATOMS = [c for c in GLYPH_CHARS if c.isalnum()]

@@ -319,7 +319,7 @@ def token_accuracy(model: Model, batches) -> float:
                                                  _target_counts(batch.seq), train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size
-    return correct / total if total else 0.0
+    return correct / total
 
 
 def greedy_bleu(model: Model, examples, max_len: int, buckets) -> float:
@@ -330,7 +330,7 @@ def greedy_bleu(model: Model, examples, max_len: int, buckets) -> float:
         result = greedy_decode(model, pad_for_model(ex.image, buckets)[0], max_len=max_len)
         cand = [model.vocab[i] for i in result.tokens]
         scores.append(sentence_bleu4(cand, ex.tokens))
-    return float(np.mean(scores)) if scores else 0.0
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------
@@ -423,6 +423,8 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     if not train_examples:
         raise TrainError(f"{train_manifest}: no training examples")
     val_examples = load_dataset(val_manifest) if val_manifest else train_examples
+    if not val_examples:
+        raise TrainError(f"{val_manifest}: no validation examples")
     buckets = load_buckets(buckets_path)
     seed = int(cfg["seed"])
 
@@ -455,6 +457,18 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     clip = float(cfg["clip_norm"])
     leave_one_out = bool(cfg["leave_one_out"])
 
+    # batch count per epoch is order-independent, so the schedule is a
+    # pure function of (seed, step) and resuming lands on the same batch
+    epoch_cache = (0, _epoch_batches(train_examples, buckets, batch_size, vocab, seed, 0))
+    per_epoch = len(epoch_cache[1])
+    if per_epoch == 0:
+        raise TrainError("no training example fits any bucket")
+    if phase == "mle":
+        val_batches, dropped = bucket_and_pad(val_examples, buckets, batch_size, vocab)
+        if dropped == len(val_examples):
+            raise TrainError(f"{val_manifest}: no validation example fits a bucket "
+                             f"of {buckets_path}")
+
     log_path = os.path.join(out_dir, "train_log.tsv")
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
@@ -476,14 +490,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                "stale_validations": stale}
         model.save(path, run, optimizer.state_dict())
 
-    # batch count per epoch is order-independent, so the schedule is a
-    # pure function of (seed, step) and resuming lands on the same batch
-    epoch_cache = (0, _epoch_batches(train_examples, buckets, batch_size, vocab, seed, 0))
-    per_epoch = len(epoch_cache[1])
-    if per_epoch == 0:
-        raise TrainError("no training example fits any bucket")
-    if phase == "mle":
-        val_batches, _ = bucket_and_pad(val_examples, buckets, batch_size, vocab)
     step = start_step
     try:
         for step in range(start_step + 1, steps + 1):

@@ -16,7 +16,7 @@ from img2latex.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_c
 from img2latex.cli import build_parser, main
 from img2latex.config import SCHEMA, ModelConfig, full_defaults, load_config
 from img2latex.data import (assign_bucket, build_vocab, load_buckets, load_dataset,
-                            pad_for_model, read_pgm_raw)
+                            pad_for_model, read_pgm_raw, write_pgm)
 from img2latex.decoding import greedy_decode
 from img2latex.encoder import Encoder
 from img2latex.metrics import MetricReport
@@ -74,6 +74,21 @@ def test_gen_data_zero_count(tmp_path, capsys):
     assert (out / "manifest.tsv").read_text() == ""
     assert (out / "buckets.txt").read_text() == "8 8\n"
     assert "count=0" in capsys.readouterr().out
+
+
+# each used to exit 1 (the I/O code) with a GrammarConfig repr, or, for
+# --count, exit 0 with "generated count=-3", or, for --seed, a traceback
+@pytest.mark.parametrize("flag,value,rule", [
+    ("--max-depth", "-1", "at least 0"), ("--max-terms", "0", "at least 1"),
+    ("--formula-max-len", "0", "at least 1"), ("--count", "-3", "at least 0"),
+    ("--seed", "-1", "at least 0")])
+def test_gen_data_bad_flag_value_is_a_one_line_usage_error(tmp_path, capsys, flag, value,
+                                                           rule):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--out", str(out), flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flag} must be {rule}, got {value}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------
@@ -600,6 +615,44 @@ def test_nul_byte_in_manifest_path_is_a_one_line_io_error(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err == f"error: {manifest}:1: image path holds a NUL byte\n"
+
+
+@pytest.mark.parametrize("token", ["<PAD>", "<UNK>", "<START>", "<END>"])
+def test_reserved_token_in_manifest_is_a_one_line_io_error(ws, tmp_path, capsys, token):
+    # <PAD> used to fail as "teacher forcing: row 3 has PAD before a
+    # target" (exit 2), and the other three trained as content
+    lines = [f"{ws['data'] / line}"
+             for line in (ws["data"] / "manifest.tsv").read_text().splitlines()]
+    lines[2] += f" {token}"
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train", "--train-manifest", str(manifest), "--buckets", ws["buckets"],
+               "--out", str(tmp_path / "x")] + TINY)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {manifest}:3: token {token!r} is reserved "
+                   "and cannot appear in a manifest\n")
+
+
+def test_train_refuses_a_validation_set_that_fits_no_bucket(ws, tmp_path, capsys):
+    # it used to validate over no example, log 0.000000 at every
+    # validation, save best.ckpt and stop early
+    width = int((ws["data"] / "buckets.txt").read_text().split()[0])
+    val = tmp_path / "val"
+    val.mkdir()
+    tokens = (ws["data"] / "manifest.tsv").read_text().splitlines()[0].split("\t")[1]
+    for i in range(3):
+        write_pgm(str(val / f"{i}.pgm"), np.ones((16, width + 8)))
+    (val / "manifest.tsv").write_text("".join(f"{i}.pgm\t{tokens}\n" for i in range(3)))
+    out = tmp_path / "x"
+    rc = main(["train", "--train-manifest", ws["manifest"], "--val-manifest",
+               str(val / "manifest.tsv"), "--buckets", ws["buckets"], "--out", str(out)]
+              + TINY + ["--set", "steps=4", "--set", "patience=1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {val / 'manifest.tsv'}: no validation example fits a bucket "
+                   f"of {ws['buckets']}\n")
+    assert not (out / "best.ckpt").exists() and not (out / "train_log.tsv").exists()
 
 
 def test_error_that_quotes_a_line_break_is_one_line(ws, tmp_path, capsys):

@@ -155,6 +155,17 @@ def test_manifest_missing_tab_names_line(tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("token", RESERVED)
+def test_manifest_refuses_reserved_tokens_by_line(tmp_path, token):
+    path = tmp_path / "m.tsv"
+    path.write_text(f"images/0.pgm\ta b\nimages/1.pgm\ta {token} b\n")
+    with pytest.raises(DataError, match=f":2: token '{token}' is reserved"):
+        load_manifest(str(path))
+    # a token that merely contains one is content
+    path.write_text(f"images/0.pgm\ta{token} b\n")
+    assert load_manifest(str(path)) == [("images/0.pgm", [f"a{token}", "b"])]
+
+
 def test_load_dataset_resolves_relative_paths(tmp_path):
     img = np.zeros((8, 8))
     (tmp_path / "images").mkdir()

@@ -7,8 +7,8 @@ import pytest
 from gradcheck import model_config
 
 from img2latex import tensor as T
-from img2latex.data import END_ID, PAD_ID, RESERVED
-from img2latex.encoder import BN_EPS, Encoder, positional_encoding
+from img2latex.data import END_ID, PAD_ID, RESERVED, pad_for_model, round_up
+from img2latex.encoder import _CONV_PLAN, BN_EPS, DOWNSAMPLE, Encoder, positional_encoding
 from img2latex.model import Model
 from img2latex.optim import Adam
 from img2latex.tensor import Tensor
@@ -57,6 +57,16 @@ def test_positional_encoding_rejects_bad_width():
 def test_encode_shape_law(h, w, hp, wp):
     enc = make_encoder(d=16)
     assert enc.encode(np.ones((1, 1, h, w))).shape == (1, hp * wp, 16)
+
+
+def test_downsampling_is_one_factor_derived_from_the_pools():
+    pools = [pool for *_, pool in _CONV_PLAN if pool]
+    assert DOWNSAMPLE == math.prod(kh for kh, _ in pools) == math.prod(kw for _, kw in pools) == 8
+    # the padding rule rounds up to the factor the encoder divides by
+    assert [round_up(n) for n in (1, 8, 9, 17)] == [8, 8, 16, 24]
+    padded, misfit = pad_for_model(np.zeros((9, 17)), None)
+    assert padded.shape == (16, 24) and not misfit
+    assert make_encoder(d=8).encode(padded[None, None]).shape == (1, 2 * 3, 8)
 
 
 def test_encode_requires_multiples_of_8():
