@@ -22,7 +22,7 @@ from .decoding import DecodeError, beam_decode, greedy_decode
 from .encoder import DOWNSAMPLE, positional_encoding
 from .metrics import MetricError, MetricReport, bleu4, evaluate_pair
 from .model import Model
-from .synth import RULES, GrammarConfig, ParseError, SynthError, rasterize, synth_generate
+from .synth import MINIMUMS, GrammarConfig, ParseError, SynthError, rasterize, synth_generate
 from .training import DivergenceError, TrainError, train
 
 EXIT_OK = 0
@@ -78,17 +78,16 @@ def _decode_manifest(args, row) -> tuple[list, str]:
 # gen-data
 # ---------------------------------------------------------------------
 
-# gen-data's flag for each generator setting of synth.RULES
+# gen-data's flag for each generator setting of synth.MINIMUMS
 _GEN_FLAGS = {"count": "--count", "seed": "--seed", "max_depth": "--max-depth",
               "max_terms": "--max-terms", "max_len": "--formula-max-len"}
 
 
 def cmd_gen_data(args) -> int:
     for name, flag in _GEN_FLAGS.items():
-        valid, rule = RULES[name]
         value = getattr(args, flag[2:].replace("-", "_"))
-        if not valid(value):
-            raise ConfigError(f"{flag} must be {rule}, got {value}")
+        if value < MINIMUMS[name]:
+            raise ConfigError(f"{flag} must be at least {MINIMUMS[name]}, got {value}")
     grammar = GrammarConfig(max_depth=args.max_depth, max_len=args.formula_max_len,
                             max_terms=args.max_terms)
     stats = synth_generate(args.out, args.count, args.seed, grammar)

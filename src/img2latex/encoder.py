@@ -76,9 +76,8 @@ _CONV_PLAN = [
 ]
 
 # the factor the stack shrinks each axis by: the product of the pool
-# kernels, the same along rows and columns
+# kernels, which is the same along rows and columns
 DOWNSAMPLE = math.prod(pool[0] for *_, pool in _CONV_PLAN if pool)
-assert DOWNSAMPLE == math.prod(pool[1] for *_, pool in _CONV_PLAN if pool)
 
 
 class Encoder:

@@ -255,14 +255,8 @@ def rasterize(tokens: list[str]) -> np.ndarray:
 # grammar sampling
 # ---------------------------------------------------------------------
 
-# the rule each generator setting must meet: (valid, wording)
-RULES = {
-    "count": (lambda v: v >= 0, "at least 0"),
-    "seed": (lambda v: v >= 0, "at least 0"),
-    "max_depth": (lambda v: v >= 0, "at least 0"),
-    "max_len": (lambda v: v >= 1, "at least 1"),
-    "max_terms": (lambda v: v >= 1, "at least 1"),
-}
+# the least value each generator setting takes
+MINIMUMS = {"count": 0, "seed": 0, "max_depth": 0, "max_len": 1, "max_terms": 1}
 
 
 @dataclass
@@ -273,9 +267,9 @@ class GrammarConfig:
 
     def validate(self) -> None:
         for name in ("max_depth", "max_len", "max_terms"):
-            valid, rule = RULES[name]
-            if not valid(getattr(self, name)):
-                raise SynthError(f"{name} must be {rule}, got {getattr(self, name)}")
+            if getattr(self, name) < MINIMUMS[name]:
+                raise SynthError(f"{name} must be at least {MINIMUMS[name]}, "
+                                 f"got {getattr(self, name)}")
 
 
 _ATOMS = [c for c in GLYPH_CHARS if c.isalnum()]
