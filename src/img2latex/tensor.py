@@ -666,27 +666,66 @@ def _taps(n: int, offset: int):
     return slice(lo, hi), slice(lo + offset - 1, hi + offset - 1)
 
 
+def _im2col(xd: np.ndarray, blocks):
+    """Yield (b, cols) for each image b of the (B, C, H, W) array xd, where
+    cols is image b's (C*9, H*W) column matrix for a 3x3 kernel.
+
+    Every image is unrolled into the same (C, 3, 3, H, W) buffer, so a
+    caller must be done with one image's cols before it asks for the
+    next.  The border strips of each (i, j) plane read zero padding in
+    every image, so they are zeroed once; per image, only the part that
+    reads x is copied, from a strided view, and no padded copy of x is
+    made.  blocks maps each (i, j) to conv2d's (rows, cols, xrows, xcols)
+    slices, or to None for a plane that reads only padding.
+    """
+    B, C, H, W = xd.shape
+    buf = np.empty((C, 3, 3, H, W), dtype=xd.dtype)
+    copies = []
+    for (i, j), block in blocks.items():
+        plane = buf[:, i, j]
+        if block is None:
+            plane[...] = 0
+            continue
+        rows, cs, xrows, xcs = block
+        plane[:, :rows.start] = 0
+        plane[:, rows.stop:] = 0
+        plane[:, rows, :cs.start] = 0
+        plane[:, rows, cs.stop:] = 0
+        copies.append((plane[:, rows, cs], xrows, xcs))
+    cols = buf.reshape(C * 9, H * W)
+    for b in range(B):
+        for dst, xrows, xcs in copies:
+            np.copyto(dst, xd[b, :, xrows, xcs])
+        yield b, cols
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """The encoder's convolution: (B, C, H, W) with an (O, C, 3, 3) kernel
     and an (O,) bias, stride 1 and zero padding 1, so the output is
     (B, O, H, W).
 
-    im2col: the input is unrolled into a (B, C, 3, 3, H, W) column
-    buffer, viewed as (B, C*9, H*W) and multiplied by the (O, C*9) kernel
-    matrix in one stacked matmul.  Each (i, j) plane of the buffer is
-    copied from a strided view of x, and only its border strips, which
-    read zero padding, are zeroed, so no padded copy of x is made.  The
-    product is (B, O, H*W), so the output is C-contiguous NCHW with no
-    transpose copy, and every later op reads contiguous memory.  The
-    backward pass forms one image's dcols at a time, with the GEMM a
-    stacked matmul would run for it, and scatters it back (col2im)
-    straight into a C-contiguous (B, C, H, W) dx while it is in cache.
+    im2col, one image at a time: `_im2col` unrolls each image into one
+    reused (C*9, H*W) column buffer, and one GEMM per image multiplies
+    the (O, C*9) kernel matrix by it, straight into that image's rows of
+    the (B, O, H*W) output.  So the output is C-contiguous NCHW with no
+    transpose copy, and every later op reads contiguous memory.
 
-    The kernel gradient runs one GEMM per image, each reducing over
-    H*W, and numpy then sums the B products.  OpenBLAS splits a GEMM's
-    reduction by thread, so dk's last bits, and with them training
-    outputs, depend on OPENBLAS_NUM_THREADS.  The forward pass does not:
-    predict and evaluate are byte-identical at 1 and 2 threads (tested).
+    Nothing but x's data, the kernel matrix and the block table is kept
+    for the VJP: no column buffer of B images.  The backward pass runs
+    the same per-image loop.  It rebuilds image b's columns, adds that
+    image's kernel-gradient GEMM into dk, and, when x needs a gradient,
+    forms the image's dcols with one GEMM and scatters it back (col2im)
+    straight into a C-contiguous (B, C, H, W) dx while it is in cache.
+    Every GEMM is the one a stacked matmul over the batch would run for
+    that image, so outputs and gradients are bit-equal to the stacked
+    im2col's.
+
+    dk starts from image 0's product and adds the others in image order,
+    as numpy's sum over the stacked products did.  Each product reduces
+    over H*W, and OpenBLAS splits a GEMM's reduction by thread, so dk's
+    last bits, and with them training outputs, depend on
+    OPENBLAS_NUM_THREADS.  The forward pass does not: predict and
+    evaluate are byte-identical at 1 and 2 threads (tested).
     """
     if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
         raise ShapeError(f"conv2d: expects a 4-D input and an (O, C, 3, 3) kernel, "
@@ -706,27 +745,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         for j, tw in enumerate(taps_w):
             blocks[i, j] = None if th is None or tw is None else (th[0], tw[0], th[1], tw[1])
     xd = x.data
-    cols = np.empty((B, C, 3, 3, H, W), dtype=x.dtype)
-    for (i, j), block in blocks.items():
-        plane = cols[:, :, i, j]
-        if block is None:
-            plane[...] = 0
-            continue
-        rows, cs, xrows, xcs = block
-        plane[:, :, :rows.start] = 0
-        plane[:, :, rows.stop:] = 0
-        plane[:, :, rows, :cs.start] = 0
-        plane[:, :, rows, cs.stop:] = 0
-        plane[:, :, rows, cs] = xd[:, :, xrows, xcs]
-    cols = cols.reshape(B, C * 9, H * W)
     wmat = kernel.data.reshape(O, C * 9)
-    y = np.matmul(wmat, cols)
+    y = np.empty((B, O, H * W), dtype=np.result_type(wmat, xd))
+    for b, cols in _im2col(xd, blocks):
+        np.matmul(wmat, cols, out=y[b])
     y += bias.data[:, None]
     out = Tensor(y.reshape(B, O, H, W))
 
     def bwd(g):
         g3 = g.reshape(B, O, H * W)
-        dk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(O, C, 3, 3)
         dx = None
         if x.requires_grad:
             # col2im: every dx element sums its windows in (i, j) order,
@@ -734,13 +761,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             dx = np.zeros((B, C, H, W), dtype=x.dtype)
             dcols = np.empty((C * 9, H * W), dtype=x.dtype)
             planes = dcols.reshape(C, 3, 3, H, W)
-            for b in range(B):
+        dk = np.zeros((O, C * 9), dtype=np.result_type(g, xd))    # an empty batch's sum
+        prod = np.empty_like(dk)
+        for b, cols in _im2col(xd, blocks):
+            if b == 0:
+                np.matmul(g3[0], cols.T, out=dk)
+            else:
+                np.matmul(g3[b], cols.T, out=prod)
+                dk += prod
+            if dx is not None:
                 np.matmul(wmat.T, g3[b], out=dcols)
                 for (i, j), block in blocks.items():
                     if block is not None:
                         rows, cs, xrows, xcs = block
                         dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]
-        return dx, dk, g.sum(axis=(0, 2, 3))
+        return dx, dk.reshape(O, C, 3, 3), g.sum(axis=(0, 2, 3))
 
     return _record("conv2d", out, (x, kernel, bias), bwd)
 

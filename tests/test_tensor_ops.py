@@ -4,6 +4,8 @@ Gradient correctness lives in test_gradients; here every op's forward
 output is checked against an independent reference (explicit loops or
 closed-form numpy), plus shape/type error contracts and tape semantics.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,13 @@ CONV_CASES = {
     "1x1": ((2, 2, 1, 1), 3),
     "2x1": ((2, 2, 2, 1), 3),
     "1x2": ((1, 2, 1, 2), 3),
+    # x needs no gradient, as the encoder's image does: dx is None, and
+    # dk must still match
+    "7x9-constant-x": ((2, 3, 7, 9), 4),
+    # eight images and a cotangent of tied values and -0.0 (one output
+    # channel is -0.0 in every image), which pins the order dk sums the
+    # images' products in
+    "8-images-ties": ((8, 3, 5, 6), 4),
 }
 
 
@@ -259,14 +268,41 @@ def test_conv2d_is_byte_identical_to_the_padded_reference(case, dtype):
     x = rng(seed).normal(size=xshape).astype(dtype)
     k = rng(seed + 1).normal(size=kshape).astype(dtype)
     b = rng(seed + 2).normal(size=kshape[:1]).astype(dtype)
-    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+    x_grad = not case.endswith("constant-x")
+    out = T.conv2d(Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True),
                    Tensor(b, requires_grad=True))
-    g = rng(seed + 3).normal(size=out.shape).astype(dtype)
+    if case.endswith("ties"):
+        g = rng(seed + 3).integers(-2, 3, size=out.shape).astype(dtype) / 2
+        g[g == 0] = -0.0
+        g[:, 1] = -0.0
+    else:
+        g = rng(seed + 3).normal(size=out.shape).astype(dtype)
     want = padded_conv2d_reference(x, k, b, g)
     got = (out.data,) + out._op.backward_fn(g)
+    assert (got[1] is None) == (not x_grad)
     for name, a, w in zip(("out", "dx", "dk", "db"), got, want):
+        if name == "dx" and not x_grad:
+            continue
         assert a.dtype == w.dtype == dtype and a.shape == w.shape, name
         assert a.tobytes() == w.tobytes(), name
+
+
+def test_conv2d_keeps_no_column_buffer():
+    # while the output lives, its record may hold x, the kernel and small
+    # tables, but no (B, C*9, H*W) column buffer: 2.8 MB here, against an
+    # output of 315 kB
+    x = Tensor(rng(26).normal(size=(4, 32, 14, 44)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng(27).normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, k, b)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._op is not None
+    assert kept <= out.data.nbytes + 32 * 1024, (kept, out.data.nbytes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
