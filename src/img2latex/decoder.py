@@ -39,6 +39,13 @@ tests/test_decoder.py keeps the generic chain as its reference.  The
 key projection W2 e_l does not depend on the step, so init_state
 records it once (3 records: reshape, matmul, reshape), and every state
 of the sequence carries it beside the entries it attends over.
+
+The memory is never cut.  A state holds the entries and their
+projection for every row the sequence started with, and `mem_rows`
+maps each running row to its memory row; the attention ops read
+through it.  `keep_rows` cuts h, c, O and that index, 4 take_rows
+records and no memory copy, so a batch whose rows finish in any order
+costs the same as one cut to a prefix.
 """
 from __future__ import annotations
 
@@ -53,14 +60,18 @@ from .tensor import Tensor
 
 @dataclass
 class DecoderState:
-    """Recurrent state: per-layer (h, c) and the fed-back output O, plus
-    the attention memory: entries (B, L, d) and their key projection
-    proj (B, L, A), both fixed for the whole sequence."""
+    """Recurrent state of B running rows: per-layer (h, c) and the
+    fed-back output O, plus the attention memory: entries (M, L, d) and
+    their key projection proj (M, L, A), both fixed and uncut for the
+    whole sequence, and mem_rows, running row i's memory row, in
+    `tensor.take_rows` form: an int B for the first B memory rows, else
+    an index array."""
     h: list[Tensor]
     c: list[Tensor]
     o_prev: Tensor
     entries: Tensor
     proj: Tensor
+    mem_rows: int | np.ndarray
 
 
 @dataclass
@@ -127,26 +138,27 @@ class Decoder:
         o0 = Tensor(np.zeros((b, self.config.out_dim), dtype=self.config.np_dtype()))
         proj = T.reshape(T.reshape(entries, (b * length, d)) @ p["dec.attn.w2"],
                          (b, length, self.config.attn_dim))
-        return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj)
+        return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj, mem_rows=b)
 
     def keep_rows(self, state: DecoderState, rows) -> DecoderState:
-        """State cut to batch rows `rows`.
-
-        rows is either distinct row indices, gathered in that order with
-        T.take_rows, or an int n, which keeps the first n rows as views
-        through T.head_rows and copies nothing.  Every per-row tensor is
-        cut, the key projection included, so gradients still reach the
-        dropped rows' earlier steps.
+        """State cut to running rows `rows`, as `T.take_rows` takes them:
+        an int n keeps the first n rows as views, distinct indices gather
+        in that order.  h, c and O are cut on the tape, so gradients
+        still reach the dropped rows' earlier steps; the memory is not
+        cut, only mem_rows, and the state shares its entries and proj.
         """
+        mem = state.mem_rows
         if isinstance(rows, int):
-            def cut(t):
-                return T.head_rows(t, rows)
+            mem = rows if isinstance(mem, int) else mem[:rows]
         else:
-            def cut(t):
-                return T.take_rows(t, rows)
+            rows = np.asarray(rows, dtype=np.intp)
+            mem = rows if isinstance(mem, int) else mem[rows]
+
+        def cut(t):
+            return T.take_rows(t, rows)
         return DecoderState(h=[cut(h) for h in state.h], c=[cut(c) for c in state.c],
-                            o_prev=cut(state.o_prev), entries=cut(state.entries),
-                            proj=cut(state.proj))
+                            o_prev=cut(state.o_prev), entries=state.entries,
+                            proj=state.proj, mem_rows=mem)
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
         hc = T.lstm_cell(x, h, c, self.params[f"dec.lstm{layer}.w"],
@@ -156,8 +168,8 @@ class Decoder:
 
     def _attend(self, state: DecoderState, query: Tensor):
         alpha = T.attention_scores(query, self.params["dec.attn.w1"], state.proj,
-                                   self.params["dec.attn.beta"])         # (B, L)
-        return T.attention_context(alpha, state.entries), alpha
+                                   self.params["dec.attn.beta"], state.mem_rows)  # (B, L)
+        return T.attention_context(alpha, state.entries, state.mem_rows), alpha
 
     def step(self, state: DecoderState, tokens,
              train: bool = False, rng: np.random.Generator | None = None) -> StepOutput:
@@ -175,4 +187,5 @@ class Decoder:
         logits = o @ p["dec.w4"]
         return StepOutput(logits=logits, alpha=alpha,
                           state=DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o,
-                                             entries=state.entries, proj=state.proj))
+                                             entries=state.entries, proj=state.proj,
+                                             mem_rows=state.mem_rows))

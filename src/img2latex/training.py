@@ -77,8 +77,8 @@ def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray,
     encoded, so batch-norm statistics keep their bits; their rows are
     sorted once by count, longest first (stable; no gather when already
     in order).  Step t runs only the first n_t rows, those with more than
-    t targets, cut through head_rows views (`Decoder.keep_rows` with an
-    int), and the outputs pack every step's live rows, so N is the number
+    t targets, cut to that prefix (`Decoder.keep_rows` with an int, which
+    takes views), and the outputs pack every step's live rows, so N is the number
     of targets.
     """
     b = seq.shape[0]

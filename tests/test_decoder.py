@@ -128,21 +128,31 @@ def test_attend_current_hidden_changes_query():
     assert not np.allclose(a.alpha.data, b.alpha.data)
 
 
-def test_init_state_projects_the_keys_once_and_keep_rows_cuts_them():
+def test_init_state_projects_the_keys_once_and_keep_rows_indexes_them():
     dec, _ = make()
     entries = make_entries(b=3)
     state = dec.init_state(entries)
     want = np.einsum("bld,da->bla", entries.data, dec.params["dec.attn.w2"].data)
-    assert state.entries is entries
+    assert state.entries is entries and state.mem_rows == 3
     assert np.allclose(state.proj.data, want, atol=1e-12)
     # every later state of the sequence shares the one projection
     later = dec.step(dec.step(state, np.array([2, 2, 2])).state, np.array([3, 3, 3])).state
     assert later.proj is state.proj and later.entries is entries
-    for rows, kept in (([2, 0], [2, 0]), (2, [0, 1])):
-        cut = dec.keep_rows(later, rows)
-        assert np.array_equal(cut.proj.data, state.proj.data[kept])
-        assert np.array_equal(cut.entries.data, entries.data[kept])
-        assert dec.step(cut, np.array([4, 4])).state.proj is cut.proj
+    # keep_rows cuts only the index: the memory objects are the same, and
+    # cuts compose (a prefix, then indices into it, then a prefix again)
+    for cuts, kept in (([[2, 0]], [2, 0]), ([2], 2), ([[1, 2], 1], [1]), ([2, [1]], [1])):
+        cut = later
+        for rows in cuts:
+            cut = dec.keep_rows(cut, rows)
+        assert cut.proj is state.proj and cut.entries is entries
+        assert np.array_equal(cut.mem_rows, kept)
+        # a prefix of a prefix stays an int, so the attention reads a view
+        assert isinstance(cut.mem_rows, int) == isinstance(kept, int)
+        n = kept if isinstance(kept, int) else len(kept)
+        assert cut.h[0].shape[0] == n
+        stepped = dec.step(cut, np.full(n, 4)).state
+        assert stepped.proj is state.proj and np.array_equal(stepped.mem_rows, kept)
+    assert not hasattr(T, "head_rows")
 
 
 def test_dropout_only_active_in_train():
@@ -241,9 +251,18 @@ def attention_chain(query, w1, proj, beta):
     return T.softmax(T.reshape(act @ T.reshape(beta, (a, 1)), (b, length)))
 
 
+def memory_rows(state, mem):
+    """The running rows' memory, cut with one take_rows record, or mem
+    itself while every row of it is running in order."""
+    if isinstance(state.mem_rows, int) and state.mem_rows == mem.shape[0]:
+        return mem
+    return T.take_rows(mem, state.mem_rows)
+
+
 def unfused_step_reference(dec, state, tokens, train=False, rng=None):
     """Decoder.step built from generic tape ops: 28 records per step in
-    eval mode, against Decoder.step's 14."""
+    eval mode, against Decoder.step's 14, and one take_rows of each
+    memory tensor once the state is cut."""
     cfg, p = dec.config, dec.params.__getitem__
     emb = T.dropout(T.embedding_lookup(p("dec.embed"), np.asarray(tokens)),
                     cfg.dropout, train, rng)
@@ -257,12 +276,13 @@ def unfused_step_reference(dec, state, tokens, train=False, rng=None):
         hs.append(x)
         cs.append(T.slice_cols(hc, cfg.hidden, 2 * cfg.hidden))
     query = hs[1] if cfg.attend_current_hidden else state.h[1]
-    alpha = attention_chain(query, p("dec.attn.w1"), state.proj, p("dec.attn.beta"))
-    ctx = T.attention_context(alpha, state.entries)
+    alpha = attention_chain(query, p("dec.attn.w1"), memory_rows(state, state.proj),
+                            p("dec.attn.beta"))
+    ctx = T.attention_context(alpha, memory_rows(state, state.entries))
     o = T.dropout(T.tanh(T.concat([hs[1], ctx], axis=1) @ p("dec.w3")), cfg.dropout, train, rng)
     return StepOutput(logits=o @ p("dec.w4"), alpha=alpha,
                       state=DecoderState(h=hs, c=cs, o_prev=o, entries=state.entries,
-                                         proj=state.proj))
+                                         proj=state.proj, mem_rows=state.mem_rows))
 
 
 def fused_step(dec, state, tokens, train=False, rng=None):
@@ -271,8 +291,8 @@ def fused_step(dec, state, tokens, train=False, rng=None):
 
 def teacher_forced_pass(step_fn, dec, entries, train):
     """Six teacher-forced steps over four rows, cut to the first three rows
-    (head_rows views) before step 2 and to rows [2, 0] (take_rows) before
-    step 4, with a loss on the logits and on alpha.  Returns the forward
+    (a prefix, read in place) before step 2 and to rows [2, 0] (a gather)
+    before step 4, with a loss on the logits and on alpha.  Returns the forward
     arrays of every step, then each parameter's and the entries' gradient,
     all as bytes."""
     for prm in dec.params.values():

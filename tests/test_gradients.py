@@ -118,13 +118,21 @@ def test_take_rows(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_head_rows(seed):
+    # take_rows with a row count: the head rows, as a view
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 3, 2))
     loss = _proj(rng, (3, 3, 2))
-    _check(lambda x: loss(T.head_rows(x, 3)), [a], f"head_rows seed={seed}")
+    _check(lambda x: loss(T.take_rows(x, 3)), [a], f"take_rows prefix seed={seed}")
     b = rng.standard_normal((4, 3))
     loss2 = _proj(rng, (1, 3))
-    _check(lambda x: loss2(T.head_rows(x, 1)), [b], f"head_rows 2-D seed={seed}")
+    _check(lambda x: loss2(T.take_rows(x, 1)), [b], f"take_rows prefix 2-D seed={seed}")
+    # a prefix cut, then unsorted indices into it, then a dense use of the
+    # cut: three gradients of one tensor added in place
+    c = rng.standard_normal((6, 2))
+    lc = _proj(rng, (4, 2))
+    ld = _proj(rng, (2, 2))
+    _check(lambda x: lc(T.take_rows(x, 4)) + ld(T.take_rows(T.take_rows(x, 4), [3, 1]))
+           + (x * x).sum(), [c], f"take_rows chain seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -175,6 +183,15 @@ def test_attention_scores(seed):
            rng.standard_normal((2, 6, 1)), rng.standard_normal(1)]
     loss1 = _proj(rng, (2, 6))
     _check(lambda *a: loss1(T.attention_scores(*a)), one, f"attention_scores A=1 seed={seed}")
+    # three query rows over memory rows [3, 0, 2] of four: unsorted, one
+    # row never read, and a prefix of two rows
+    query3 = rng.standard_normal((3, 3))
+    proj4 = rng.standard_normal((4, 5, 4))
+    loss3 = _proj(rng, (3, 5))
+    _check(lambda q, w, p, b: loss3(T.attention_scores(q, w, p, b, [3, 0, 2])),
+           [query3, w1, proj4, beta], f"attention_scores rows seed={seed}")
+    _check(lambda q, w, p, b: loss(T.attention_scores(q, w, p, b, 2)),
+           [query, w1, proj4, beta], f"attention_scores prefix seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -185,6 +202,12 @@ def test_attention_context(seed):
     loss = _proj(rng, (2, 3))
     _check(lambda a, e: loss(T.attention_context(a, e)), [alpha, entries],
            f"attention_context seed={seed}")
+    # weight rows over memory rows [3, 0] of four, and a prefix of two
+    memory = rng.standard_normal((4, 5, 3))
+    _check(lambda a, e: loss(T.attention_context(a, e, [3, 0])), [alpha, memory],
+           f"attention_context rows seed={seed}")
+    _check(lambda a, e: loss(T.attention_context(a, e, 2)), [alpha, memory],
+           f"attention_context prefix seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -343,7 +366,6 @@ GRADCHECKS = {
     "transpose": test_reshape_transpose,
     "repeat_rows": test_repeat_rows,
     "take_rows": test_take_rows,
-    "head_rows": test_head_rows,
     "slice_cols": test_slice_cols,
     "sum": test_reduce_sum_mean,
     "mean": test_reduce_sum_mean,

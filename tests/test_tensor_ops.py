@@ -99,22 +99,103 @@ def test_take_rows_rejects_repeated_or_bad_indices(rows):
 
 
 def test_head_rows_is_a_view_and_pads_the_gradient():
+    # take_rows with a row count takes the head rows as a view
     a = rng(12).normal(size=(4, 2, 3))
     x = Tensor(a, requires_grad=True)
-    out = T.head_rows(x, 2)
+    out = T.take_rows(x, 2)
     assert np.array_equal(out.data, a[:2])
     assert np.shares_memory(out.data, x.data)
     T.reduce_sum(out * Tensor(np.arange(12.0).reshape(2, 2, 3))).backward()
     expect = np.zeros_like(a)
     expect[:2] = np.arange(12.0).reshape(2, 2, 3)
     assert np.array_equal(x.grad, expect)
-    assert T.head_rows(x, 4).shape == (4, 2, 3)
+    assert T.take_rows(x, 4).shape == (4, 2, 3)
+    assert not hasattr(T, "head_rows")
 
 
 @pytest.mark.parametrize("n", [0, -1, 5])
 def test_head_rows_rejects_counts_outside_one_to_rows(n):
-    with pytest.raises(ShapeError, match="head_rows"):
-        T.head_rows(Tensor(np.zeros((4, 2))), n)
+    with pytest.raises(ShapeError, match="take_rows: a prefix of"):
+        T.take_rows(Tensor(np.zeros((4, 2))), n)
+
+
+def zero_padded_cut(a, index):
+    """A row or column cut whose VJP scatters g into zeros of the input's
+    shape, which backward then adds like any gradient: the rule before
+    VJPs could return the gradient of a cut alone."""
+    shape = a.shape
+
+    def bwd(g):
+        da = np.zeros(shape, dtype=g.dtype)
+        da[index] = g
+        return (da,)
+
+    return T._record("zero_padded_cut", Tensor(a.data[index]), (a,), bwd)
+
+
+def random_cut_program(seed):
+    """A random chain over one (8, 5) leaf: each op either cuts an earlier
+    tensor (a row prefix, distinct unsorted rows, or a column range) or
+    uses it densely, with a cotangent holding zeros of both signs."""
+    r = np.random.default_rng(seed)
+    shapes, ops = [(8, 5)], []
+    for _ in range(int(r.integers(4, 14))):
+        src = int(r.integers(len(shapes)))
+        n, m = shapes[src]
+        kind = r.choice(["prefix", "rows", "cols", "dense"])
+        if kind == "prefix" and n > 0:
+            k = int(r.integers(1, n + 1))
+            ops.append((src, "prefix", k))
+            shapes.append((k, m))
+        elif kind == "rows":
+            rows = r.permutation(n)[:int(r.integers(0, n + 1))]
+            ops.append((src, "rows", rows))
+            shapes.append((rows.size, m))
+        elif kind == "cols" and m > 1:
+            start = int(r.integers(0, m - 1))
+            stop = int(r.integers(start + 1, m + 1))
+            ops.append((src, "cols", (start, stop)))
+            shapes.append((n, stop - start))
+        else:
+            cot = r.standard_normal((n, m))
+            cot[r.random((n, m)) < 0.3] = 0.0
+            cot[r.random((n, m)) < 0.2] = -0.0
+            ops.append((src, "dense", cot))
+    return ops
+
+
+def run_cut_program(ops, leaf_data, indexed):
+    leaf = Tensor(leaf_data.copy(), requires_grad=True)
+    tensors, terms = [leaf], []
+    for src, kind, arg in ops:
+        a = tensors[src]
+        if kind == "dense":
+            terms.append((a * Tensor(arg.astype(a.dtype))).sum())
+        elif indexed:
+            tensors.append(T.slice_cols(a, *arg) if kind == "cols" else T.take_rows(a, arg))
+        else:
+            index = {"prefix": lambda: slice(0, arg), "rows": lambda: arg,
+                     "cols": lambda: (slice(None), slice(*arg))}[kind]()
+            tensors.append(zero_padded_cut(a, index))
+    # every cut is also used once, last, so each gets a gradient
+    loss = sum(terms[1:], terms[0]) if terms else (leaf * 0.0).sum()
+    for t in tensors[1:]:
+        loss = loss + (t * t).sum()
+    loss.backward()
+    return leaf.grad
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_indexed_cut_gradients_equal_zero_padding_then_adding(seed):
+    ops = random_cut_program(seed)
+    dtype = np.float32 if seed % 2 else np.float64
+    leaf = np.random.default_rng(1000 + seed).standard_normal((8, 5)).astype(dtype)
+    got = run_cut_program(ops, leaf, indexed=True)
+    want = run_cut_program(ops, leaf, indexed=False)
+    assert got.dtype == want.dtype == dtype
+    # byte for byte, but for the sign of a zero: adding +0.0 maps -0.0
+    # to +0.0 and leaves every other value as it is
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_reductions_match_numpy():
@@ -519,7 +600,7 @@ def test_float32_flows_through_ops():
     T.reduce_sum(taken).backward()
     assert rows.grad.dtype == np.float32
     head = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
-    kept = T.head_rows(head, 2)
+    kept = T.take_rows(head, 2)
     assert kept.dtype == np.float32
     T.reduce_sum(kept).backward()
     assert head.grad.dtype == np.float32
