@@ -54,12 +54,13 @@ def _decode_manifest(args, row) -> tuple[list, str]:
 
     row(model, example, result) makes each example's output row, right
     after its decode.  Returns the rows and a summary of the decodes cut
-    off at --max-len and the images that fit no bucket.
+    off at --max-len and the images that fit no bucket; the ids of the
+    decodes cut off go to stderr, in manifest order.
     """
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
-    rows = []
-    cut_off = misfits = 0
+    rows, cut_off = [], []
+    misfits = 0
     for ex in load_dataset(args.manifest):
         image, misfit = pad_for_model(ex.image, buckets)
         if args.greedy or args.beam == 1:
@@ -67,10 +68,13 @@ def _decode_manifest(args, row) -> tuple[list, str]:
         else:
             res = beam_decode(model, image, b=args.beam, max_len=args.max_len,
                               length_normalize=args.length_normalize)
-        cut_off += not res.finished
+        if not res.finished:
+            cut_off.append(ex.id)
         misfits += misfit
         rows.append(row(model, ex, res))
-    return rows, (f"{cut_off} stopped at --max-len, "
+    if cut_off:
+        print(f"cut off at --max-len {args.max_len}: {' '.join(cut_off)}", file=sys.stderr)
+    return rows, (f"{len(cut_off)} stopped at --max-len, "
                   f"{misfits} fit no bucket and were padded to a multiple of {DOWNSAMPLE}")
 
 

@@ -11,13 +11,13 @@ import pytest
 
 from gradcheck import desk_config, misfeed_rollouts
 
-from img2latex import training
+from img2latex import cli, training
 from img2latex.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from img2latex.cli import build_parser, main
 from img2latex.config import SCHEMA, ModelConfig, full_defaults, load_config
 from img2latex.data import (assign_bucket, build_vocab, load_buckets, load_dataset,
                             pad_for_model, read_pgm_raw, write_pgm)
-from img2latex.decoding import greedy_decode
+from img2latex.decoding import DecodeResult, greedy_decode
 from img2latex.encoder import Encoder
 from img2latex.metrics import MetricReport
 from img2latex.model import Model
@@ -343,6 +343,39 @@ def test_predict_summary_counts_decodes_stopped_at_max_len(ws, tmp_path, capsys)
         assert f"({expected} stopped at --max-len, 0 fit no bucket" in capsys.readouterr().out
         counts.append(expected)
     assert counts[0] > 0
+
+
+def test_predict_and_evaluate_name_the_decodes_cut_off_on_stderr(ws, tmp_path, capsys,
+                                                                 monkeypatch):
+    ids = [ex.id for ex in load_dataset(ws["manifest"])]
+    real = cli.greedy_decode
+    calls = []
+
+    def every_other_finishes(model, image, max_len):
+        # the briefly trained model never samples END, so mark every other
+        # decode finished to see a mix of both
+        res = real(model, image, max_len)
+        calls.append(None)
+        return DecodeResult(res.tokens, res.score, len(calls) % 2 == 0, res.alphas)
+
+    for patched, cut in ((False, ids), (True, ids[::2])):
+        if patched:
+            monkeypatch.setattr(cli, "greedy_decode", every_other_finishes)
+        for command in ("predict", "evaluate"):
+            calls.clear()
+            assert main([command, "--checkpoint", ws["ckpt"], "--manifest", ws["manifest"],
+                         "--out", str(tmp_path / "o.tsv"), "--greedy", "--buckets",
+                         ws["buckets"], "--max-len", "3"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == f"cut off at --max-len 3: {' '.join(cut)}\n"
+            # stdout keeps its one summary line, which counts them
+            assert f"({len(cut)} stopped at --max-len, 0 fit no bucket" in captured.out
+            assert len(captured.out.splitlines()) == 1
+    monkeypatch.setattr(cli, "greedy_decode", lambda model, image, max_len: DecodeResult(
+        [], 0.0, True))
+    assert main(["predict", "--checkpoint", ws["ckpt"], "--manifest", ws["manifest"],
+                 "--out", str(tmp_path / "o.tsv"), "--greedy"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_predict_missing_checkpoint_is_a_usage_error(ws, tmp_path, capsys):
