@@ -5,8 +5,10 @@
 
 The first prints the table as JSON; the second also rewrites
 tests/golden_outputs.json, for a change that moves output bits on
-purpose (name each digest that moved, and why).  WORKDIR must be empty
-or absent.
+purpose, and lists on stderr each output whose digest moved against the
+table it replaces, as "name old -> new" with 12-character prefixes ("-"
+for an output one side lacks), ready to paste where the change names
+each digest that moved, and why.  WORKDIR must be empty or absent.
 
 The script runs, in WORKDIR and with relative paths only: gen-data; an
 MLE train with validation and dropout; a same-phase --resume of it; an
@@ -114,6 +116,14 @@ def run(workdir: str) -> dict:
     return {"environment": environment(), "outputs": dict(sorted(outputs.items()))}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """"name old -> new" for each output whose digest differs between two
+    {name: sha256} tables, in name order, with 12-character prefixes and
+    "-" for the side that lacks it."""
+    return [f"{name} {old.get(name, '-')[:12]} -> {new.get(name, '-')[:12]}"
+            for name in sorted(set(old) | set(new)) if old.get(name) != new.get(name)]
+
+
 def main(argv) -> int:
     if len(argv) not in (1, 2) or (len(argv) == 2 and argv[1] != "--write"):
         print(__doc__, file=sys.stderr)
@@ -121,6 +131,12 @@ def main(argv) -> int:
     table = run(argv[0])
     text = json.dumps(table, indent=1) + "\n"
     if len(argv) == 2:
+        old = {}
+        if os.path.exists(TABLE):
+            with open(TABLE, encoding="utf-8") as fh:
+                old = json.load(fh)["outputs"]
+        for line in moved(old, table["outputs"]):
+            print(line, file=sys.stderr)
         with open(TABLE, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)

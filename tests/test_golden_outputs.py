@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+import golden_run
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
@@ -36,3 +38,25 @@ def test_every_output_matches_the_golden_table(tmp_path):
         f"missing: {missing}; not in the table: {extra}; moved: "
         + ", ".join(f"{k} {want['outputs'][k][:12]} -> {got['outputs'][k][:12]}"
                     for k in moved))
+
+
+def test_write_lists_each_moved_digest_on_stderr(tmp_path, monkeypatch, capsys):
+    env = {"numpy": "x", "blas": "y", "blas_config": "z"}
+    table = tmp_path / "golden_outputs.json"
+    table.write_text(json.dumps({"environment": env, "outputs": {
+        "a": "1" * 64, "b": "2" * 64, "c": "3" * 64}}))
+    new = {"environment": env, "outputs": {"a": "1" * 64, "b": "4" * 64, "d": "5" * 64}}
+    monkeypatch.setattr(golden_run, "TABLE", str(table))
+    monkeypatch.setattr(golden_run, "run", lambda workdir: new)
+    assert golden_run.main([str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(table.read_text())["outputs"]["b"] == "2" * 64
+    assert golden_run.main([str(tmp_path / "run"), "--write"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["b 222222222222 -> 444444444444",
+                                         "c 333333333333 -> -",
+                                         "d - -> 555555555555"]
+    assert json.loads(table.read_text()) == new == json.loads(captured.out)
+    # a table with nothing moved lists nothing
+    assert golden_run.main([str(tmp_path / "run"), "--write"]) == 0
+    assert capsys.readouterr().err == ""
