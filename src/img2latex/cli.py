@@ -54,13 +54,11 @@ def _decode_manifest(args, row) -> tuple[list, str]:
 
     row(model, example, result) makes each example's output row, right
     after its decode.  Returns the rows and a summary of the decodes cut
-    off at --max-len and the images that fit no bucket; the ids of the
-    decodes cut off go to stderr, in manifest order.
+    off at --max-len (their ids go to stderr) and images that fit no bucket.
     """
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
-    rows, cut_off = [], []
-    misfits = 0
+    rows, cut_off, misfits = [], [], 0
     for ex in load_dataset(args.manifest):
         image, misfit = pad_for_model(ex.image, buckets)
         if args.greedy or args.beam == 1:
@@ -68,8 +66,7 @@ def _decode_manifest(args, row) -> tuple[list, str]:
         else:
             res = beam_decode(model, image, b=args.beam, max_len=args.max_len,
                               length_normalize=args.length_normalize)
-        if not res.finished:
-            cut_off.append(ex.id)
+        cut_off += [] if res.finished else [ex.id]
         misfits += misfit
         rows.append(row(model, ex, res))
     if cut_off:

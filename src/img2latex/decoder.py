@@ -38,18 +38,11 @@ generic records and are bit-identical to them, forward and backward;
 tests/test_decoder.py keeps the generic chain as its reference.  The
 key projection W2 e_l does not depend on the step, so init_state
 records it once (3 records: reshape, matmul, reshape), and every state
-of the sequence carries it beside the entries it attends over.
-
-The memory is never cut.  A state holds the entries and their
-projection for every row the sequence started with, and `mem_rows`
-maps each running row to its memory row; the attention ops read
-through it.  `keep_rows` cuts h, c, O and that index, 4 take_rows
-records and no memory copy, so a batch whose rows finish in any order
-costs the same as one cut to a prefix.
+of the sequence carries it uncut: `keep_rows` cuts h, c, O and a row index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +53,9 @@ from .tensor import Tensor
 
 @dataclass
 class DecoderState:
-    """Recurrent state of B running rows: per-layer (h, c) and the
-    fed-back output O, plus the attention memory: entries (M, L, d) and
-    their key projection proj (M, L, A), both fixed and uncut for the
-    whole sequence, and mem_rows, running row i's memory row, in
-    `tensor.take_rows` form: an int B for the first B memory rows, else
-    an index array."""
+    """Per-layer (h, c) and fed-back output O of B running rows, the fixed
+    attention memory (entries (M, L, d) and key projection proj (M, L, A)),
+    and mem_rows, each running row's memory row as `T.take_rows` takes rows."""
     h: list[Tensor]
     c: list[Tensor]
     o_prev: Tensor
@@ -141,24 +131,15 @@ class Decoder:
         return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj, mem_rows=b)
 
     def keep_rows(self, state: DecoderState, rows) -> DecoderState:
-        """State cut to running rows `rows`, as `T.take_rows` takes them:
-        an int n keeps the first n rows as views, distinct indices gather
-        in that order.  h, c and O are cut on the tape, so gradients
-        still reach the dropped rows' earlier steps; the memory is not
-        cut, only mem_rows, and the state shares its entries and proj.
-        """
-        mem = state.mem_rows
-        if isinstance(rows, int):
-            mem = rows if isinstance(mem, int) else mem[:rows]
-        else:
+        """State cut to running rows `rows` as `T.take_rows` takes them: h, c
+        and O on the tape (gradients reach the dropped rows' earlier steps)."""
+        if not isinstance(rows, int):
             rows = np.asarray(rows, dtype=np.intp)
-            mem = rows if isinstance(mem, int) else mem[rows]
-
-        def cut(t):
-            return T.take_rows(t, rows)
-        return DecoderState(h=[cut(h) for h in state.h], c=[cut(c) for c in state.c],
-                            o_prev=cut(state.o_prev), entries=state.entries,
-                            proj=state.proj, mem_rows=mem)
+        mem = state.mem_rows
+        mem = rows if isinstance(mem, int) else mem[:rows] if isinstance(rows, int) else mem[rows]
+        return replace(state, h=[T.take_rows(h, rows) for h in state.h],
+                       c=[T.take_rows(c, rows) for c in state.c],
+                       o_prev=T.take_rows(state.o_prev, rows), mem_rows=mem)
 
     def _cell(self, layer: int, x: Tensor, h: Tensor, c: Tensor):
         hc = T.lstm_cell(x, h, c, self.params[f"dec.lstm{layer}.w"],
@@ -185,7 +166,6 @@ class Decoder:
         o = T.tanh(T.concat([h2, ctx], axis=1) @ p["dec.w3"])
         o = T.dropout(o, cfg.dropout, train, rng)
         logits = o @ p["dec.w4"]
-        return StepOutput(logits=logits, alpha=alpha,
-                          state=DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o,
-                                             entries=state.entries, proj=state.proj,
-                                             mem_rows=state.mem_rows))
+        state = DecoderState(h=[h1, h2], c=[c1, c2], o_prev=o, entries=state.entries,
+                             proj=state.proj, mem_rows=state.mem_rows)
+        return StepOutput(logits=logits, alpha=alpha, state=state)

@@ -171,13 +171,10 @@ def backward(loss: Tensor) -> None:
     their gradient transiently; the graph is torn down record by record
     as it is consumed, so backward may run only once per forward pass.
 
-    A VJP returns, per input, None, a gradient of the input's shape, or
-    a pair (index, g): the gradient g of input.data[index] alone, for an
-    op that read only those elements (a row or column cut).  Backward
-    adds such a g into a buffer of the input's full shape that it owns,
-    so no VJP builds a zero-padded copy; elements outside every index get
-    +0.0.  The sums run in the same order as zero-padded gradients would,
-    so only the sign of a zero can differ from them.
+    A VJP returns per input None, a gradient of the input's shape, or
+    (index, g), the gradient of input.data[index] alone, which backward
+    adds into a full-shape buffer it owns (+0.0 elsewhere): no VJP
+    zero-pads a cut, and only the sign of a zero can differ from that.
     """
     if loss.size != 1:
         raise TensorError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -369,50 +366,39 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
     return _record("repeat_rows", out, (a,), bwd)
 
 
-def _row_index(rows, n: int, op: str):
-    """rows as an index into n rows: an int m is the prefix slice(0, m),
-    0 < m <= n, which cuts a view; anything else must be 1-D distinct
-    indices in [0, n), which gather.  Else ShapeError naming op."""
+def _row_index(rows, n: int, op: str, count: int | None = None):
+    """rows as an index into n rows: an int m is the view slice(0, m), 0 < m
+    <= n, else 1-D distinct indices; ShapeError naming op if not, or if
+    it picks other than count rows."""
     if isinstance(rows, (int, np.integer)):
         if not 0 < rows <= n:
             raise ShapeError(f"{op}: a prefix of {rows} rows is not in 1..{n}")
-        return slice(0, int(rows))
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
-        raise ShapeError(f"{op}: rows must be 1-D indices into {n} rows")
-    if np.unique(rows).size != rows.size:
-        raise ShapeError(f"{op}: rows must be distinct")
-    return rows
-
-
-def _row_grad(index, g: np.ndarray, n: int):
-    """The VJP result for an input of n rows read at index (`_row_index`):
-    g itself when index is every row in order, else the pair (index, g)
-    that `backward` adds into the input's full-shape gradient."""
-    if isinstance(index, slice) and index.stop == n:
-        return g
-    return index, g
+        index = slice(0, int(rows))
+    else:
+        index = np.asarray(rows, dtype=np.intp)
+        if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= n)):
+            raise ShapeError(f"{op}: rows must be 1-D indices into {n} rows")
+        if np.unique(index).size != index.size:
+            raise ShapeError(f"{op}: rows must be distinct")
+    picked = index.stop if isinstance(index, slice) else index.size
+    if count is not None and picked != count:
+        raise ShapeError(f"{op}: {count} rows attend but {picked} memory rows are picked")
+    return index
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
-    """Rows of axis 0: an int n takes the first n (0 < n <= rows) as a
-    view, so neither side may be written to; anything else is distinct
-    row indices, gathered in the order given.
-
-    The VJP returns the gradient of the rows taken only, and `backward`
-    adds it into the input's gradient buffer; rows not taken get +0.0.
-    """
+    """Rows of axis 0 as `_row_index` reads them: an int n takes the first n
+    as a view, which neither side may write to; distinct indices gather.
+    The VJP returns the gradient of the rows taken alone (see `backward`)."""
     if a.ndim == 0:
         raise ShapeError("take_rows: a 0-d tensor has no rows")
     index = _row_index(rows, a.shape[0], "take_rows")
-    n = a.shape[0]
-    return _record("take_rows", Tensor(a.data[index]), (a,),
-                   lambda g: (_row_grad(index, g, n),))
+    return _record("take_rows", Tensor(a.data[index]), (a,), lambda g: ((index, g),))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start, stop) of a 2-D tensor; the VJP returns the
-    gradient of those columns only (see `backward`)."""
+    """Columns [start, stop) of a 2-D tensor; the VJP returns their
+    gradient alone (see `backward`)."""
     if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"slice_cols: columns [{start}, {stop}) invalid for {a.shape}")
     index = (slice(None), slice(start, stop))
@@ -548,35 +534,19 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     return _record("lstm_cell", out, (x, h, c, w, b), bwd)
 
 
-# the attention ops build their (B, L, A) activations, and gather memory
-# rows, this many bytes of rows at a time, so each block's add, tanh and
-# VJP products run while it sits in a core's L2 cache; a 1-row decode
-# step is one block
+# the attention ops work on this many bytes of (B, L, .) rows at a time, so
+# each block's gather, add, tanh and VJP products run in a core's L2 cache
 _ATTN_BLOCK_BYTES = 256 * 1024
 
 
-def _memory_index(rows, mem: Tensor, n: int, op: str):
-    """`_row_index` of the memory rows that n running rows attend over:
-    rows=None means all of mem's rows, in order.  ShapeError unless it
-    picks exactly n rows."""
-    index = slice(0, mem.shape[0]) if rows is None else _row_index(rows, mem.shape[0], op)
-    picked = index.stop if isinstance(index, slice) else index.size
-    if picked != n:
-        raise ShapeError(f"{op}: {n} query rows but {picked} memory rows")
-    return index
-
-
 def _row_blocks(n: int, row_bytes: int) -> tuple[int, list[slice]]:
-    """(step, blocks): the rows of row_bytes each that fit in
-    _ATTN_BLOCK_BYTES, at least 1, and n rows cut into slices of step."""
+    """(step, n rows in slices of step), step rows of row_bytes per block."""
     step = max(1, _ATTN_BLOCK_BYTES // max(1, row_bytes))
     return step, [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _memory_rows(mem: np.ndarray, index, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Memory rows index[rows] of mem: a view when index is a prefix,
-    else gathered into the head of out (a fresh array if out has another
-    dtype)."""
+def _memory_rows(mem: np.ndarray, index, rows: slice, out) -> np.ndarray:
+    """mem[index][rows]: a view for a prefix, else gathered into out's head."""
     if isinstance(index, slice):
         return mem[rows]
     if out.dtype != mem.dtype:
@@ -585,11 +555,8 @@ def _memory_rows(mem: np.ndarray, index, rows: slice, out: np.ndarray) -> np.nda
 
 
 def _attention_act(qp: np.ndarray, pd: np.ndarray, index, blocks) -> np.ndarray:
-    """tanh(qp + pd[index]) for the (B, 1, A) query projection qp and the
-    (M, L, A) key projection pd, in one fresh (B, L, A) array, built one
-    block of rows (a slice of B in blocks) at a time: each block's memory
-    rows are gathered into place unless index is a prefix, the query
-    added, and the tanh taken in place."""
+    """tanh(qp + pd[index]) for the (B, 1, A) query projection qp and the (M, L, A)
+    key projection pd, built a block of rows at a time in one (B, L, A) array."""
     act = np.empty(qp.shape[:1] + pd.shape[1:], dtype=np.result_type(qp, pd))
     for rows in blocks:
         blk = act[rows]
@@ -603,42 +570,33 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
     """Additive attention weights over L memory entries, as one tape record.
 
     query is (B, q), w1 (q, A), proj the (M, L, A) key projection of the
-    memory and beta (A,).  Query row i attends over memory row rows[i]:
-    rows is an int B for the first B memory rows, distinct indices, or
-    None for every memory row in order (M = B).  Returns alpha = softmax
-    over L of tanh(query @ w1 + proj[rows]) @ beta, shape (B, L); rows
-    sum to 1.
+    memory and beta (A,); rows picks each query row's memory row as
+    `take_rows` does (None: all M = B rows).  Returns alpha = softmax over
+    L of tanh(query @ w1 + proj[rows]) @ beta, shape (B, L).
 
-    Memory: besides its inputs, the record keeps only the (B, 1, A) query
-    projection query @ w1 and alpha, never a (B, L, A) array, and proj is
-    never cut.  The forward pass builds the tanh activations in one
-    buffer, _ATTN_BLOCK_BYTES of rows at a time, gathering each block's
-    memory rows straight into it (a prefix is read in place), scores them
-    and lets them go.  The VJP recomputes them the same way, and then
-    turns that buffer, block by block, into the gradient of proj[rows],
-    d_pre = (g beta^T) * (1 - act * act), using one block-sized scratch
-    array and no other (B, L, A) temporary; `backward` adds it into
-    proj's gradient.
+    Memory: the record keeps its inputs, the (B, 1, A) query projection
+    and alpha, never a (B, L, A) array, and proj is never cut.  Forward
+    builds the tanh activations in one buffer, _ATTN_BLOCK_BYTES of rows
+    at a time with memory rows gathered straight into it, and scores and
+    drops them.  The VJP rebuilds them, then turns the buffer block by
+    block into the gradient of proj[rows], (g beta^T) * (1 - act * act),
+    with one block-sized scratch array.
 
-    Bit-identity contract: this fuses the chain take_rows (of proj),
-    matmul, reshape, add, tanh, reshape, reshape (of beta), matmul,
-    reshape and softmax.  Forward and VJP run the same numpy expressions
-    in the same order as those records did, so outputs and gradients are
-    bit-equal to the chain's, and each input gets one gradient at the
-    chain's place on the tape.  The gathers and the elementwise steps
-    give the same bits in any blocking.  The reductions do not: the score
-    GEMV act @ beta, the beta gradient act^T @ g and the sum of d_pre
-    over L each run once over the whole array, because a BLAS GEMV split
-    into row blocks may round differently.
+    Bit-identity contract: forward and VJP run the numpy expressions of
+    the chain take_rows (of proj), matmul, reshape, add, tanh, reshape,
+    reshape (of beta), matmul, reshape and softmax, in its order, so
+    outputs and gradients are bit-equal to the chain's.  Gathers and
+    elementwise steps give the same bits in any blocking; the GEMVs
+    act @ beta and act^T @ g and the sum over L run once over the whole
+    array, since a GEMV split into row blocks may round differently.
     """
     if (query.ndim != 2 or w1.ndim != 2 or proj.ndim != 3 or w1.shape[0] != query.shape[1]
             or proj.shape[2] != w1.shape[1] or beta.shape != (w1.shape[1],)):
         raise ShapeError(f"attention_scores: expects query (B, q), w1 (q, A), proj (M, L, A) "
                          f"and beta (A,), got {query.shape}, {w1.shape}, {proj.shape}, "
                          f"{beta.shape}")
-    bsz = query.shape[0]
-    index = _memory_index(rows, proj, bsz, "attention_scores")
-    m, length, a = proj.shape
+    bsz, (m, length, a) = query.shape[0], proj.shape
+    index = _row_index(m if rows is None else rows, m, "attention_scores", bsz)
     qd, w1d, pd = query.data, w1.data, proj.data
     qp = (qd @ w1d).reshape(bsz, 1, a)
     step, blocks = _row_blocks(bsz, length * a * np.result_type(qp, pd).itemsize)
@@ -662,45 +620,38 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
             np.multiply(gs3[rows], beta_row, out=blk)
             np.multiply(blk, t, out=blk)
         d_query, d_w1 = _matmul_vjp(d_pre.sum(axis=1), qd, w1d)
-        return d_query, d_w1, _row_grad(index, d_pre, m), d_beta.reshape(a)
+        return d_query, d_w1, (index, d_pre), d_beta.reshape(a)
 
     return _record("attention_scores", Tensor(alpha), (query, w1, proj, beta), bwd)
 
 
 def attention_context(alpha: Tensor, entries: Tensor, rows=None) -> Tensor:
-    """Attention-weighted sum of memory entries: (B, L) x (M, L, d) -> (B, d).
-
-    Weight row i sums over memory row rows[i], with rows as in
-    `attention_scores`.  A prefix is read in place with one stacked
-    matmul; other rows are gathered _ATTN_BLOCK_BYTES at a time into one
-    reused buffer, and each block runs the stacked matmul's per-row
-    products, so the bits are the same either way.  The entries gradient
-    covers the rows read (see `backward`).
-    """
-    if (alpha.ndim != 2 or entries.ndim != 3 or alpha.shape[1] != entries.shape[1]):
+    """Attention-weighted sum of memory entries, (B, L) x (M, L, d) -> (B, d),
+    over the memory rows picked as in `attention_scores`; gathered rows go a
+    block at a time, whose products are the stacked matmul's own."""
+    if alpha.ndim != 2 or entries.ndim != 3 or alpha.shape[1] != entries.shape[1]:
         raise ShapeError(
             f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
-    bsz, length = alpha.shape
-    index = _memory_index(rows, entries, bsz, "attention_context")
+    bsz, m = alpha.shape[0], entries.shape[0]
+    index = _row_index(m if rows is None else rows, m, "attention_context", bsz)
     ad, ed = alpha.data, entries.data
-    m = entries.shape[0]
-    if isinstance(index, slice):
-        blocks, buf = [slice(0, bsz)], None
+    if isinstance(index, slice):            # a prefix is read in place, in one product
+        blocks, buf = [index], None
     else:
         step, blocks = _row_blocks(bsz, ed[0].nbytes)
-        buf = np.empty((min(step, bsz),) + ed.shape[1:], dtype=ed.dtype)
+        buf = np.empty((step,) + ed.shape[1:], ed.dtype)
 
     def per_block(product):
-        parts = [product(rows, _memory_rows(ed, index, rows, buf)) for rows in blocks]
+        parts = [product(r, _memory_rows(ed, index, r, buf)) for r in blocks]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    out = Tensor(per_block(lambda rows, mem: np.matmul(ad[rows, None, :], mem)[:, 0, :]))
+    out = Tensor(per_block(lambda r, mem: np.matmul(ad[r, None, :], mem)[:, 0, :]))
 
     def bwd(g):
         # the entries VJP is an outer product per row; a matmul with an
         # inner size of 1 would be slower than the broadcast multiply
-        d_alpha = per_block(lambda rows, mem: np.matmul(mem, g[rows, :, None])[:, :, 0])
-        return d_alpha, _row_grad(index, ad[:, :, None] * g[:, None, :], m)
+        d_alpha = per_block(lambda r, mem: np.matmul(mem, g[r, :, None])[:, :, 0])
+        return d_alpha, (index, ad[:, :, None] * g[:, None, :])
 
     return _record("attention_context", out, (alpha, entries), bwd)
 

@@ -64,23 +64,20 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
     return live.sum(axis=1)
 
 
-def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray,
-                    lengths: np.ndarray, train: bool,
+def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray, train: bool,
                     rng: np.random.Generator | None = None):
     """Packed teacher-forced pass of the decoder; returns (logits Tensor
-    (N, V), targets (N,), rows (N,)), where rows[j] is the original row
-    of target j.
+    (N, V), targets (N,)).
 
-    Row i's targets are seq[i, :lengths[i]], and its input at step t is
-    target t-1 (START at t=0); a sampled rollout may hold PAD, START or
-    UNK as content, so the counts are passed in.  The memory entries come
+    Row i's targets are its non-PAD ids (`_target_counts`), and its input
+    at step t is target t-1 (START at t=0).  The memory entries come
     encoded, so batch-norm statistics keep their bits; their rows are
     sorted once by count, longest first (stable; no gather when already
     in order).  Step t runs only the first n_t rows, those with more than
-    t targets, cut to that prefix (`Decoder.keep_rows` with an int, which
-    takes views), and the outputs pack every step's live rows, so N is the number
-    of targets.
+    t targets, as views (`Decoder.keep_rows` with an int), and the
+    outputs pack every step's live rows, so N is the number of targets.
     """
+    lengths = _target_counts(seq)
     b = seq.shape[0]
     order = np.argsort(-lengths, kind="stable")
     seq = seq[order]
@@ -89,8 +86,7 @@ def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray,
     if (order != np.arange(b)).any():
         entries = T.take_rows(entries, order)
     state = decoder.init_state(entries)
-    rows = b
-    logits = []
+    rows, logits = b, []
     for t, n in enumerate(n_live):
         if n < rows:
             rows = int(n)
@@ -98,8 +94,7 @@ def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray,
         out = decoder.step(state, inputs[:rows, t], train=train, rng=rng)
         state = out.state
         logits.append(out.logits)
-    targets = np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
-    return T.concat(logits), targets, np.concatenate([order[:n] for n in n_live])
+    return T.concat(logits), np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
 
 
 def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
@@ -122,9 +117,8 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     """
     if images.shape[0] == 0 or seq.size == 0:
         raise TrainError("mle_loss: empty batch")
-    lengths = _target_counts(seq)
     entries = model.encoder.encode(images, train=train)
-    logits, targets, _ = _teacher_forced(model.decoder, entries, seq, lengths, train, rng)
+    logits, targets = _teacher_forced(model.decoder, entries, seq, train, rng)
     loss = T.cross_entropy(logits, targets).sum() * (1.0 / seq.shape[0])
     return loss, targets.size
 
@@ -172,67 +166,53 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
 
 def _sample_rollout(decoder: Decoder, entries: Tensor, max_len: int, rngs,
                     audit: InputFeedAudit | None = None):
-    """Batched multinomial rollout of the decoder in eval mode, under
-    T.no_grad().
+    """Batched multinomial rollout of the decoder in eval mode, recorded
+    on the tape unless run under T.no_grad(), which changes no token.
 
-    Returns (tokens (B, T) with PAD after END, lengths (B,), finished
-    mask) in the original row order: T is the number of steps run and
-    lengths[i] the steps row i ran, END included.  Nothing is recorded,
-    the state's key projection included; `reinforce_step` scores the
-    tokens afterwards with a state of its own.
-
-    A row leaves the batch on the step it samples END: `Decoder.keep_rows`
-    cuts the state to the rows still running.  Original row i always
-    draws from rngs[i], so every live row sees the same draws as in a
-    rollout that steps all B rows to the end; its tokens differ only when
-    a draw lands within rounding of a bucket boundary, since a matmul
-    row's bits depend on how many rows share the call.  With an audit, every token fed after the first step is checked, for each
-    running row, against that row's token one step earlier.
+    Returns (tokens (B, T), PAD after END; logits (N, V); targets (N,);
+    rows (N,)): every step's running rows packed in step order, the token
+    each sampled and its original row, N counting every sampled token.
+    A row leaves on the step it samples END (`Decoder.keep_rows`).  Row i
+    always draws from rngs[i], as in a rollout that steps all B rows to
+    the end (up to draws within rounding of a bucket boundary, since a
+    matmul row's bits depend on how many rows share the call).  An audit
+    checks each token fed after the first step against the row's last.
     """
     b = entries.shape[0]
     rows = np.arange(b)                     # original row of each running row
     last = np.full(b, START_ID, dtype=np.int64)
     tokens = np.full((b, max_len), PAD_ID, dtype=np.int64)
-    lengths = np.full(b, max_len)
-    finished = np.zeros(b, dtype=bool)
-    feeds = []                              # (rows, fed tokens) per step
-    with T.no_grad():
-        state = decoder.init_state(entries)
-        for t in range(max_len):
-            feeds.append((rows, last))
-            out = decoder.step(state, last, train=False)
-            state = out.state
-            _, probs, total = T.softmax_terms(out.logits.data.astype(np.float64))
-            probs /= total
-            sampled = _multinomial_rows(probs, [rngs[i] for i in rows])
-            tokens[rows, t] = sampled
-            ended = sampled == END_ID
-            finished[rows[ended]] = True
-            lengths[rows[ended]] = t + 1
-            if ended.all():
-                break
-            if ended.any():
-                keep = np.flatnonzero(~ended)
-                state = decoder.keep_rows(state, keep)
-                rows, sampled = rows[keep], sampled[keep]
-            last = sampled
-    tokens = tokens[:, :len(feeds)]
+    steps = []                              # (running rows, fed tokens, logits) per step
+    state = decoder.init_state(entries)
+    for t in range(max_len):
+        out = decoder.step(state, last, train=False)
+        steps.append((rows, last, out.logits))
+        state = out.state
+        _, e, total = T.softmax_terms(out.logits.data.astype(np.float64))
+        sampled = _multinomial_rows(e / total, [rngs[i] for i in rows])
+        tokens[rows, t] = sampled
+        ended = sampled == END_ID
+        if ended.all():
+            break
+        if ended.any():
+            keep = np.flatnonzero(~ended)
+            state = decoder.keep_rows(state, keep)
+            rows, sampled = rows[keep], sampled[keep]
+        last = sampled
+    owners, fed, logits = zip(*steps)
+    tokens = tokens[:, :len(steps)]
     if audit is not None:
-        for t, (fed_rows, fed) in enumerate(feeds[1:], start=1):
-            audit.check(fed, tokens[fed_rows, t - 1])
-    return tokens, lengths, finished
+        for t in range(1, len(steps)):
+            audit.check(fed[t], tokens[owners[t], t - 1])
+    targets = np.concatenate([tokens[r, t] for t, r in enumerate(owners)])
+    return tokens, T.concat(logits), targets, np.concatenate(owners)
 
 
 def strip_sentinels(row) -> list[int]:
     """Content ids only: cut at END, drop PAD/START."""
-    out = []
-    for tok in row:
-        if tok == END_ID:
-            break
-        if tok in (PAD_ID, START_ID):
-            continue
-        out.append(int(tok))
-    return out
+    row = list(row)
+    return [int(tok) for tok in row[:row.index(END_ID) if END_ID in row else len(row)]
+            if tok not in (PAD_ID, START_ID)]
 
 
 # ---------------------------------------------------------------------
@@ -275,17 +255,12 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     """One policy-gradient update; returns the mean sampled reward.
 
     Encodes once in eval mode (no dropout, batch-norm running
-    statistics) and draws k samples per image off the tape from the
-    memory entries tiled k times.  Rewards are computed on
-    sentinel-stripped token ids and clamped to [0, 1].  One packed
-    teacher-forced pass over the same tiled entries then scores every
-    sampled token, END included, with the rollout's step counts; the
-    loss is sum(w[row] * ce) / (B*k).  A non-finite loss raises
-    DivergenceError before backward, so the parameters stay as they
-    were.  Sampling and scoring run the same eval-mode function, but
-    scoring batches rows in length order, so the loss and gradients may
-    move in their last bits against a rollout that records its own
-    log-probabilities; tokens and rewards do not.
+    statistics) and draws k samples per image in one recorded rollout
+    over the memory tiled k times, so the decoder runs once per sampled
+    step.  Rewards are computed on sentinel-stripped token ids and
+    clamped to [0, 1].  The loss is sum(w[row] * ce) / (B*k) over the
+    log-probabilities the rollout drew its tokens with, END included.  A
+    non-finite loss raises DivergenceError before backward.
     """
     if k < 2:
         raise TrainError(f"reinforce_step: k must be >= 2 for the baseline, got {k}")
@@ -294,11 +269,10 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
         raise TrainError("reinforce_step: empty batch")
     tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
-    tokens, lengths, _ = _sample_rollout(model.decoder, tiled, max_len, rngs, audit)
+    tokens, logits, targets, rows = _sample_rollout(model.decoder, tiled, max_len, rngs, audit)
     rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
                        for i, row in enumerate(tokens)], 0.0, 1.0)
     weights = reinforce_weights(rewards.reshape(b, k), leave_one_out).reshape(b * k)
-    logits, targets, rows = _teacher_forced(model.decoder, tiled, tokens, lengths, train=False)
     loss = reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
     _descend(model, optimizer, loss, step, clip_norm)
     return float(rewards.mean())
@@ -310,13 +284,11 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
 
 def token_accuracy(model: Model, batches) -> float:
     """Teacher-forced argmax accuracy over the packed targets (eval mode)."""
-    correct = 0
-    total = 0
+    correct = total = 0
     with T.no_grad():
         for batch in batches:
             entries = model.encoder.encode(batch.images)
-            logits, targets, _ = _teacher_forced(model.decoder, entries, batch.seq,
-                                                 _target_counts(batch.seq), train=False)
+            logits, targets = _teacher_forced(model.decoder, entries, batch.seq, train=False)
             correct += int((logits.data.argmax(axis=1) == targets).sum())
             total += targets.size
     return correct / total
@@ -449,13 +421,9 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
                    "seed": cfg["seed"]})
 
-    batch_size = int(cfg["batch_size"])
-    validate_every = int(cfg["validate_every"])
-    patience = int(cfg["patience"])
-    max_len = int(cfg["max_len"])
-    k = int(cfg["k"])
-    clip = float(cfg["clip_norm"])
-    leave_one_out = bool(cfg["leave_one_out"])
+    batch_size, validate_every, patience, max_len, k = (
+        int(cfg[key]) for key in ("batch_size", "validate_every", "patience", "max_len", "k"))
+    clip, leave_one_out = float(cfg["clip_norm"]), bool(cfg["leave_one_out"])
 
     # batch count per epoch is order-independent, so the schedule is a
     # pure function of (seed, step) and resuming lands on the same batch
@@ -517,16 +485,10 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             losses.append(value)
 
             if step % validate_every == 0 or step == steps:
-                if phase == "mle":
-                    metric = token_accuracy(model, val_batches)
-                else:
-                    metric = greedy_bleu(model, val_examples, max_len, buckets)
+                metric = (token_accuracy(model, val_batches) if phase == "mle"
+                          else greedy_bleu(model, val_examples, max_len, buckets))
                 improved = metric > best_metric
-                if improved:
-                    best_metric = metric
-                    stale = 0
-                else:
-                    stale += 1
+                best_metric, stale = (metric, 0) if improved else (best_metric, stale + 1)
                 emit(step, value, f"{metric:.6f}")
                 if improved:
                     save(best_path, step)
@@ -541,7 +503,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         save(last_path, step)
     finally:
         log_file.close()
-    return TrainOutcome(steps_run=step, best_metric=float(best_metric),
-                        best_path=best_path, last_path=last_path,
-                        log_path=log_path, stopped_early=stopped_early,
-                        losses=losses)
+    return TrainOutcome(steps_run=step, best_metric=float(best_metric), best_path=best_path,
+                        last_path=last_path, log_path=log_path,
+                        stopped_early=stopped_early, losses=losses)

@@ -372,6 +372,38 @@ def test_attention_scores_is_bit_identical_to_the_chain_across_many_blocks(bsz, 
     cot[1::3, 1::4] = 0.0
     fused = attention_bytes(T.attention_scores, arrays, cot)
     assert fused == attention_bytes(attention_chain, arrays, cot)
+    # memory rows gathered block by block equal a take_rows of the memory:
+    # five more memory rows than queries, read in a shuffled order
+    memory = np.random.default_rng(18).normal(size=(bsz + 5, length, a)).astype(dtype)
+    rows = np.random.default_rng(19).permutation(bsz + 5)[:bsz]
+    arrays[2] = memory
+    gathered = attention_bytes(lambda q, w, p, b: T.attention_scores(q, w, p, b, rows),
+                               arrays, cot)
+    chain = attention_bytes(lambda q, w, p, b: attention_chain(q, w, T.take_rows(p, rows), b),
+                            arrays, cot)
+    assert gathered == chain
+
+
+@pytest.mark.parametrize("bsz,dtype", [(160, np.float32), (97, np.float64)])
+def test_attention_context_is_bit_identical_to_one_stacked_matmul_across_many_blocks(bsz,
+                                                                                      dtype):
+    # the desk memory, L = 154 entries of d = 64, read in blocks of 6 f32
+    # or 3 f64 rows: as a prefix, and gathered in a shuffled order
+    length, d = 154, 64
+    r = np.random.default_rng(20)
+    memory = r.normal(size=(bsz + 7, length, d)).astype(dtype)
+    alpha = r.random((bsz, length)).astype(dtype)
+    cot = r.normal(size=(bsz, d)).astype(dtype)
+    for rows in (bsz, r.permutation(bsz + 7)[:bsz]):
+        index = slice(0, rows) if isinstance(rows, int) else rows
+        a, e = Tensor(alpha, requires_grad=True), Tensor(memory, requires_grad=True)
+        out = T.attention_context(a, e, rows)
+        (out * Tensor(cot)).sum().backward()
+        assert out.data.tobytes() == np.matmul(alpha[:, None, :], memory[index])[:, 0].tobytes()
+        assert a.grad.tobytes() == np.matmul(memory[index], cot[:, :, None])[:, :, 0].tobytes()
+        want = np.zeros_like(memory)
+        want[index] = alpha[:, :, None] * cot[:, None, :]
+        assert e.grad.tobytes() == want.tobytes()
 
 
 def test_attention_scores_keeps_no_activations_on_the_tape():

@@ -18,6 +18,7 @@ from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_dataset)
 from img2latex.decoder import StepOutput
 from img2latex.decoding import greedy_decode
+from img2latex.metrics import sentence_bleu4
 from img2latex.model import Model, log_softmax
 from img2latex.optim import Adam
 from img2latex.synth import GrammarConfig, synth_generate
@@ -316,23 +317,21 @@ class ChainModel:
         return log_softmax(self._row(token)), None, np.array([1.0])
 
 
-def sample_and_score(decoder, entries, max_len, rngs, audit=None):
-    """The path reinforce_step takes: sample off the tape, then score the
-    tokens with one packed teacher-forced pass over the same entries.
-    Returns (tokens, finished, per-row nll, (per-token ce Tensor, rows))."""
-    tokens, lengths, finished = _sample_rollout(decoder, entries, max_len, rngs, audit)
-    logits, targets, rows = training._teacher_forced(decoder, entries, tokens, lengths,
-                                                     train=False)
+def rollout_nll(decoder, entries, max_len, rngs, audit=None):
+    """The path reinforce_step takes: one rollout, whose packed logits
+    give every sampled token's cross entropy.  Returns (tokens, finished,
+    per-row nll, (per-token ce Tensor, rows))."""
+    tokens, logits, targets, rows = _sample_rollout(decoder, entries, max_len, rngs, audit)
     ce = T.cross_entropy(logits, targets)
     nll = np.bincount(rows, weights=ce.data, minlength=tokens.shape[0])
-    return tokens, finished, nll, (ce, rows)
+    return tokens, (tokens == END_ID).any(axis=1), nll, (ce, rows)
 
 
 def rollout_one(model, image, max_len, seed, audit=None):
-    """(content ids, nll, finished) of one sampled and scored rollout."""
+    """(content ids, nll, finished) of one sampled rollout."""
     with T.no_grad():
         entries = model.encoder.encode(image, train=False)
-        tokens, finished, nll, _ = sample_and_score(
+        tokens, finished, nll, _ = rollout_nll(
             model.decoder, entries, max_len, [np.random.default_rng(seed)], audit)
     return strip_sentinels(tokens[0]), float(nll[0]), bool(finished[0])
 
@@ -383,7 +382,7 @@ def test_single_step_sample_frequencies_match_probabilities():
     model = StaticModel(row)
     rngs = [np.random.default_rng((9, i)) for i in range(n)]
     with T.no_grad():
-        tokens, _, _ = _sample_rollout(model, Tensor(np.zeros((n, 1, 4))), 1, rngs)
+        tokens = _sample_rollout(model, Tensor(np.zeros((n, 1, 4))), 1, rngs)[0]
     freq = np.bincount(tokens[:, 0], minlength=len(row)) / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(freq - p) <= 3 * sigma).all()
@@ -459,8 +458,8 @@ def rollout_case(name):
 
 
 def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
-    """Sample and score, then check tokens, nll and every gradient (the
-    encoder and dec.attn.w2 included) against full_batch_rollout.
+    """Roll out, then check tokens, nll and every gradient (the encoder
+    and dec.attn.w2 included) against full_batch_rollout.
     Returns the reference (tokens, finished, nll)."""
     weights = np.random.default_rng(3).standard_normal(images.shape[0] * repeats)
     results = []
@@ -472,8 +471,8 @@ def matches_the_full_batch_rollout(model, images, repeats, max_len, make_rngs):
             loss = training.reinforce_loss(nll, weights, np.arange(weights.size))
             nll = nll.data
         else:
-            tokens, finished, nll, (ce, rows) = sample_and_score(model.decoder, tiled, max_len,
-                                                                 make_rngs())
+            tokens, finished, nll, (ce, rows) = rollout_nll(model.decoder, tiled, max_len,
+                                                            make_rngs())
             loss = training.reinforce_loss(ce, weights, rows)
         model.zero_grad()
         loss.backward()
@@ -524,7 +523,7 @@ def test_sampled_sentinels_keep_their_score(monkeypatch):
     # counting targets by PAD, as MLE batches do, would refuse this rollout
     with pytest.raises(TrainError, match="PAD before a target"):
         training._target_counts(tokens)
-    # reinforce_step, on the same draws, scores every sampled token too
+    # reinforce_step, on the same draws, weights every sampled token too
     draws = rngs()
     monkeypatch.setattr(training, "derive_rng", lambda seed, purpose, step, i: draws[i])
     scored = []
@@ -580,19 +579,16 @@ def test_finished_rows_are_never_fed_again():
     model = RowTaggedModel(5)
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
     audit = InputFeedAudit()
-    tokens, finished, nll, _ = sample_and_score(model, model.encode(None), 4,
-                                                rngs, audit)
-    sampling, scoring = model.calls[:4], model.calls[4:]
-    # row r runs steps 0..r (END at step r); row 4 is cut off after 4 steps
-    assert [list(rows) for rows, _ in sampling] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
-                                                    [2, 3, 4], [3, 4]]
-    assert [list(fed) for _, fed in sampling] == [[START_ID] * 5, [5, 6, 7, 4],
-                                                  [6, 7, 4], [7, 4]]
-    # scoring steps the same rows, sorted longest first, on their own samples
-    assert [list(rows) for rows, _ in scoring] == [[3, 4, 2, 1, 0], [3, 4, 2, 1],
-                                                   [3, 4, 2], [3, 4]]
-    assert [list(fed) for _, fed in scoring] == [[START_ID] * 5, [7, 4, 6, 5],
-                                                 [7, 4, 6], [7, 4]]
+    tokens, finished, nll, (ce, rows) = rollout_nll(model, model.encode(None), 4, rngs, audit)
+    # row r runs steps 0..r (END at step r); row 4 is cut off after 4
+    # steps, and no step runs twice: the rollout's logits are the loss's
+    assert [list(rows) for rows, _ in model.calls] == [[0, 1, 2, 3, 4], [1, 2, 3, 4],
+                                                       [2, 3, 4], [3, 4]]
+    assert [list(fed) for _, fed in model.calls] == [[START_ID] * 5, [5, 6, 7, 4],
+                                                     [6, 7, 4], [7, 4]]
+    # one target per running row per step, in step order
+    assert list(rows) == [0, 1, 2, 3, 4, 1, 2, 3, 4, 2, 3, 4, 3, 4]
+    assert ce.shape == (14,)
     assert list(finished) == [True, True, True, True, False]
     assert tokens.tolist() == [[END_ID, PAD_ID, PAD_ID, PAD_ID],
                                [5, END_ID, PAD_ID, PAD_ID],
@@ -718,36 +714,82 @@ def tape_records(loss):
     return records
 
 
-def test_a_reinforce_step_tapes_one_cross_entropy_and_no_sampling(monkeypatch):
+def test_a_reinforce_step_runs_the_decoder_once_and_tapes_its_rollout(monkeypatch):
     model = tiny_model(seed=4)
     opt = Adam(model.params, lr=1e-4)
     images = np.random.default_rng(4).random((2, 1, 16, 24))
     real_loss, real_sample = training.reinforce_loss, training._sample_rollout
-    taped, sampled = [], []
+    real_step = model.decoder.step
+    taped, sampled, steps = [], [], []
 
     def loss_spy(*args):
         loss = real_loss(*args)
-        # names and output ranks, read before backward drops the outputs
-        taped.extend((rec, rec.out.ndim) for rec in tape_records(loss))
+        # names and output shapes, read before backward drops the outputs
+        taped.extend((rec.seq, rec.name, rec.out.shape) for rec in tape_records(loss))
         return loss
 
     def sample_spy(*args):
         start = next(T._op_counter)
         out = real_sample(*args)
-        sampled.append((start, next(T._op_counter), out[1]))
+        sampled.append((start, next(T._op_counter), out[0]))
         return out
 
     monkeypatch.setattr(training, "reinforce_loss", loss_spy)
     monkeypatch.setattr(training, "_sample_rollout", sample_spy)
+    monkeypatch.setattr(model.decoder, "step",
+                        lambda *a, **kw: (steps.append(1), real_step(*a, **kw))[1])
     reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=1, step=1, max_len=12)
-    (start, stop, lengths), = sampled
-    assert len(set(lengths)) >= 3            # rows left the rollout at different steps
-    assert stop == start + 1                 # sampling made no record at all
-    names = [rec.name for rec, _ in taped]
-    assert names.count("cross_entropy") == 1
-    # the memory's one cut is the length sort; h, c and O cuts are 2-D
-    assert sum(rec.name == "take_rows" and ndim == 3 for rec, ndim in taped) <= 1
-    assert all(not start < rec.seq < stop for rec, _ in taped)
+    (start, stop, tokens), = sampled
+    ran = np.where((tokens == END_ID).any(axis=1), (tokens == END_ID).argmax(axis=1) + 1,
+                   tokens.shape[1])
+    assert len(set(ran)) >= 3               # rows left the rollout at different steps
+    # one decoder step per sampled step: there is no second, scoring pass
+    assert len(steps) == tokens.shape[1]
+    names = Counter(name for _, name, _ in taped)
+    assert names["cross_entropy"] == 1
+    # the loss reaches every rollout step's records
+    rollout = Counter(name for seq, name, _ in taped if start < seq < stop)
+    assert rollout["attention_scores"] == rollout["attention_context"] == len(steps)
+    assert rollout["lstm_cell"] == 2 * len(steps)
+    # each compacting step cuts h, c and O (2-D); the memory is never cut
+    cuts = [shape for _, name, shape in taped if name == "take_rows"]
+    assert cuts and all(len(shape) == 2 for shape in cuts)
+    assert len(cuts) == 5 * (len(set(ran)) - 1)
+
+
+def test_reinforce_step_samples_and_rewards_what_an_unrecorded_rollout_does(monkeypatch):
+    model = tiny_model(seed=4)
+    opt = Adam(model.params, lr=1e-4)
+    images = np.random.default_rng(4).random((2, 1, 16, 24))
+    refs, k, seed, step = [[4, 5], [6]], 3, 1, 1
+    # the same rollout off the tape, before the step moves the parameters
+    with T.no_grad():
+        tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
+        rngs = [training.derive_rng(seed, training.RNG_SAMPLE, step, i) for i in range(2 * k)]
+        free = _sample_rollout(model.decoder, tiled, 12, rngs)
+    assert not free[1].requires_grad
+    free_rewards = [sentence_bleu4(strip_sentinels(row), refs[i // k])
+                    for i, row in enumerate(free[0])]
+    assert len(set(free_rewards)) > 1
+    rewarded, sampled = [], []
+
+    def reward(cand, ref):
+        rewarded.append((cand, sentence_bleu4(cand, ref)))
+        return rewarded[-1][1]
+
+    real_sample = training._sample_rollout
+    monkeypatch.setattr(training, "_sample_rollout",
+                        lambda *a: (sampled.append(real_sample(*a)), sampled[-1])[1])
+    mean = reinforce_step(model, images, refs, opt, k=k, seed=seed, step=step, max_len=12,
+                          reward_fn=reward)
+    (taped,), = [sampled]
+    assert taped[1].requires_grad
+    assert np.array_equal(taped[0], free[0])
+    assert np.array_equal(taped[1].data, free[1].data)
+    assert np.array_equal(taped[2], free[2]) and np.array_equal(taped[3], free[3])
+    assert [cand for cand, _ in rewarded] == [strip_sentinels(row) for row in free[0]]
+    assert [value for _, value in rewarded] == free_rewards
+    assert mean == float(np.clip(free_rewards, 0.0, 1.0).mean())
 
 
 def test_a_state_built_under_no_grad_keeps_its_key_projection_off_the_tape():
@@ -779,7 +821,7 @@ def test_a_reinforce_step_tapes_one_key_projection_the_scoring_passes(monkeypatc
         reinforce_step(model, images, [[4, 5], [6]], opt, k=3, seed=1, step=1, max_len=12)
     # the loss reaches one W2 e_l matmul, and the whole step records no
     # other projection: its reshapes are the encoder's one and the
-    # scoring projection's two, where an on-tape rollout would add two
+    # rollout projection's two, where a separate scoring pass would add two
     (rec,) = projections
     assert rec.name == "matmul"
     assert prof.records["reshape"] == 1 + 2
