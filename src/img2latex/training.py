@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -359,6 +360,27 @@ def _resume(ckpt: Checkpoint, path: str, phase: str,
     return meta["step"], -np.inf if best is None else best, meta["stale_validations"]
 
 
+def _cut_log(path: str, step: int, phase: str) -> None:
+    """Cut the log at path after its last row of `phase` at `step`, where a
+    resume picks up, and say so on stderr; without that row (at step > 0)
+    refuse it (TrainError).  An absent log stays absent."""
+    if not os.path.exists(path):
+        return
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    found = [i + 1 for i, line in enumerate(lines)
+             if line.split("\t", 2)[:2] == [str(step), phase]]
+    if step and not found:
+        raise TrainError(f"{path} has no row for {phase} step {step}, where the checkpoint "
+                         "was saved, so it cannot be cut back to it; resume into another --out")
+    keep = found[-1] if found else len(lines)
+    if keep < len(lines):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:keep])
+        print(f"{path}: cut {len(lines) - keep} rows after {phase} step {step}, "
+              "which the resumed run writes again", file=sys.stderr)
+
+
 def _epoch_batches(examples, buckets, batch_size, vocab, seed, epoch):
     order = derive_rng(seed, RNG_SHUFFLE, epoch).permutation(len(examples))
     shuffled = [examples[i] for i in order]
@@ -373,8 +395,10 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
 
     init starts the rl phase (or mle fine-tuning) from a checkpoint with
     a fresh optimizer; resume continues a checkpoint of the same phase
-    (see `_resume`), and not both.  Resuming in the same out_dir is
-    byte-exact when the interrupted run's `steps` is a multiple of
+    (see `_resume`), and not both.  A resume cuts out_dir's log back to
+    the checkpoint's step (`_cut_log`), so it then equals an
+    uninterrupted run's but for the wall time, which restarts at 0.  It
+    is byte-exact when the interrupted run's `steps` is a multiple of
     `validate_every`.  Otherwise that run validated at its last step,
     off schedule, which counts toward patience and may pick best.ckpt,
     so only the parameters and optimizer state are exact.  A checkpoint
@@ -391,6 +415,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         raise TrainError("rl phase requires an mle checkpoint via init "
                          "(train the mle phase first)")
     os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "train_log.tsv")
     train_examples = load_dataset(train_manifest)
     if not train_examples:
         raise TrainError(f"{train_manifest}: no training examples")
@@ -415,6 +440,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         if start_step > steps:
             raise TrainError(f"{resume} is at step {start_step}, past steps={steps}; "
                              "raise steps to continue it")
+        _cut_log(log_path, start_step, phase)
     if config_fn:
         # the model's keys are the model's, the checkpoint's under init or
         # resume; seed stays the config's, since train draws from it
@@ -437,7 +463,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             raise TrainError(f"{val_manifest}: no validation example fits a bucket "
                              f"of {buckets_path}")
 
-    log_path = os.path.join(out_dir, "train_log.tsv")
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
     log_file = open(log_path, "a", encoding="utf-8")

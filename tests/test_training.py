@@ -951,6 +951,52 @@ def test_rl_resume_after_an_off_schedule_stop_keeps_parameters_and_optimizer(cor
     assert log_rows(whole)[2][3] == "" and log_rows(resumed)[2][3] != ""
 
 
+class Stop(Exception):
+    pass
+
+
+def test_a_run_stopped_between_validations_resumes_to_the_uninterrupted_log(
+        corpus, tmp_path, capsys):
+    args = (corpus["manifest"], corpus["manifest"], corpus["buckets"])
+    cfg = tiny_cfg(steps=8, validate_every=5)
+    whole = train(cfg, *args, str(tmp_path / "whole"))
+
+    def stop_after_step_7(line):
+        if line.startswith("7\t"):
+            raise Stop
+
+    out = str(tmp_path / "stopped")
+    with pytest.raises(Stop):
+        train(cfg, *args, out, log_fn=stop_after_step_7)
+    stopped = os.path.join(out, "train_log.tsv")
+    assert [row[0] for row in log_rows(SimpleNamespace(log_path=stopped))] == [
+        "1", "2", "3", "4", "5", "6", "7"]
+    assert load_checkpoint(os.path.join(out, "last.ckpt")).meta["step"] == 5
+    capsys.readouterr()
+    resumed = train(cfg, *args, out, resume=os.path.join(out, "last.ckpt"))
+    # without the cut, the log would read steps 1-7, then 6, 7 and 8 again
+    assert log_rows(resumed) == log_rows(whole)
+    assert [row[0] for row in log_rows(whole)] == [str(s) for s in range(1, 9)]
+    assert capsys.readouterr().err == (f"{stopped}: cut 2 rows after mle step 5, "
+                                       "which the resumed run writes again\n")
+
+
+def test_resume_refuses_a_log_without_the_checkpoints_step(corpus, tmp_path, capsys):
+    args = (corpus["manifest"], corpus["manifest"], corpus["buckets"])
+    part = train(tiny_cfg(steps=3), *args, str(tmp_path / "part"))
+    log = tmp_path / "other" / "train_log.tsv"
+    log.parent.mkdir()
+    log.write_text("1\tmle\t2.0\t\t0.1\n2\tmle\t1.9\t\t0.2\n4\tmle\t1.8\t\t0.3\n")
+    with pytest.raises(TrainError, match="has no row for mle step 3"):
+        train(tiny_cfg(steps=6), *args, str(log.parent), resume=part.last_path)
+    assert log.read_text().count("\n") == 3 and not (log.parent / "last.ckpt").exists()
+    # with every row up to the step, nothing is cut and nothing said
+    capsys.readouterr()
+    resumed = train(tiny_cfg(steps=6), *args, str(tmp_path / "part"), resume=part.last_path)
+    assert capsys.readouterr().err == ""
+    assert [row[0] for row in log_rows(resumed)] == [str(s) for s in range(1, 7)]
+
+
 def test_train_log_is_tab_separated(corpus, tmp_path):
     result = train(tiny_cfg(), corpus["manifest"], corpus["manifest"],
                    corpus["buckets"], str(tmp_path / "log"))
