@@ -1,10 +1,11 @@
 """Two-phase training: token-level cross entropy, then REINFORCE.
 
-Phase one (mle) teacher-forces ground-truth tokens and minimizes summed
-per-step cross entropy.  Phase two (rl) samples k sequences per image,
-scores them with a sequence reward (BLEU by default), subtracts the
-per-image mean reward as a baseline, and ascends reward-weighted
-log-probabilities.
+Both phases run one packed decoder loop (`_run_packed`) and differ only
+in the token it feeds back.  Phase one (mle) feeds the ground truth and
+minimizes summed per-step cross entropy.  Phase two (rl) feeds each of
+k samples per image its own last token, scores the samples with a
+sequence reward (BLEU by default), subtracts the per-image mean reward
+as a baseline, and ascends reward-weighted log-probabilities.
 
 Every source of randomness is derived from (seed, purpose, step,
 element) coordinates, never carried between steps, so a resumed run
@@ -47,7 +48,7 @@ class DivergenceError(TrainError):
 
 
 # ---------------------------------------------------------------------
-# token-level objective
+# the packed decoder loop and the token-level objective
 # ---------------------------------------------------------------------
 
 def _target_counts(seq: np.ndarray) -> np.ndarray:
@@ -65,37 +66,69 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
     return live.sum(axis=1)
 
 
+def _run_packed(decoder: Decoder, entries: Tensor, caps: np.ndarray, choose,
+                train: bool = False, rng: np.random.Generator | None = None,
+                audit: InputFeedAudit | None = None):
+    """The decoder loop of both phases, which differ only in the token
+    each step chooses (`_teacher_forced`, `_sample_rollout`).
+
+    Step t feeds each running row its last token (START at t=0) and
+    takes the next from choose(rows, t, logits), rows being the running
+    rows' original indices.  A row leaves on the step it chooses END or
+    its caps[row]-th token; the state keeps the rest (`Decoder.keep_rows`)
+    by count, as views, when they are a prefix, else by index.  A matmul
+    row's bits depend on how many rows share the call, so the outputs can
+    differ in their last bits from a loop that steps all B rows to the
+    end.  Recorded on the tape unless run under T.no_grad(), which
+    changes no token.  An audit checks each token fed after step 0.
+
+    Returns (tokens (B, T), PAD after each row's last; logits (N, V);
+    targets (N,); rows (N,)): every step's running rows in step order,
+    the token each chose and its original row.
+    """
+    b = entries.shape[0]
+    rows = np.arange(b)                     # original row of each running row
+    fed = np.full(b, START_ID, dtype=np.int64)
+    tokens = np.full((b, int(caps.max())), PAD_ID, dtype=np.int64)
+    steps = []                              # (running rows, logits) per step
+    state = decoder.init_state(entries)
+    for t in range(tokens.shape[1]):
+        out = decoder.step(state, fed, train=train, rng=rng)
+        if audit is not None and t:
+            audit.check(fed, tokens[rows, t - 1])
+        steps.append((rows, out.logits))
+        state, chosen = out.state, choose(rows, t, out.logits)
+        tokens[rows, t] = chosen
+        keep = np.flatnonzero((chosen != END_ID) & (caps[rows] > t + 1))
+        if keep.size == 0:
+            break
+        if keep.size < rows.size:
+            state = decoder.keep_rows(state, keep.size if keep[-1] < keep.size else keep)
+            rows, chosen = rows[keep], chosen[keep]
+        fed = chosen
+    owners, logits = zip(*steps)
+    targets = np.concatenate([tokens[r, t] for t, r in enumerate(owners)])
+    return tokens[:, :len(steps)], T.concat(logits), targets, np.concatenate(owners)
+
+
 def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray, train: bool,
                     rng: np.random.Generator | None = None):
-    """Packed teacher-forced pass of the decoder; returns (logits Tensor
-    (N, V), targets (N,)).
+    """`_run_packed` fed the targets; returns (logits (N, V), targets (N,)).
 
-    Row i's targets are its non-PAD ids (`_target_counts`), and its input
-    at step t is target t-1 (START at t=0).  The memory entries come
-    encoded, so batch-norm statistics keep their bits; their rows are
-    sorted once by count, longest first (stable; no gather when already
-    in order).  Step t runs only the first n_t rows, those with more than
-    t targets, as views (`Decoder.keep_rows` with an int), and the
-    outputs pack every step's live rows, so N is the number of targets.
+    A row's targets are its non-PAD ids (`_target_counts`), and their
+    count is its cap.  The memory entries come encoded, so batch-norm
+    statistics keep their bits; their rows are sorted once by count,
+    longest first (stable; no gather when already in order), so the rows
+    that leave are a suffix and every cut is a view.
     """
     lengths = _target_counts(seq)
-    b = seq.shape[0]
     order = np.argsort(-lengths, kind="stable")
-    seq = seq[order]
-    inputs = np.concatenate([np.full((b, 1), START_ID, dtype=seq.dtype), seq[:, :-1]], axis=1)
-    n_live = (lengths[order][:, None] > np.arange(lengths.max())).sum(axis=0)
-    if (order != np.arange(b)).any():
+    if (order != np.arange(seq.shape[0])).any():
         entries = T.take_rows(entries, order)
-    state = decoder.init_state(entries)
-    rows, logits = b, []
-    for t, n in enumerate(n_live):
-        if n < rows:
-            rows = int(n)
-            state = decoder.keep_rows(state, rows)
-        out = decoder.step(state, inputs[:rows, t], train=train, rng=rng)
-        state = out.state
-        logits.append(out.logits)
-    return T.concat(logits), np.concatenate([seq[:n, t] for t, n in enumerate(n_live)])
+    seq = seq[order]
+    _, logits, targets, _ = _run_packed(decoder, entries, lengths[order],
+                                        lambda rows, t, _: seq[rows, t], train, rng)
+    return logits, targets
 
 
 def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
@@ -107,10 +140,9 @@ def mle_loss(model: Model, images: np.ndarray, seq: np.ndarray,
     1/B (the batch mean of per-sequence summed cross entropy; PAD is
     never scored), and the number of packed targets.
 
-    Numerics: a matmul row's bits depend on how many rows share the
-    call, and the sum runs over the packed order, so the loss and the
-    gradients can differ in their last bits from a pass that steps all B
-    rows and masks PAD afterwards.  With dropout > 0 the masks are drawn
+    Numerics: the loss sums in the packed order, so it and its gradients
+    can differ in their last bits from a pass that steps all B rows and
+    masks PAD (see `_run_packed`).  With dropout > 0 the masks are drawn
     at the packed shapes, in sorted row order: the same distribution as
     masks drawn for all B rows, but not the same draws.  The pass is a
     pure function of its inputs and the generator, so reruns and resumed
@@ -167,46 +199,14 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
 
 def _sample_rollout(decoder: Decoder, entries: Tensor, max_len: int, rngs,
                     audit: InputFeedAudit | None = None):
-    """Batched multinomial rollout of the decoder in eval mode, recorded
-    on the tape unless run under T.no_grad(), which changes no token.
-
-    Returns (tokens (B, T), PAD after END; logits (N, V); targets (N,);
-    rows (N,)): every step's running rows packed in step order, the token
-    each sampled and its original row, N counting every sampled token.
-    A row leaves on the step it samples END (`Decoder.keep_rows`).  Row i
-    always draws from rngs[i], as in a rollout that steps all B rows to
-    the end (up to draws within rounding of a bucket boundary, since a
-    matmul row's bits depend on how many rows share the call).  An audit
-    checks each token fed after the first step against the row's last.
-    """
-    b = entries.shape[0]
-    rows = np.arange(b)                     # original row of each running row
-    last = np.full(b, START_ID, dtype=np.int64)
-    tokens = np.full((b, max_len), PAD_ID, dtype=np.int64)
-    steps = []                              # (running rows, fed tokens, logits) per step
-    state = decoder.init_state(entries)
-    for t in range(max_len):
-        out = decoder.step(state, last, train=False)
-        steps.append((rows, last, out.logits))
-        state = out.state
-        _, e, total = T.softmax_terms(out.logits.data.astype(np.float64))
-        sampled = _multinomial_rows(e / total, [rngs[i] for i in rows])
-        tokens[rows, t] = sampled
-        ended = sampled == END_ID
-        if ended.all():
-            break
-        if ended.any():
-            keep = np.flatnonzero(~ended)
-            state = decoder.keep_rows(state, keep)
-            rows, sampled = rows[keep], sampled[keep]
-        last = sampled
-    owners, fed, logits = zip(*steps)
-    tokens = tokens[:, :len(steps)]
-    if audit is not None:
-        for t in range(1, len(steps)):
-            audit.check(fed[t], tokens[owners[t], t - 1])
-    targets = np.concatenate([tokens[r, t] for t, r in enumerate(owners)])
-    return tokens, T.concat(logits), targets, np.concatenate(owners)
+    """`_run_packed` fed its own multinomial samples, in eval mode, for at
+    most max_len steps.  Row i always draws from rngs[i], so it draws what
+    it would in a loop that steps all B rows, up to draws within rounding
+    of a bucket boundary."""
+    def draw(rows, t, logits):
+        _, e, total = T.softmax_terms(logits.data.astype(np.float64))
+        return _multinomial_rows(e / total, [rngs[i] for i in rows])
+    return _run_packed(decoder, entries, np.full(len(rngs), max_len), draw, audit=audit)
 
 
 def strip_sentinels(row) -> list[int]:

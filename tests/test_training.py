@@ -195,10 +195,10 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
     cuts = []
     keep_rows = model.decoder.keep_rows
     model.decoder.keep_rows = lambda state, rows: (cuts.append(rows), keep_rows(state, rows))[1]
-    gathers = []            # take_rows calls that gather; a row count cuts a view
+    gathers, views = [], []     # take_rows calls that gather, and row counts cut as views
     take_rows = T.take_rows
     monkeypatch.setattr(T, "take_rows", lambda a, rows: (
-        isinstance(rows, int) or gathers.append(rows), take_rows(a, rows))[1])
+        (views if isinstance(rows, int) else gathers).append(rows), take_rows(a, rows))[1])
     results = []
     for run in (lambda: mle_loss(model, images, seq, train=True),
                 lambda: masked_reference(model, images, seq, train=True)[:2]):
@@ -209,6 +209,8 @@ def test_packed_loop_matches_the_masked_reference(name, monkeypatch):
                         {name: p.grad.copy() for name, p in model.params.items()}))
     (loss, n_tokens, grads), (ref_loss, ref_n, ref_grads) = results
     assert cuts == expected_cuts
+    # each cut takes h, c (two layers each) and O by the prefix count, as views
+    assert views == [n for n in expected_cuts for _ in range(5)]
     lengths = (seq != PAD_ID).sum(axis=1)
     # the entries are sorted once, and only when the rows are not in order yet
     assert len(gathers) == int((np.diff(lengths) > 0).any())
@@ -499,6 +501,49 @@ def test_compacting_rollout_matches_the_full_batch_rollout(name):
         assert lengths[-1] == max_len
     if name == "all-end-at-step-1":
         assert ref_tok.shape[1] == 1 and ref_fin.all()
+
+
+def test_a_rollout_whose_finishing_rows_are_a_suffix_cuts_views_equal_to_gathers(
+        monkeypatch):
+    # near-uniform logits over 8 ids put END on u in (3/8, 4/8]; rows 5,
+    # then 3 and 4, then 2, then 0 and 1 finish, so the kept rows are
+    # always a prefix
+    model = tiny_model(seed=7)
+    model.params["dec.w4"].data *= 1e-3
+    images = np.random.default_rng(7).random((3, 1, 16, 24))
+    draws = [(0.55, 0.7, 0.55, 0.45), (0.7, 0.55, 0.7, 0.45), (0.55, 0.55, 0.45),
+             (0.7, 0.45), (0.55, 0.45), (0.45,)]
+    weights = np.random.default_rng(3).standard_normal(len(draws))
+    keep_rows = model.decoder.keep_rows
+    take_rows = T.take_rows
+    results = []
+    for gather in (False, True):
+        cuts, gathers = [], []
+        monkeypatch.setattr(model.decoder, "keep_rows", lambda state, rows: (
+            cuts.append(rows),
+            keep_rows(state, np.arange(rows) if gather and isinstance(rows, int) else rows))[1])
+        monkeypatch.setattr(T, "take_rows", lambda a, rows: (
+            isinstance(rows, int) or gathers.append(rows), take_rows(a, rows))[1])
+        tiled = T.repeat_rows(model.encoder.encode(images, train=False), 2)
+        tokens, logits, targets, rows = _sample_rollout(
+            model.decoder, tiled, 6, [FixedDraws(*us) for us in draws])
+        loss = training.reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
+        model.zero_grad()
+        loss.backward()
+        assert cuts == [5, 3, 2]
+        # every cut takes h, c (two layers each) and O
+        assert len(gathers) == (5 * len(cuts) if gather else 0)
+        results.append((tokens, logits.data.tobytes(), targets, rows,
+                        {name: p.grad.tobytes() for name, p in model.params.items()}))
+    (tokens, logits, targets, rows, grads), gathered = results
+    assert tokens.tolist() == [[4, 5, 4, END_ID], [5, 4, 5, END_ID], [4, 4, END_ID, PAD_ID],
+                               [5, END_ID, PAD_ID, PAD_ID], [4, END_ID, PAD_ID, PAD_ID],
+                               [END_ID, PAD_ID, PAD_ID, PAD_ID]]
+    assert list(rows) == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 0, 1, 2, 0, 1]
+    assert np.array_equal(tokens, gathered[0])
+    assert logits == gathered[1]
+    assert np.array_equal(targets, gathered[2]) and np.array_equal(rows, gathered[3])
+    assert grads == gathered[4]
 
 
 def test_sampled_sentinels_keep_their_score(monkeypatch):
