@@ -18,9 +18,9 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, SCHEMA, format_effective, format_help, load_config
 from .data import (END_ID, DataError, load_buckets, load_dataset,
                    pad_for_model, read_pgm, round_up, write_pgm)
-from .decoding import DecodeError, beam_decode, greedy_decode
+from .decoding import DecodeError, beam_decode, check_search, greedy_decode
 from .encoder import DOWNSAMPLE, positional_encoding
-from .metrics import MetricError, MetricReport, bleu4, evaluate_pair
+from .metrics import MetricError, MetricReport, bleu4, check_threshold, evaluate_pair
 from .model import Model
 from .synth import MINIMUMS, GrammarConfig, ParseError, SynthError, rasterize, synth_generate
 from .training import DivergenceError, TrainError, train
@@ -56,6 +56,7 @@ def _decode_manifest(args, row) -> tuple[list, str]:
     after its decode.  Returns the rows and a summary of the decodes cut
     off at --max-len (their ids go to stderr) and images that fit no bucket.
     """
+    check_search(1 if args.greedy else args.beam, args.max_len)
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
     rows, cut_off, misfits = [], [], 0
@@ -161,6 +162,7 @@ def cmd_evaluate(args) -> int:
         cand = [model.vocab[i] for i in res.tokens]
         return ex, cand, evaluate_pair(cand, ex.tokens, _render(cand), ex.image,
                                        threshold=args.threshold)
+    check_threshold(args.threshold)
     rows, summary = _decode_manifest(args, row)
     header = "id\t" + "\t".join(MetricReport.COLUMNS)
     body = [f"{ex.id}\t{r.bleu4:.6f}\t{r.edit_distance_score:.6f}"
@@ -198,6 +200,7 @@ def _write_heatmap(path, alpha: np.ndarray, h_prime: int, w_prime: int) -> None:
 
 
 def cmd_inspect(args) -> int:
+    check_search(1, args.max_len)
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
     image, _ = pad_for_model(read_pgm(args.image), buckets)

@@ -38,10 +38,16 @@ class DecodeResult:
         return self.score / max(len(self.tokens) + 1, 1)
 
 
-def greedy_decode(model, image, max_len: int = 200) -> DecodeResult:
-    """Argmax decoding, the search at b=1; ties go to the lowest token id."""
+def check_search(b: int, max_len: int) -> None:
+    """DecodeError unless the beam size b and max_len are both >= 1."""
+    if b < 1:
+        raise DecodeError(f"beam size must be >= 1, got {b}")
     if max_len < 1:
         raise DecodeError(f"max_len must be >= 1, got {max_len}")
+
+
+def greedy_decode(model, image, max_len: int = 200) -> DecodeResult:
+    """Argmax decoding, the search at b=1; ties go to the lowest token id."""
     return _search(model, image, 1, max_len, False)
 
 
@@ -53,10 +59,6 @@ def beam_decode(model, image, b: int = 5, max_len: int = 200,
     hypotheses are finished or max_len is reached; returns the best
     finished hypothesis, or the best unfinished one if none finished.
     """
-    if b < 1:
-        raise DecodeError(f"beam size must be >= 1, got {b}")
-    if max_len < 1:
-        raise DecodeError(f"max_len must be >= 1, got {max_len}")
     return _search(model, image, b, max_len, length_normalize)
 
 
@@ -66,6 +68,7 @@ class _Hypothesis(DecodeResult):
 
 
 def _search(model, image, b, max_len, length_normalize) -> DecodeResult:
+    check_search(b, max_len)
     beams = [_Hypothesis([], 0.0, False, [], model.decode_start(image))]
     for _ in range(max_len):
         done = [h for h in beams if h.finished]

@@ -102,10 +102,15 @@ def _brevity(c_len: int, r_len: int) -> float:
 # image metrics
 # ---------------------------------------------------------------------
 
-def binarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Grayscale [0,1] -> {0,1} with 1 = ink; strict pixel < threshold."""
+def check_threshold(threshold: float) -> None:
+    """MetricError unless threshold is in (0, 1), as `binarize` needs."""
     if not 0.0 < threshold < 1.0:
         raise MetricError(f"binarize: threshold must be in (0, 1), got {threshold}")
+
+
+def binarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Grayscale [0,1] -> {0,1} with 1 = ink; strict pixel < threshold."""
+    check_threshold(threshold)
     return (np.asarray(image) < threshold).astype(np.uint8)
 
 

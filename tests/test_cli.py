@@ -546,6 +546,40 @@ def test_evaluate_bad_threshold_is_a_usage_error(ws, tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+BAD_DECODE_FLAGS = [("predict", ["--beam", "0"], "beam size must be >= 1"),
+                    ("evaluate", ["--beam", "0"], "beam size must be >= 1"),
+                    ("predict", ["--max-len", "0"], "max_len must be >= 1"),
+                    ("evaluate", ["--max-len", "0"], "max_len must be >= 1"),
+                    ("evaluate", ["--threshold", "7"], "threshold must be in (0, 1)")]
+
+
+@pytest.mark.parametrize("manifest", ["empty", "six-examples"])
+@pytest.mark.parametrize("command,flags,rule", BAD_DECODE_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f, _ in BAD_DECODE_FLAGS])
+def test_bad_decode_flag_is_refused_before_the_checkpoint_is_read(
+        ws, tmp_path, capsys, monkeypatch, command, flags, rule, manifest):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    loads = []
+    monkeypatch.setattr(cli, "_load_model", lambda path: loads.append(path))
+    out = tmp_path / "out.tsv"
+    rc = main([command, "--checkpoint", ws["ckpt"], "--manifest",
+               str(empty) if manifest == "empty" else ws["manifest"], "--out", str(out),
+               *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and rule in err, err
+    assert loads == [] and not out.exists()
+
+
+def test_inspect_refuses_a_bad_max_len_before_writing(ws, tmp_path, capsys):
+    out = tmp_path / "inspect"
+    rc = main(["inspect", "--checkpoint", ws["ckpt"], "--out", str(out), "--max-len", "0",
+               "--image", str(ws["data"] / "images" / "0000.pgm")])
+    assert_one_line_error(capsys, rc, 2)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------
