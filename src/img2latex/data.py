@@ -139,27 +139,22 @@ def read_pgm(path) -> np.ndarray:
     return pixels.astype(np.float64) / maxval
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255,
-              comments=(), binary: bool = True) -> None:
-    """Write a [0, 1] grayscale array as PGM (P5 by default, P2 otherwise)."""
+def write_pgm(path, image: np.ndarray, maxval: int = 255, comments=()) -> None:
+    """Write a [0, 1] grayscale array as a binary (P5) PGM."""
     if image.ndim != 2 or image.size == 0:
         raise PgmError(f"write_pgm: need a non-empty 2-D image, got shape {image.shape}")
     if not 0 < maxval < 65536:
         raise PgmError(f"write_pgm: maxval {maxval} out of range [1, 65535]")
     q = np.clip(np.rint(np.asarray(image, dtype=np.float64) * maxval), 0, maxval).astype(np.int64)
     h, w = q.shape
-    header = [b"P5" if binary else b"P2"]
+    header = [b"P5"]
     header.extend(("# " + c).encode("ascii") for c in comments)
     header.append(f"{w} {h}".encode("ascii"))
     header.append(str(maxval).encode("ascii"))
     with open(path, "wb") as f:
         f.write(b"\n".join(header) + b"\n")
-        if binary:
-            dt = np.uint8 if maxval < 256 else np.dtype(">u2")
-            f.write(q.astype(dt).tobytes())
-        else:
-            f.write("\n".join(" ".join(str(v) for v in row) for row in q).encode("ascii"))
-            f.write(b"\n")
+        dt = np.uint8 if maxval < 256 else np.dtype(">u2")
+        f.write(q.astype(dt).tobytes())
 
 
 # ---------------------------------------------------------------------

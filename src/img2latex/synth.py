@@ -92,7 +92,6 @@ def _build_atlas() -> dict[str, np.ndarray]:
 
 GLYPH_ATLAS = _build_atlas()
 GLYPH_CHARS = sorted(GLYPH_ATLAS)
-STRUCTURAL_TOKENS = ("^", "_", "{", "}", "\\frac")
 
 
 @dataclass

@@ -48,11 +48,23 @@ def test_build_vocab_unions_manifests(tmp_path):
 # PGM I/O
 # ---------------------------------------------------------------------
 
+def write_fixture(path, img, binary, comments=()):
+    """img as a binary PGM through write_pgm, or as the text of a plain
+    (P2) PGM at maxval 255, which write_pgm does not write."""
+    if binary:
+        write_pgm(path, img, comments=comments)
+        return
+    rows = [" ".join(str(v) for v in row) for row in np.rint(img * 255).astype(int)]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(["P2", *(f"# {c}" for c in comments),
+                            f"{img.shape[1]} {img.shape[0]}", "255", *rows]) + "\n")
+
+
 @pytest.mark.parametrize("binary", [True, False])
 def test_pgm_round_trip(tmp_path, binary):
     img = np.linspace(0, 1, 48).reshape(6, 8)
     path = str(tmp_path / "x.pgm")
-    write_pgm(path, img, binary=binary)
+    write_fixture(path, img, binary)
     back = read_pgm(path)
     assert back.shape == (6, 8)
     assert np.max(np.abs(back - img)) <= 0.5 / 255
@@ -111,7 +123,7 @@ def test_fuzzed_pgm_raises_only_pgm_error(tmp_path, binary):
     # seeded truncations and byte flips over a small image with a comment
     path = str(tmp_path / "x.pgm")
     img = np.random.default_rng(5).random((5, 7))
-    write_pgm(path, img, comments=("fuzz",), binary=binary)
+    write_fixture(path, img, binary, comments=("fuzz",))
     blob = open(path, "rb").read()
     rng = np.random.default_rng(20261018 + binary)
     cases = [blob[:n] for n in rng.integers(0, len(blob), size=40)]
