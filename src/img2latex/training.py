@@ -1,11 +1,11 @@
 """Two-phase training: token-level cross entropy, then REINFORCE.
 
-Both phases run one packed decoder loop (`_run_packed`) and differ only
-in the token it feeds back.  Phase one (mle) feeds the ground truth and
-minimizes summed per-step cross entropy.  Phase two (rl) feeds each of
-k samples per image its own last token, scores the samples with a
-sequence reward (BLEU by default), subtracts the per-image mean reward
-as a baseline, and ascends reward-weighted log-probabilities.
+Both phases run one packed decoder loop (`_run_packed`) and differ in
+the token it feeds back.  Phase one (mle) feeds the ground truth and
+minimizes summed per-step cross entropy.  Phase two (rl) feeds k samples
+per image their own tokens, scores them with a sequence reward (BLEU by
+default), subtracts the per-image mean reward as a baseline, and ascends
+reward-weighted log-probabilities.
 
 Every source of randomness is derived from (seed, purpose, step,
 element) coordinates, never carried between steps, so a resumed run
@@ -70,17 +70,16 @@ def _run_packed(decoder: Decoder, entries: Tensor, caps: np.ndarray, choose,
                 train: bool = False, rng: np.random.Generator | None = None,
                 audit: InputFeedAudit | None = None):
     """The decoder loop of both phases, which differ only in the token
-    each step chooses (`_teacher_forced`, `_sample_rollout`).
-
-    Step t feeds each running row its last token (START at t=0) and
-    takes the next from choose(rows, t, logits), rows being the running
-    rows' original indices.  A row leaves on the step it chooses END or
-    its caps[row]-th token; the state keeps the rest (`Decoder.keep_rows`)
-    by count, as views, when they are a prefix, else by index.  A matmul
-    row's bits depend on how many rows share the call, so the outputs can
-    differ in their last bits from a loop that steps all B rows to the
-    end.  Recorded on the tape unless run under T.no_grad(), which
-    changes no token.  An audit checks each token fed after step 0.
+    each step chooses.  Step t feeds each running row its last token
+    (START at t=0) and takes the next from choose(rows, t, logits), rows
+    being the running rows' original indices.  A row leaves on the step it
+    chooses END or its caps[row]-th token; the state keeps the rest
+    (`Decoder.keep_rows`) by count, as views, when they are a prefix, else
+    by index.  A matmul row's bits depend on how many rows share the call,
+    so the outputs can differ in their last bits from a loop that steps
+    all B rows to the end.  Recorded on the tape unless run under
+    T.no_grad(), which changes no token.  An audit checks each token fed
+    after step 0.
 
     Returns (tokens (B, T), PAD after each row's last; logits (N, V);
     targets (N,); rows (N,)): every step's running rows in step order,
@@ -113,14 +112,12 @@ def _run_packed(decoder: Decoder, entries: Tensor, caps: np.ndarray, choose,
 
 def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray, train: bool,
                     rng: np.random.Generator | None = None):
-    """`_run_packed` fed the targets; returns (logits (N, V), targets (N,)).
-
-    A row's targets are its non-PAD ids (`_target_counts`), and their
-    count is its cap.  The memory entries come encoded, so batch-norm
+    """`_run_packed` fed the targets, each row's non-PAD ids
+    (`_target_counts`), capped at their count; returns (logits (N, V),
+    targets (N,)).  The memory entries come encoded, so batch-norm
     statistics keep their bits; their rows are sorted once by count,
     longest first (stable; no gather when already in order), so the rows
-    that leave are a suffix and every cut is a view.
-    """
+    that leave are a suffix and every cut is a view."""
     lengths = _target_counts(seq)
     order = np.argsort(-lengths, kind="stable")
     if (order != np.arange(seq.shape[0])).any():
@@ -176,11 +173,9 @@ def _descend(model: Model, optimizer: Adam, loss: Tensor, step: int,
 
 @dataclass
 class InputFeedAudit:
-    """Verifies the sampled-feedback contract: input(t) == sample(t-1).
-
-    `check` counts one checked step per row it is given, and one
-    violation per row whose fed token differs from the expected one.
-    """
+    """Verifies the sampled-feedback contract, input(t) == sample(t-1):
+    `check` counts one checked step per row it is given, and one violation
+    per row whose fed token differs from the expected one."""
     steps_checked: int = 0
     violations: int = 0
 
