@@ -509,7 +509,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                           else greedy_bleu(model, val_examples, max_len, buckets))
                 improved = metric > best_metric
                 best_metric, stale = (metric, 0) if improved else (best_metric, stale + 1)
-                emit(step, value, f"{metric:.6f}")
+                emit(step, value, repr(metric))
                 if improved:
                     save(best_path, step)
                 save(last_path, step)

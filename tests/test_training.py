@@ -11,7 +11,7 @@ import pytest
 from gradcheck import desk_config, misfeed_rollouts, model_config
 
 from img2latex import tensor as T
-from img2latex import training
+from img2latex import cli, training
 from img2latex.checkpoint import load_checkpoint
 from img2latex.config import ModelConfig, full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
@@ -1053,6 +1053,26 @@ def test_train_log_is_tab_separated(corpus, tmp_path):
         assert phase == "mle"
         float(value), float(wall)
     assert lines[-1].split("\t")[3] != ""      # final step validates
+
+
+def test_the_log_holds_the_exact_metric_that_best_ckpt_follows(tmp_path):
+    # 6 mle steps, then 2 rl steps that validate twice, on 24 gen-data
+    # images (seed 5): greedy BLEU ends up far below 1e-6, where six
+    # decimals would log 0.000000 at both validations
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data), "--count", "24", "--seed", "5"]) == 0
+    cfg = full_defaults()
+    cfg.update(d=16, d_emb=8, hidden=16, attn_dim=16, out_dim=16, dtype="f32", lr=0.01,
+               batch_size=4, patience=99, max_len=20, seed=5, k=2, steps=6, validate_every=6)
+    args = (str(data / "manifest.tsv"), None, str(data / "buckets.txt"))
+    mle = train(cfg, *args, str(tmp_path / "mle"))
+    rl = train({**cfg, "steps": 2, "validate_every": 1}, *args, str(tmp_path / "rl"),
+               phase="rl", init=mle.best_path)
+    logged = [row[3] for row in log_rows(rl)]
+    assert len(logged) == 2 and all(text == repr(float(text)) for text in logged)
+    best = load_checkpoint(rl.best_path).meta["best_metric"]
+    assert max(float(text) for text in logged) == rl.best_metric == best
+    assert float(f"{best:.6f}") != best
 
 
 def test_train_rl_requires_a_starting_checkpoint(corpus, tmp_path):
