@@ -56,7 +56,7 @@ def _decode_manifest(args, row) -> tuple[list, str]:
     after its decode.  Returns the rows and a summary of the decodes cut
     off at --max-len (their ids go to stderr) and images that fit no bucket.
     """
-    check_search(1 if args.greedy else args.beam, args.max_len)
+    check_search(args.beam, args.max_len)
     model = _load_model(args.checkpoint)
     buckets = _read_buckets(args.buckets)
     rows, cut_off, misfits = [], [], 0

@@ -548,6 +548,7 @@ def test_evaluate_bad_threshold_is_a_usage_error(ws, tmp_path, capsys):
 
 BAD_DECODE_FLAGS = [("predict", ["--beam", "0"], "beam size must be >= 1"),
                     ("evaluate", ["--beam", "0"], "beam size must be >= 1"),
+                    ("predict", ["--beam", "-2", "--greedy"], "beam size must be >= 1"),
                     ("predict", ["--max-len", "0"], "max_len must be >= 1"),
                     ("evaluate", ["--max-len", "0"], "max_len must be >= 1"),
                     ("evaluate", ["--threshold", "7"], "threshold must be in (0, 1)")]
