@@ -556,7 +556,7 @@ BAD_DECODE_FLAGS = [("predict", ["--beam", "0"], "beam size must be >= 1"),
 
 @pytest.mark.parametrize("manifest", ["empty", "six-examples"])
 @pytest.mark.parametrize("command,flags,rule", BAD_DECODE_FLAGS,
-                         ids=[f"{c}{f[0]}" for c, f, _ in BAD_DECODE_FLAGS])
+                         ids=["".join([c, *f]) for c, f, _ in BAD_DECODE_FLAGS])
 def test_bad_decode_flag_is_refused_before_the_checkpoint_is_read(
         ws, tmp_path, capsys, monkeypatch, command, flags, rule, manifest):
     empty = tmp_path / "empty.tsv"
