@@ -266,21 +266,28 @@ def round_up(n: int) -> int:
     return -(-n // DOWNSAMPLE) * DOWNSAMPLE
 
 
-def pad_for_model(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
-    """Pad an (H, W) image white, bottom/right, to the size the model takes.
+def model_size(height: int, width: int, buckets) -> tuple[int, int, bool]:
+    """(height, width, misfit): the size the model takes an image of
+    height x width at.
 
     The one padding policy of training, validation, predict, evaluate and
     inspect: the smallest bucket that holds the image (`assign_bucket`),
     else, with no buckets or when none fits, the next multiples of
-    DOWNSAMPLE (`round_up`).  Returns (padded, misfit): misfit is True
-    when buckets were given but none fits.
+    DOWNSAMPLE (`round_up`).  misfit is True when buckets were given but
+    none fits.
     """
-    h, w = image.shape
     if buckets:
-        fit = assign_bucket(h, w, buckets)
+        fit = assign_bucket(height, width, buckets)
         if fit is not None:
-            return pad_image(image, fit[1], fit[0]), False
-    return pad_image(image, round_up(h), round_up(w)), bool(buckets)
+            return fit[1], fit[0], False
+    return round_up(height), round_up(width), bool(buckets)
+
+
+def pad_for_model(image: np.ndarray, buckets) -> tuple[np.ndarray, bool]:
+    """Pad an (H, W) image white, bottom/right, to its `model_size`.
+    Returns (padded, misfit)."""
+    height, width, misfit = model_size(*image.shape, buckets)
+    return pad_image(image, height, width), misfit
 
 
 @dataclass
@@ -289,38 +296,48 @@ class Batch:
     seq: np.ndarray         # (B, T) int ids: [tokens END PAD...]
 
 
+def plan_batches(examples, buckets, batch_size: int) -> tuple[list[list[Example]], int]:
+    """Group examples into same-bucket batches of at most batch_size,
+    padding nothing.
+
+    Returns (plan, dropped): each batch's examples, batches in bucket
+    order (width, then height) and examples in input order within a
+    bucket, so shuffling the examples reshuffles the batches; images
+    that fit no bucket (`model_size`) are dropped, and dropped counts
+    them.
+    """
+    grouped: dict[tuple[int, int], list[Example]] = {}
+    dropped = 0
+    for ex in examples:
+        height, width, misfit = model_size(*ex.image.shape, buckets)
+        if misfit:
+            dropped += 1
+        else:
+            grouped.setdefault((width, height), []).append(ex)
+    plan = [items[i:i + batch_size] for _, items in sorted(grouped.items())
+            for i in range(0, len(items), batch_size)]
+    return plan, dropped
+
+
 def bucket_and_pad(examples, buckets, batch_size: int,
                    vocab: Vocabulary) -> tuple[list[Batch], int]:
-    """Group examples into same-bucket batches of at most batch_size.
+    """The batches of `plan_batches`, padded.
 
     Images are padded by `pad_for_model`; sequences are encoded as ids,
     terminated with END and padded with PAD to the batch max.  Returns
-    (batches, dropped): images that fit no bucket are dropped, and
-    dropped counts them.
-    Batch composition follows the input order, so shuffling the examples
-    reshuffles the batches.
+    (batches, dropped) as `plan_batches` does.  One planned batch, given
+    as the examples, comes back as exactly one batch; training pads its
+    steps' batches that way, one per step.
     """
-    grouped: dict[tuple[int, int], list[tuple[Example, np.ndarray]]] = {}
-    dropped = 0
-    for ex in examples:
-        image, misfit = pad_for_model(ex.image, buckets)
-        if misfit:
-            dropped += 1
-            continue
-        bh, bw = image.shape
-        grouped.setdefault((bw, bh), []).append((ex, image))
+    plan, dropped = plan_batches(examples, buckets, batch_size)
     batches = []
-    for bucket in sorted(grouped):
-        items = grouped[bucket]
-        for i in range(0, len(items), batch_size):
-            chunk = items[i:i + batch_size]
-            images = np.stack([img for _, img in chunk])[:, None]
-            rows = [ex.tokens for ex, _ in chunk]
-            t_max = max(len(r) for r in rows) + 1    # room for END
-            seq = np.full((len(chunk), t_max), PAD_ID, dtype=np.int64)
-            for j, r in enumerate(rows):
-                ids = vocab.encode(r)
-                seq[j, :len(ids)] = ids
-                seq[j, len(ids)] = END_ID
-            batches.append(Batch(images=images, seq=seq))
+    for chunk in plan:
+        images = np.stack([pad_for_model(ex.image, buckets)[0] for ex in chunk])[:, None]
+        t_max = max(len(ex.tokens) for ex in chunk) + 1    # room for END
+        seq = np.full((len(chunk), t_max), PAD_ID, dtype=np.int64)
+        for j, ex in enumerate(chunk):
+            ids = vocab.encode(ex.tokens)
+            seq[j, :len(ids)] = ids
+            seq[j, len(ids)] = END_ID
+        batches.append(Batch(images=images, seq=seq))
     return batches, dropped

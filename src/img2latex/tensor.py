@@ -18,6 +18,7 @@ Float64 is the default dtype and is what the gradient checks run in.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import Counter
@@ -596,10 +597,18 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
                          f"and beta (A,), got {query.shape}, {w1.shape}, {proj.shape}, "
                          f"{beta.shape}")
     bsz, (m, length, a) = query.shape[0], proj.shape
-    index = _row_index(m if rows is None else rows, m, "attention_scores", bsz)
+    rows = m if rows is None else rows
     qd, w1d, pd = query.data, w1.data, proj.data
     qp = (qd @ w1d).reshape(bsz, 1, a)
-    step, blocks = _row_blocks(bsz, length * a * np.result_type(qp, pd).itemsize)
+    row_bytes = length * a * np.result_type(qp, pd).itemsize
+    if type(rows) is int and 0 < rows == bsz <= m and bsz * row_bytes <= _ATTN_BLOCK_BYTES:
+        # a prefix in one block, as the helpers below would give it (a
+        # decode step's few rows), without their cost
+        index = slice(0, bsz)
+        step, blocks = bsz, [index]
+    else:
+        index = _row_index(rows, m, "attention_scores", bsz)
+        step, blocks = _row_blocks(bsz, row_bytes)
     beta_col = beta.data.reshape(a, 1)
     scores = _attention_act(qp, pd, index, blocks).reshape(bsz * length, a) @ beta_col
     alpha, softmax_vjp = _row_softmax(scores.reshape(bsz, length))
@@ -633,15 +642,18 @@ def attention_context(alpha: Tensor, entries: Tensor, rows=None) -> Tensor:
         raise ShapeError(
             f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
     bsz, m = alpha.shape[0], entries.shape[0]
-    index = _row_index(m if rows is None else rows, m, "attention_context", bsz)
-    ad, ed = alpha.data, entries.data
-    if isinstance(index, slice):            # a prefix is read in place, in one product
-        blocks, buf = [index], None
+    rows = m if rows is None else rows
+    if type(rows) is int and 0 < rows == bsz <= m:
+        index = slice(0, bsz)               # as _row_index gives it, without its cost
     else:
-        step, blocks = _row_blocks(bsz, ed[0].nbytes)
-        buf = np.empty((step,) + ed.shape[1:], ed.dtype)
+        index = _row_index(rows, m, "attention_context", bsz)
+    ad, ed = alpha.data, entries.data
 
     def per_block(product):
+        if isinstance(index, slice):        # a prefix is read in place, in one product
+            return product(index, ed[index])
+        step, blocks = _row_blocks(bsz, ed[0].nbytes)
+        buf = np.empty((step,) + ed.shape[1:], ed.dtype)
         parts = [product(r, _memory_rows(ed, index, r, buf)) for r in blocks]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -731,32 +743,38 @@ def _taps(n: int, offset: int):
     return slice(lo, hi), slice(lo + offset - 1, hi + offset - 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_blocks(H: int, W: int) -> tuple:
+    """conv2d's block table for an H x W input: per (i, j) kernel tap, in
+    (i, j) order, ((i, j), block), where block is (rows, cols, xrows,
+    xcols), the output rows and columns whose tap reads x and the rows
+    and columns of x they read, or None where the plane is all padding.
+    Built once per size (`_taps`); a tuple, so no caller can change it."""
+    taps_w = [_taps(W, j) for j in range(3)]
+    table = []
+    for i in range(3):
+        th = _taps(H, i)
+        for j, tw in enumerate(taps_w):
+            table.append(((i, j), None if th is None or tw is None
+                          else (th[0], tw[0], th[1], tw[1])))
+    return tuple(table)
+
+
 def _im2col(xd: np.ndarray, blocks):
     """Yield (b, cols) for each image b of the (B, C, H, W) array xd, where
     cols is image b's (C*9, H*W) column matrix for a 3x3 kernel.
 
     Every image is unrolled into the same (C, 3, 3, H, W) buffer, so a
     caller must be done with one image's cols before it asks for the
-    next.  The border strips of each (i, j) plane read zero padding in
-    every image, so they are zeroed once; per image, only the part that
+    next.  The buffer starts zeroed, since what reads padding reads zero
+    in every image; per image, only the part of each (i, j) plane that
     reads x is copied, from a strided view, and no padded copy of x is
-    made.  blocks maps each (i, j) to conv2d's (rows, cols, xrows, xcols)
-    slices, or to None for a plane that reads only padding.
+    made.  blocks is the `_conv_blocks` table of xd's size.
     """
     B, C, H, W = xd.shape
-    buf = np.empty((C, 3, 3, H, W), dtype=xd.dtype)
-    copies = []
-    for (i, j), block in blocks.items():
-        plane = buf[:, i, j]
-        if block is None:
-            plane[...] = 0
-            continue
-        rows, cs, xrows, xcs = block
-        plane[:, :rows.start] = 0
-        plane[:, rows.stop:] = 0
-        plane[:, rows, :cs.start] = 0
-        plane[:, rows, cs.stop:] = 0
-        copies.append((plane[:, rows, cs], xrows, xcs))
+    buf = np.zeros((C, 3, 3, H, W), dtype=xd.dtype)
+    copies = [(buf[:, i, j, block[0], block[1]], block[2], block[3])
+              for (i, j), block in blocks if block is not None]
     cols = buf.reshape(C * 9, H * W)
     for b in range(B):
         for dst, xrows, xcs in copies:
@@ -801,14 +819,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {Ck}")
     if bias.shape != (O,):
         raise ShapeError(f"conv2d: bias must be ({O},), got {bias.shape}")
-    # per (i, j): the output rows and columns whose taps read x, then the
-    # rows and columns of x they read, or None where the plane is padding
-    taps_w = [_taps(W, j) for j in range(3)]
-    blocks = {}
-    for i in range(3):
-        th = _taps(H, i)
-        for j, tw in enumerate(taps_w):
-            blocks[i, j] = None if th is None or tw is None else (th[0], tw[0], th[1], tw[1])
+    blocks = _conv_blocks(H, W)
     xd = x.data
     wmat = kernel.data.reshape(O, C * 9)
     y = np.empty((B, O, H * W), dtype=np.result_type(wmat, xd))
@@ -836,7 +847,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 dk += prod
             if dx is not None:
                 np.matmul(wmat.T, g3[b], out=dcols)
-                for (i, j), block in blocks.items():
+                for (i, j), block in blocks:
                     if block is not None:
                         rows, cs, xrows, xcs = block
                         dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]

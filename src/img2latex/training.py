@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, CheckpointError
 from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
-                   build_vocab, load_buckets, load_dataset, pad_for_model)
+                   build_vocab, load_buckets, load_dataset, pad_for_model, plan_batches)
 from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
@@ -376,11 +376,11 @@ def _cut_log(path: str, step: int, phase: str) -> None:
               "which the resumed run writes again", file=sys.stderr)
 
 
-def _epoch_batches(examples, buckets, batch_size, vocab, seed, epoch):
+def _epoch_batches(examples, buckets, batch_size, seed, epoch):
+    """The epoch's plan (`plan_batches`) of the examples shuffled by (seed,
+    epoch): each batch's examples, unpadded."""
     order = derive_rng(seed, RNG_SHUFFLE, epoch).permutation(len(examples))
-    shuffled = [examples[i] for i in order]
-    batches, _ = bucket_and_pad(shuffled, buckets, batch_size, vocab)
-    return batches
+    return plan_batches([examples[i] for i in order], buckets, batch_size)[0]
 
 
 def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
@@ -401,6 +401,12 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     InputFeedAudit, and a step that fed any row a token other than its
     own previous sample raises TrainError.  config_fn, if given, gets
     the run's effective config before the first step.
+
+    Memory: the examples stay at their native size, and an epoch is held
+    as its plan (`_epoch_batches`).  Each step pads its own batch with
+    `bucket_and_pad`, and mle validation pads its batches one at a time
+    each time it runs, so no padded copy of an epoch or of the
+    validation set is ever held.
     """
     if phase not in ("mle", "rl"):
         raise TrainError(f"unknown phase {phase!r}")
@@ -446,14 +452,19 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         int(cfg[key]) for key in ("batch_size", "validate_every", "patience", "max_len", "k"))
     clip, leave_one_out = float(cfg["clip_norm"]), bool(cfg["leave_one_out"])
 
+    def padded(planned):
+        # one planned batch pads to exactly one batch
+        (batch,), _ = bucket_and_pad(planned, buckets, batch_size, vocab)
+        return batch
+
     # batch count per epoch is order-independent, so the schedule is a
     # pure function of (seed, step) and resuming lands on the same batch
-    epoch_cache = (0, _epoch_batches(train_examples, buckets, batch_size, vocab, seed, 0))
-    per_epoch = len(epoch_cache[1])
+    epoch_plan = (0, _epoch_batches(train_examples, buckets, batch_size, seed, 0))
+    per_epoch = len(epoch_plan[1])
     if per_epoch == 0:
         raise TrainError("no training example fits any bucket")
     if phase == "mle":
-        val_batches, dropped = bucket_and_pad(val_examples, buckets, batch_size, vocab)
+        val_plan, dropped = plan_batches(val_examples, buckets, batch_size)
         if dropped == len(val_examples):
             raise TrainError(f"{val_manifest}: no validation example fits a bucket "
                              f"of {buckets_path}")
@@ -482,10 +493,10 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     try:
         for step in range(start_step + 1, steps + 1):
             epoch, idx = divmod(step - 1, per_epoch)
-            if epoch_cache[0] != epoch:
-                epoch_cache = (epoch, _epoch_batches(
-                    train_examples, buckets, batch_size, vocab, seed, epoch))
-            batch = epoch_cache[1][idx]
+            if epoch_plan[0] != epoch:
+                epoch_plan = (epoch, _epoch_batches(
+                    train_examples, buckets, batch_size, seed, epoch))
+            batch = padded(epoch_plan[1][idx])
 
             if phase == "mle":
                 rng = derive_rng(seed, RNG_DROPOUT, step)
@@ -505,7 +516,7 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             losses.append(value)
 
             if step % validate_every == 0 or step == steps:
-                metric = (token_accuracy(model, val_batches) if phase == "mle"
+                metric = (token_accuracy(model, map(padded, val_plan)) if phase == "mle"
                           else greedy_bleu(model, val_examples, max_len, buckets))
                 improved = metric > best_metric
                 best_metric, stale = (metric, 0) if improved else (best_metric, stale + 1)

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+from img2latex import data
 from img2latex.data import (DataError, END_ID, PAD_ID, PgmError, RESERVED,
                             START_ID, UNK_ID, Vocabulary, assign_bucket,
                             bucket_and_pad, build_vocab, Example, load_buckets,
-                            load_dataset, load_manifest, pad_image, read_pgm,
-                            read_pgm_raw, write_manifest, write_pgm)
+                            load_dataset, load_manifest, model_size, pad_image,
+                            plan_batches, read_pgm, read_pgm_raw, write_manifest,
+                            write_pgm)
 
 
 # ---------------------------------------------------------------------
@@ -243,6 +245,41 @@ def test_bucket_and_pad_respects_batch_size():
     exs = make_examples([(8, 8)] * 5)
     batches, _ = bucket_and_pad(exs, [(8, 8)], 2, vocab)
     assert [len(b.seq) for b in batches] == [2, 2, 1]
+
+
+def test_the_plan_groups_by_bucket_in_input_order_and_pads_nothing(monkeypatch):
+    exs = make_examples([(10, 20), (40, 60), (100, 100), (12, 30), (9, 9), (16, 32)])
+    buckets = [(32, 16), (64, 48)]
+    monkeypatch.setattr(data, "pad_for_model", lambda *a: pytest.fail("the plan padded"))
+    plan, dropped = plan_batches(exs, buckets, 2)
+    assert dropped == 1
+    assert [[ex.id for ex in chunk] for chunk in plan] == [["e0", "e3"], ["e4", "e5"],
+                                                           ["e1"]]
+
+
+def test_each_planned_batch_pads_to_the_batch_of_the_whole():
+    vocab = Vocabulary.from_corpus([["a", "b"]])
+    rng = np.random.default_rng(3)
+    exs = [Example(f"e{i}", rng.random(s), ["a", "b"][:1 + i % 2])
+           for i, s in enumerate([(10, 20), (40, 60), (100, 100), (12, 30), (9, 9),
+                                  (16, 32), (30, 50)])]
+    buckets = [(32, 16), (64, 48)]
+    whole, dropped = bucket_and_pad(exs, buckets, 2, vocab)
+    plan, _ = plan_batches(exs, buckets, 2)
+    assert dropped == 1 and len(plan) == len(whole) == 3
+    for chunk, want in zip(plan, whole):
+        (got,), none_dropped = bucket_and_pad(chunk, buckets, 2, vocab)
+        assert none_dropped == 0
+        for name in ("images", "seq"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_model_size_is_the_size_pad_for_model_pads_to():
+    for shape, buckets in [((10, 20), [(32, 16)]), ((100, 100), [(32, 16)]),
+                           ((9, 17), None), ((16, 32), [(64, 48), (32, 16)])]:
+        padded, misfit = data.pad_for_model(np.zeros(shape), buckets)
+        assert model_size(*shape, buckets) == padded.shape + (misfit,)
 
 
 def test_batch_seq_pads_to_longest():

@@ -386,6 +386,21 @@ def test_conv2d_keeps_no_column_buffer():
     assert kept <= out.data.nbytes + 32 * 1024, (kept, out.data.nbytes)
 
 
+def test_conv2d_builds_its_block_table_once_per_input_size():
+    T._conv_blocks.cache_clear()
+    k, b = Tensor(rng(28).normal(size=(2, 3, 3, 3))), Tensor(np.zeros(2))
+    for shape in [(1, 3, 8, 16), (2, 3, 8, 16), (1, 3, 16, 8), (1, 3, 8, 16)]:
+        x = Tensor(rng(29).normal(size=shape), requires_grad=True)
+        T.conv2d(x, k, b).sum().backward()
+    info = T._conv_blocks.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    # one table entry per kernel tap, in (i, j) order; a 1-wide input
+    # reads only padding at the side taps
+    assert [tap for tap, _ in T._conv_blocks(8, 1)] == [(i, j) for i in range(3)
+                                                         for j in range(3)]
+    assert [block is None for _, block in T._conv_blocks(8, 1)] == [True, False, True] * 3
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_dx_is_contiguous_with_the_input_shape_and_dtype(dtype):
     x = Tensor(rng(24).normal(size=(2, 3, 7, 6)).astype(dtype), requires_grad=True)

@@ -11,15 +11,16 @@ import pytest
 from gradcheck import desk_config, misfeed_rollouts, model_config
 
 from img2latex import tensor as T
-from img2latex import cli, training
+from img2latex import cli, data, training
 from img2latex.checkpoint import load_checkpoint
 from img2latex.config import ModelConfig, full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
-                            bucket_and_pad, build_vocab, load_dataset)
+                            bucket_and_pad, build_vocab, load_buckets, load_dataset,
+                            write_manifest, write_pgm)
 from img2latex.decoder import StepOutput
 from img2latex.decoding import greedy_decode
 from img2latex.metrics import sentence_bleu4
-from img2latex.model import Model, log_softmax
+from img2latex.model import RNG_SHUFFLE, Model, derive_rng, log_softmax
 from img2latex.optim import Adam
 from img2latex.synth import GrammarConfig, synth_generate
 from img2latex.tensor import Tensor
@@ -62,7 +63,6 @@ def corpus(tmp_path_factory):
 def first_batch(corpus):
     examples = load_dataset(corpus["manifest"])
     vocab = build_vocab([corpus["manifest"]])
-    from img2latex.data import load_buckets
     batches, _ = bucket_and_pad(examples, load_buckets(corpus["buckets"]),
                                 batch_size=4, vocab=vocab)
     assert len(batches) == 1
@@ -934,6 +934,65 @@ def test_train_runs_are_bit_identical(corpus, tmp_path):
         outs.append(out)
     for ckpt in ("best.ckpt", "last.ckpt"):
         assert (outs[0] / ckpt).read_bytes() == (outs[1] / ckpt).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_bucket_corpus(tmp_path_factory):
+    """Seven images: three for a 24x16 bucket, three for a 40x24 one and
+    one (48x48) that fits neither."""
+    root = tmp_path_factory.mktemp("two_buckets")
+    rng = np.random.default_rng(17)
+    entries = []
+    for i, shape in enumerate([(12, 20), (20, 36), (16, 24), (48, 48), (24, 40), (10, 18),
+                               (18, 30)]):
+        write_pgm(str(root / f"{i}.pgm"), rng.random(shape))
+        entries.append((f"{i}.pgm", VOCAB[4:5 + i % 4]))
+    write_manifest(str(root / "manifest.tsv"), entries)
+    (root / "buckets.txt").write_text("24 16\n40 24\n")
+    return {"manifest": str(root / "manifest.tsv"), "buckets": str(root / "buckets.txt")}
+
+
+def test_training_steps_on_the_epochs_batches_padding_one_per_step(two_bucket_corpus,
+                                                                   tmp_path, monkeypatch):
+    c = two_bucket_corpus
+    cfg = tiny_cfg(steps=8, batch_size=2, validate_every=4)
+    # the reference materialises each epoch: bucket_and_pad over all of its
+    # examples, in the epoch's shuffled order
+    examples, buckets = load_dataset(c["manifest"]), load_buckets(c["buckets"])
+    vocab = build_vocab([c["manifest"]])
+    want = []
+    for epoch in range(2):
+        order = derive_rng(cfg["seed"], RNG_SHUFFLE, epoch).permutation(len(examples))
+        batches, dropped = bucket_and_pad([examples[i] for i in order], buckets, 2, vocab)
+        assert dropped == 1 and len(batches) == 4
+        want.extend(batches)
+
+    stepped, pads, pads_at_line = [], [0], []
+    real_loss, real_pad = training.mle_loss, data.pad_for_model
+
+    def loss_spy(model, images, seq, **kw):
+        stepped.append((images.copy(), seq.copy()))
+        return real_loss(model, images, seq, **kw)
+
+    def pad_spy(image, bks):
+        pads[0] += 1
+        return real_pad(image, bks)
+
+    monkeypatch.setattr(training, "mle_loss", loss_spy)
+    monkeypatch.setattr(data, "pad_for_model", pad_spy)
+    train(cfg, c["manifest"], None, c["buckets"], str(tmp_path / "run"),
+          log_fn=lambda line: pads_at_line.append(pads[0]))
+
+    assert len(stepped) == len(want) == 8
+    for (images, seq), batch in zip(stepped, want):
+        assert images.dtype == batch.images.dtype and images.shape == batch.images.shape
+        assert images.tobytes() == batch.images.tobytes()
+        assert seq.dtype == batch.seq.dtype and np.array_equal(seq, batch.seq)
+    # set-up pads nothing; each step pads its own batch, and each
+    # validation (steps 4 and 8) pads the six examples that fit a bucket
+    padded = np.diff([0] + pads_at_line) - [6 * (step % 4 == 0) for step in range(1, 9)]
+    assert padded.tolist() == [len(batch.seq) for batch in want]
+    assert padded.max() <= cfg["batch_size"]
 
 
 def test_train_resume_is_bit_exact(corpus, tmp_path):
