@@ -371,6 +371,8 @@ def _row_index(rows, n: int, op: str, count: int | None = None):
     """rows as an index into n rows: an int m is the view slice(0, m), 0 < m
     <= n, else 1-D distinct indices; ShapeError naming op if not, or if
     it picks other than count rows."""
+    if type(rows) is int and 0 < rows <= n and (count is None or count == rows):
+        return slice(0, rows)               # the common case, without the checks below
     if isinstance(rows, (int, np.integer)):
         if not 0 < rows <= n:
             raise ShapeError(f"{op}: a prefix of {rows} rows is not in 1..{n}")
@@ -543,6 +545,8 @@ _ATTN_BLOCK_BYTES = 256 * 1024
 def _row_blocks(n: int, row_bytes: int) -> tuple[int, list[slice]]:
     """(step, n rows in slices of step), step rows of row_bytes per block."""
     step = max(1, _ATTN_BLOCK_BYTES // max(1, row_bytes))
+    if n <= step:                           # a decode step's few rows, without the loop
+        return step, [slice(0, n)]
     return step, [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -597,18 +601,10 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
                          f"and beta (A,), got {query.shape}, {w1.shape}, {proj.shape}, "
                          f"{beta.shape}")
     bsz, (m, length, a) = query.shape[0], proj.shape
-    rows = m if rows is None else rows
+    index = _row_index(m if rows is None else rows, m, "attention_scores", bsz)
     qd, w1d, pd = query.data, w1.data, proj.data
     qp = (qd @ w1d).reshape(bsz, 1, a)
-    row_bytes = length * a * np.result_type(qp, pd).itemsize
-    if type(rows) is int and 0 < rows == bsz <= m and bsz * row_bytes <= _ATTN_BLOCK_BYTES:
-        # a prefix in one block, as the helpers below would give it (a
-        # decode step's few rows), without their cost
-        index = slice(0, bsz)
-        step, blocks = bsz, [index]
-    else:
-        index = _row_index(rows, m, "attention_scores", bsz)
-        step, blocks = _row_blocks(bsz, row_bytes)
+    step, blocks = _row_blocks(bsz, length * a * np.result_type(qp, pd).itemsize)
     beta_col = beta.data.reshape(a, 1)
     scores = _attention_act(qp, pd, index, blocks).reshape(bsz * length, a) @ beta_col
     alpha, softmax_vjp = _row_softmax(scores.reshape(bsz, length))
@@ -642,18 +638,15 @@ def attention_context(alpha: Tensor, entries: Tensor, rows=None) -> Tensor:
         raise ShapeError(
             f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
     bsz, m = alpha.shape[0], entries.shape[0]
-    rows = m if rows is None else rows
-    if type(rows) is int and 0 < rows == bsz <= m:
-        index = slice(0, bsz)               # as _row_index gives it, without its cost
-    else:
-        index = _row_index(rows, m, "attention_context", bsz)
+    index = _row_index(m if rows is None else rows, m, "attention_context", bsz)
     ad, ed = alpha.data, entries.data
-
-    def per_block(product):
-        if isinstance(index, slice):        # a prefix is read in place, in one product
-            return product(index, ed[index])
+    if isinstance(index, slice):            # a prefix is read in place, in one product
+        blocks, buf = [index], None
+    else:
         step, blocks = _row_blocks(bsz, ed[0].nbytes)
         buf = np.empty((step,) + ed.shape[1:], ed.dtype)
+
+    def per_block(product):
         parts = [product(r, _memory_rows(ed, index, r, buf)) for r in blocks]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -743,7 +736,10 @@ def _taps(n: int, offset: int):
     return slice(lo, hi), slice(lo + offset - 1, hi + offset - 1)
 
 
-@functools.lru_cache(maxsize=64)
+# one image size feeds the encoder's convs 5 input sizes, so 128 tables
+# (about 2.5 KB each) cover 25 bucket sizes; a bound, since without a
+# bucket file every new image size would add tables
+@functools.lru_cache(maxsize=128)
 def _conv_blocks(H: int, W: int) -> tuple:
     """conv2d's block table for an H x W input: per (i, j) kernel tap, in
     (i, j) order, ((i, j), block), where block is (rows, cols, xrows,

@@ -408,13 +408,11 @@ def test_attention_context_is_bit_identical_to_one_stacked_matmul_across_many_bl
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bsz,memory_rows,rows", [(1, 1, None), (1, 1, 1), (3, 5, 3)])
-def test_a_one_block_prefix_skips_the_row_helpers_and_keeps_its_bits(bsz, memory_rows, rows,
-                                                                      dtype, monkeypatch):
-    # a decode step's few rows read a prefix of the memory that fits in one
-    # block; the same rows given as indices go through _row_index and
-    # _row_blocks and must give the same bytes
+def test_an_int_prefix_gives_the_bits_of_the_same_rows_as_indices(bsz, memory_rows, rows,
+                                                                    dtype):
+    # a decode step's few rows read a prefix of the memory as a view; the
+    # same rows given as indices are gathered and must give the same bytes
     length, a = 154, 64
-    assert bsz * length * a * np.dtype(dtype).itemsize <= T._ATTN_BLOCK_BYTES
     arrays = attention_inputs(bsz, length, a, dtype)
     arrays[2] = np.random.default_rng(21).normal(size=(memory_rows, length, a)).astype(dtype)
     cot = np.random.default_rng(22).normal(size=(bsz, length)).astype(dtype)
@@ -430,13 +428,7 @@ def test_a_one_block_prefix_skips_the_row_helpers_and_keeps_its_bits(bsz, memory
         (out * Tensor(cot_d)).sum().backward()
         return scores + [out.data.tobytes(), weights.grad.tobytes(), memory.grad.tobytes()]
 
-    want = both(np.arange(bsz))
-
-    def helper(*_):
-        raise AssertionError("a one-block prefix went through a row helper")
-    monkeypatch.setattr(T, "_row_index", helper)
-    monkeypatch.setattr(T, "_row_blocks", helper)
-    assert both(rows) == want
+    assert both(rows) == both(np.arange(bsz))
 
 
 def test_attention_scores_keeps_no_activations_on_the_tape():

@@ -119,6 +119,14 @@ def test_head_rows_rejects_counts_outside_one_to_rows(n):
         T.take_rows(Tensor(np.zeros((4, 2))), n)
 
 
+@pytest.mark.parametrize("rows", [2, np.int64(2)])
+def test_a_prefix_of_other_than_the_attending_rows_is_refused(rows):
+    alpha, entries = Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4, 2)))
+    with pytest.raises(ShapeError, match="3 rows attend but 2 memory rows are picked"):
+        T.attention_context(alpha, entries, rows)
+    assert T.attention_context(alpha, entries, type(rows)(3)).shape == (3, 2)
+
+
 def zero_padded_cut(a, index):
     """A row or column cut whose VJP scatters g into zeros of the input's
     shape, which backward then adds like any gradient: the rule before
