@@ -537,36 +537,11 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     return _record("lstm_cell", out, (x, h, c, w, b), bwd)
 
 
-# the attention ops work on this many bytes of (B, L, .) rows at a time, so
-# each block's gather, add, tanh and VJP products run in a core's L2 cache
-_ATTN_BLOCK_BYTES = 256 * 1024
-
-
-def _row_blocks(n: int, row_bytes: int) -> tuple[int, list[slice]]:
-    """(step, n rows in slices of step), step rows of row_bytes per block."""
-    step = max(1, _ATTN_BLOCK_BYTES // max(1, row_bytes))
-    if n <= step:                           # a decode step's few rows, without the loop
-        return step, [slice(0, n)]
-    return step, [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-def _memory_rows(mem: np.ndarray, index, rows: slice, out) -> np.ndarray:
-    """mem[index][rows]: a view for a prefix, else gathered into out's head."""
-    if isinstance(index, slice):
-        return mem[rows]
-    if out.dtype != mem.dtype:
-        return mem[index[rows]]
-    return np.take(mem, index[rows], axis=0, out=out[:rows.stop - rows.start])
-
-
-def _attention_act(qp: np.ndarray, pd: np.ndarray, index, blocks) -> np.ndarray:
+def _attention_act(qp: np.ndarray, pd: np.ndarray, index) -> np.ndarray:
     """tanh(qp + pd[index]) for the (B, 1, A) query projection qp and the (M, L, A)
-    key projection pd, built a block of rows at a time in one (B, L, A) array."""
-    act = np.empty(qp.shape[:1] + pd.shape[1:], dtype=np.result_type(qp, pd))
-    for rows in blocks:
-        blk = act[rows]
-        np.add(qp[rows], _memory_rows(pd, index, rows, blk), out=blk)
-        np.tanh(blk, out=blk)
+    key projection pd, as one (B, L, A) array; a prefix index reads pd in place."""
+    act = np.add(qp, pd[index])
+    np.tanh(act, out=act)
     return act
 
 
@@ -581,19 +556,16 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
 
     Memory: the record keeps its inputs, the (B, 1, A) query projection
     and alpha, never a (B, L, A) array, and proj is never cut.  Forward
-    builds the tanh activations in one buffer, _ATTN_BLOCK_BYTES of rows
-    at a time with memory rows gathered straight into it, and scores and
-    drops them.  The VJP rebuilds them, then turns the buffer block by
-    block into the gradient of proj[rows], (g beta^T) * (1 - act * act),
-    with one block-sized scratch array.
+    builds the tanh activations in one array, reading a prefix of proj in
+    place and gathering other rows, and scores and drops them.  The VJP
+    rebuilds them, turns that array in place into the gradient of
+    proj[rows], (g beta^T) * (1 - act * act), and holds one more array of
+    its size, 1 - act * act, while it does.
 
     Bit-identity contract: forward and VJP run the numpy expressions of
     the chain take_rows (of proj), matmul, reshape, add, tanh, reshape,
     reshape (of beta), matmul, reshape and softmax, in its order, so
-    outputs and gradients are bit-equal to the chain's.  Gathers and
-    elementwise steps give the same bits in any blocking; the GEMVs
-    act @ beta and act^T @ g and the sum over L run once over the whole
-    array, since a GEMV split into row blocks may round differently.
+    outputs and gradients are bit-equal to the chain's.
     """
     if (query.ndim != 2 or w1.ndim != 2 or proj.ndim != 3 or w1.shape[0] != query.shape[1]
             or proj.shape[2] != w1.shape[1] or beta.shape != (w1.shape[1],)):
@@ -604,26 +576,20 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
     index = _row_index(m if rows is None else rows, m, "attention_scores", bsz)
     qd, w1d, pd = query.data, w1.data, proj.data
     qp = (qd @ w1d).reshape(bsz, 1, a)
-    step, blocks = _row_blocks(bsz, length * a * np.result_type(qp, pd).itemsize)
     beta_col = beta.data.reshape(a, 1)
-    scores = _attention_act(qp, pd, index, blocks).reshape(bsz * length, a) @ beta_col
+    scores = _attention_act(qp, pd, index).reshape(bsz * length, a) @ beta_col
     alpha, softmax_vjp = _row_softmax(scores.reshape(bsz, length))
 
     def bwd(g):
         gs = softmax_vjp(g).reshape(bsz * length, 1)
-        # d_pre holds the recomputed activations until the loop below
-        # overwrites each block with its gradient
-        d_pre = _attention_act(qp, pd, index, blocks)
+        # d_pre holds the recomputed activations until it is overwritten
+        # with their gradient
+        d_pre = _attention_act(qp, pd, index)
         d_beta = d_pre.reshape(bsz * length, a).T @ gs
-        gs3, beta_row = gs.reshape(bsz, length, 1), beta_col.T
-        scratch = np.empty_like(d_pre[:step])
-        for rows in blocks:
-            blk = d_pre[rows]
-            t = scratch[:len(blk)]
-            np.multiply(blk, blk, out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(gs3[rows], beta_row, out=blk)
-            np.multiply(blk, t, out=blk)
+        t = np.multiply(d_pre, d_pre)
+        np.subtract(1.0, t, out=t)
+        np.multiply(gs.reshape(bsz, length, 1), beta_col.T, out=d_pre)
+        np.multiply(d_pre, t, out=d_pre)
         d_query, d_w1 = _matmul_vjp(d_pre.sum(axis=1), qd, w1d)
         return d_query, d_w1, (index, d_pre), d_beta.reshape(a)
 
@@ -632,30 +598,21 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
 
 def attention_context(alpha: Tensor, entries: Tensor, rows=None) -> Tensor:
     """Attention-weighted sum of memory entries, (B, L) x (M, L, d) -> (B, d),
-    over the memory rows picked as in `attention_scores`; gathered rows go a
-    block at a time, whose products are the stacked matmul's own."""
+    over the memory rows picked as in `attention_scores`: one stacked matmul
+    that reads a prefix in place and gathers other rows, in the forward and
+    again in the VJP."""
     if alpha.ndim != 2 or entries.ndim != 3 or alpha.shape[1] != entries.shape[1]:
         raise ShapeError(
             f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
     bsz, m = alpha.shape[0], entries.shape[0]
     index = _row_index(m if rows is None else rows, m, "attention_context", bsz)
     ad, ed = alpha.data, entries.data
-    if isinstance(index, slice):            # a prefix is read in place, in one product
-        blocks, buf = [index], None
-    else:
-        step, blocks = _row_blocks(bsz, ed[0].nbytes)
-        buf = np.empty((step,) + ed.shape[1:], ed.dtype)
-
-    def per_block(product):
-        parts = [product(r, _memory_rows(ed, index, r, buf)) for r in blocks]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    out = Tensor(per_block(lambda r, mem: np.matmul(ad[r, None, :], mem)[:, 0, :]))
+    out = Tensor(np.matmul(ad[:, None, :], ed[index])[:, 0, :])
 
     def bwd(g):
         # the entries VJP is an outer product per row; a matmul with an
         # inner size of 1 would be slower than the broadcast multiply
-        d_alpha = per_block(lambda r, mem: np.matmul(mem, g[r, :, None])[:, :, 0])
+        d_alpha = np.matmul(ed[index], g[:, :, None])[:, :, 0]
         return d_alpha, (index, ad[:, :, None] * g[:, None, :])
 
     return _record("attention_context", out, (alpha, entries), bwd)

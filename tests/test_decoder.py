@@ -356,14 +356,10 @@ def attention_bytes(op, arrays, cot):
 
 
 @pytest.mark.parametrize("bsz,dtype", [(160, np.float32), (97, np.float64)])
-def test_attention_scores_is_bit_identical_to_the_chain_across_many_blocks(bsz, dtype):
-    # the desk shape: L = 154 memory entries, A = 64 attention units.  The
-    # op builds its activations in 27 blocks of 6 f32 rows, the last of 4,
-    # and in 33 blocks of 3 f64 rows, the last of 1, so a slip in the
-    # block slicing shows up here and not at the decoder tests' few rows
+def test_attention_scores_is_bit_identical_to_the_chain_at_desk_size(bsz, dtype):
+    # the desk shape: L = 154 memory entries, A = 64 attention units, at
+    # rl-desk's 160 rollout rows in f32 and at 97 rows in f64
     length, a = 154, 64
-    per_block = T._ATTN_BLOCK_BYTES // (length * a * np.dtype(dtype).itemsize)
-    assert 1 < per_block < bsz and bsz % per_block
     arrays = attention_inputs(bsz, length, a, dtype)
     # tied values, zeros of both signs and distinct values in one cotangent
     cot = np.random.default_rng(16).normal(size=(bsz, length)).astype(dtype)
@@ -372,8 +368,8 @@ def test_attention_scores_is_bit_identical_to_the_chain_across_many_blocks(bsz, 
     cot[1::3, 1::4] = 0.0
     fused = attention_bytes(T.attention_scores, arrays, cot)
     assert fused == attention_bytes(attention_chain, arrays, cot)
-    # memory rows gathered block by block equal a take_rows of the memory:
-    # five more memory rows than queries, read in a shuffled order
+    # gathered memory rows equal a take_rows of the memory: five more
+    # memory rows than queries, read in a shuffled order
     memory = np.random.default_rng(18).normal(size=(bsz + 5, length, a)).astype(dtype)
     rows = np.random.default_rng(19).permutation(bsz + 5)[:bsz]
     arrays[2] = memory
@@ -384,26 +380,59 @@ def test_attention_scores_is_bit_identical_to_the_chain_across_many_blocks(bsz, 
     assert gathered == chain
 
 
+def context_bytes(alpha, memory, rows, cot):
+    """attention_context's output and its alpha and entries gradients for
+    the cotangent cot, then the same three from one stacked matmul over
+    memory[rows] and a broadcast outer product, all as bytes."""
+    index = slice(0, rows) if isinstance(rows, int) else rows
+    a, e = Tensor(alpha, requires_grad=True), Tensor(memory, requires_grad=True)
+    out = T.attention_context(a, e, rows)
+    (out * Tensor(cot)).sum().backward()
+    want = np.zeros_like(memory, dtype=np.result_type(alpha, cot))
+    want[index] = alpha[:, :, None] * cot[:, None, :]
+    return ([out.data.tobytes(), a.grad.tobytes(), e.grad.tobytes()],
+            [np.matmul(alpha[:, None, :], memory[index])[:, 0].tobytes(),
+             np.matmul(memory[index], cot[:, :, None])[:, :, 0].tobytes(), want.tobytes()])
+
+
 @pytest.mark.parametrize("bsz,dtype", [(160, np.float32), (97, np.float64)])
-def test_attention_context_is_bit_identical_to_one_stacked_matmul_across_many_blocks(bsz,
-                                                                                      dtype):
-    # the desk memory, L = 154 entries of d = 64, read in blocks of 6 f32
-    # or 3 f64 rows: as a prefix, and gathered in a shuffled order
+def test_attention_context_is_bit_identical_to_one_stacked_matmul_at_desk_size(bsz, dtype):
+    # the desk memory, L = 154 entries of d = 64, read as a prefix and
+    # gathered in a shuffled order
     length, d = 154, 64
     r = np.random.default_rng(20)
     memory = r.normal(size=(bsz + 7, length, d)).astype(dtype)
     alpha = r.random((bsz, length)).astype(dtype)
     cot = r.normal(size=(bsz, d)).astype(dtype)
     for rows in (bsz, r.permutation(bsz + 7)[:bsz]):
-        index = slice(0, rows) if isinstance(rows, int) else rows
-        a, e = Tensor(alpha, requires_grad=True), Tensor(memory, requires_grad=True)
-        out = T.attention_context(a, e, rows)
-        (out * Tensor(cot)).sum().backward()
-        assert out.data.tobytes() == np.matmul(alpha[:, None, :], memory[index])[:, 0].tobytes()
-        assert a.grad.tobytes() == np.matmul(memory[index], cot[:, :, None])[:, :, 0].tobytes()
-        want = np.zeros_like(memory)
-        want[index] = alpha[:, :, None] * cot[:, None, :]
-        assert e.grad.tobytes() == want.tobytes()
+        got, want = context_bytes(alpha, memory, rows, cot)
+        assert got == want
+
+
+@pytest.mark.parametrize("prefix", [True, False])
+def test_f64_queries_over_an_f32_memory_give_f64_bits_of_the_chain(prefix):
+    # an f64 query and w1 over an f32 key projection and f32 entries: both
+    # ops promote as the chain does, whether the memory rows are a prefix
+    # read in place or gathered in a shuffled order
+    bsz, length, a, d = 12, 154, 64, 64
+    arrays = attention_inputs(bsz, length, a, np.float64)
+    r = np.random.default_rng(25)
+    arrays[2] = r.normal(size=(bsz + 3, length, a)).astype(np.float32)
+    arrays[3] = arrays[3].astype(np.float32)
+    entries = r.normal(size=(bsz + 3, length, d)).astype(np.float32)
+    rows = bsz if prefix else r.permutation(bsz + 3)[:bsz]
+    cot = r.normal(size=(bsz, length))
+    fused = attention_bytes(lambda q, w, p, b: T.attention_scores(q, w, p, b, rows),
+                            arrays, cot)
+    chain = attention_bytes(lambda q, w, p, b: attention_chain(q, w, T.take_rows(p, rows), b),
+                            arrays, cot)
+    assert fused == chain
+    leaves = [Tensor(x, requires_grad=True) for x in arrays]
+    alpha = T.attention_scores(*leaves, rows)
+    ctx = T.attention_context(alpha, Tensor(entries), rows)
+    assert alpha.data.dtype == ctx.data.dtype == np.float64
+    got, want = context_bytes(alpha.data, entries, rows, r.normal(size=(bsz, d)))
+    assert got == want
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
