@@ -128,15 +128,18 @@ def levenshtein(a, b) -> int:
     return prev[-1]
 
 
-def _column_strings(binary: np.ndarray) -> list[str]:
-    return ["".join("1" if v else "0" for v in binary[:, j]) for j in range(binary.shape[1])]
+def _column_bytes(binary: np.ndarray) -> list[bytes]:
+    """Each column's ink pattern (nonzero pixels) as one bytes value, so
+    two columns compare equal when they have the same height and ink."""
+    return [col.tobytes() for col in np.ascontiguousarray(binary.T != 0)]
 
 
 def edit_distance_score(truth: np.ndarray, test: np.ndarray) -> float:
     """1 - (column-wise Levenshtein / truth width), clamped at 0.
 
-    Both images are taken as binary {0,1} grids; columns become 0/1
-    strings compared as sequence elements.
+    Both images are taken as binary grids, nonzero being ink; each column
+    becomes one sequence element, equal to another column with the same
+    ink.
     """
     truth = np.asarray(truth)
     test = np.asarray(test)
@@ -144,7 +147,7 @@ def edit_distance_score(truth: np.ndarray, test: np.ndarray) -> float:
         raise MetricError("edit_distance_score: images must be 2-D")
     if truth.shape[1] == 0:
         raise MetricError("edit_distance_score: zero-width truth image")
-    e = levenshtein(_column_strings(truth), _column_strings(test)) / truth.shape[1]
+    e = levenshtein(_column_bytes(truth), _column_bytes(test)) / truth.shape[1]
     return max(0.0, 1.0 - e)
 
 

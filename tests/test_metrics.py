@@ -170,6 +170,23 @@ def test_edit_distance_normalizer_is_truth_width():
     assert edit_distance_score(a, b) != edit_distance_score(b, a)
 
 
+def test_edit_distance_compares_columns_by_their_ink():
+    # the distance of the columns read as 0/1 strings, for images of other
+    # heights, widths and dtypes; a pixel of 2 is ink like a pixel of 1
+    def strings(img):
+        return ["".join("1" if v else "0" for v in img[:, j]) for j in range(img.shape[1])]
+
+    r = np.random.default_rng(6)
+    for h_test, dtype in [(5, np.uint8), (5, bool), (6, np.int64), (5, np.float64)]:
+        truth = (r.random((5, 12)) < 0.3).astype(np.uint8)
+        test = (r.random((h_test, 9)) < 0.3).astype(dtype)
+        test[:min(h_test, 5), :4] = truth[:min(h_test, 5), :4]
+        if dtype is np.int64:
+            test *= 2
+        want = max(0.0, 1.0 - levenshtein(strings(truth), strings(test)) / truth.shape[1])
+        assert edit_distance_score(truth, test) == want
+
+
 # ---------------------------------------------------------------------
 # exact match
 # ---------------------------------------------------------------------
