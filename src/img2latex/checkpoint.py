@@ -62,8 +62,6 @@ def _write_arrays(f, arrays: dict[str, np.ndarray]) -> None:
         f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
         for d in arr.shape:
             f.write(struct.pack("<I", d))
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
         f.write(arr.tobytes())
 
 

@@ -88,6 +88,18 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
     assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
+@pytest.mark.parametrize("dtype", [">f8", np.int64])
+def test_an_array_of_another_dtype_is_a_one_line_checkpoint_error(tmp_path, dtype):
+    # only native float32 and float64 are written; a big-endian float64
+    # is not one of them, and neither is an int array
+    params = dict(sample_params(), **{"enc.bad": np.arange(6).astype(dtype)})
+    with pytest.raises(CheckpointError) as err:
+        save_checkpoint(str(tmp_path / "m.ckpt"), {"step": 0}, params)
+    assert "\n" not in str(err.value)
+    assert "'enc.bad'" in str(err.value) and "unsupported dtype" in str(err.value)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_magic_is_stable():
     # freezing the on-disk layout: the header is part of the contract
     assert MAGIC == b"I2LCKPT\x00"
