@@ -16,13 +16,15 @@ u32 per dim, then the raw array payload.  Arrays round-trip bit-exactly
 because payloads are written in their native dtype.
 
 Files are written to a temp path and moved into place, so an interrupted
-save never clobbers the previous checkpoint.  The reader checks every
+save never clobbers the previous checkpoint, and a save that raises
+removes its temp file.  The reader checks every
 length field against the bytes left in the file and maps every decode
 failure to CheckpointError, so a corrupt file fails with one line.
 What the arrays must hold to be loaded is `check_arrays`' one rule.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -40,6 +42,13 @@ _CODE_DTYPES = {0: np.float64, 1: np.float32}
 
 class CheckpointError(Exception):
     pass
+
+
+class CheckpointNotFound(CheckpointError):
+    """No file at a checkpoint path: the one wording of that refusal."""
+
+    def __init__(self, path):
+        super().__init__(f"checkpoint not found: {path}")
 
 
 @dataclass
@@ -126,27 +135,36 @@ def save_checkpoint(path, meta: dict, params: dict[str, np.ndarray],
                     optimizer: dict | None = None) -> None:
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<Q", len(meta_bytes)))
-        f.write(meta_bytes)
-        _write_arrays(f, params)
-        _write_arrays(f, buffers or {})
-        if optimizer is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", int(optimizer["step_count"])))
-            _write_arrays(f, optimizer["m"])
-            _write_arrays(f, optimizer["v"])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+            f.write(struct.pack("<Q", len(meta_bytes)))
+            f.write(meta_bytes)
+            _write_arrays(f, params)
+            _write_arrays(f, buffers or {})
+            if optimizer is None:
+                f.write(struct.pack("<B", 0))
+            else:
+                f.write(struct.pack("<B", 1))
+                f.write(struct.pack("<Q", int(optimizer["step_count"])))
+                _write_arrays(f, optimizer["m"])
+                _write_arrays(f, optimizer["v"])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = os.fspath(path)
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise CheckpointNotFound(path) from None
+    with f:
         magic = _read_exact(f, len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")

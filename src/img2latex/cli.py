@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, CheckpointNotFound
 from .config import ConfigError, SCHEMA, format_effective, format_help, load_config
 from .data import (END_ID, DataError, load_buckets, load_dataset,
                    pad_for_model, read_pgm, round_up, write_pgm)
@@ -39,9 +39,10 @@ DEFAULT_THRESHOLD = 0.5
 # ---------------------------------------------------------------------
 
 def _load_model(path: str) -> Model:
-    if not os.path.exists(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    model, _ = Model.load(path)
+    try:
+        model, _ = Model.load(path)
+    except CheckpointNotFound as exc:
+        raise ConfigError(str(exc)) from None     # a usage error for --checkpoint
     return model
 
 
@@ -123,7 +124,7 @@ def cmd_train(args) -> int:
 
     outcome = train(load_config(args.config, args.set or []), args.train_manifest,
                     args.val_manifest, args.buckets, args.out, phase=args.phase,
-                    init=args.init, resume=args.resume, config_fn=echo)
+                    init=args.init, resume=args.resume, config_fn=echo, profile=args.profile)
     print(f"trained steps={outcome.steps_run} best_metric={outcome.best_metric:.6f} "
           f"best={outcome.best_path} last={outcome.last_path}"
           f"{' (stopped early)' if outcome.stopped_early else ''}")
@@ -278,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a config key (repeatable)")
     t.add_argument("--init", help="start from this checkpoint, fresh optimizer")
     t.add_argument("--resume", help="continue this checkpoint bit-exactly")
+    t.add_argument("--profile", metavar="PATH",
+                   help="write the first step's per-op tape records, output bytes "
+                        "and VJP seconds to PATH as a TSV")
     t.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="decode a manifest to a TSV")

@@ -38,7 +38,10 @@ generic records and are bit-identical to them, forward and backward;
 tests/test_decoder.py keeps the generic chain as its reference.  The
 key projection W2 e_l does not depend on the step, so init_state
 records it once (3 records: reshape, matmul, reshape), and every state
-of the sequence carries it uncut: `keep_rows` cuts h, c, O and a row index.
+of the sequence carries it and the memory uncut: `keep_rows` cuts h, c,
+O and a row index.  Several running rows may read one memory row:
+`init_state(entries, copies=k)` starts k running rows per image over
+one memory per image, and the attention ops read it run by run.
 """
 from __future__ import annotations
 
@@ -55,7 +58,9 @@ from .tensor import Tensor
 class DecoderState:
     """Per-layer (h, c) and fed-back output O of B running rows, the fixed
     attention memory (entries (M, L, d) and key projection proj (M, L, A)),
-    and mem_rows, each running row's memory row as `T.take_rows` takes rows."""
+    one row per image, and mem_rows, each running row's memory row: an
+    int n for the first n, else a 1-D index, whose values repeat where
+    several running rows read one image's memory (`Decoder.init_state`)."""
     h: list[Tensor]
     c: list[Tensor]
     o_prev: Tensor
@@ -115,20 +120,27 @@ class Decoder:
         add("dec.w3", (h + config.d, config.out_dim), h + config.d, config.out_dim)
         add("dec.w4", (config.out_dim, v), config.out_dim, v)
 
-    def init_state(self, entries: Tensor) -> DecoderState:
+    def init_state(self, entries: Tensor, copies: int = 1) -> DecoderState:
         """Hidden/cell states from the mean annotation vector, O_0 = 0,
-        and the key projection of entries (B, L, d)."""
+        and the key projection of entries (B, L, d), for copies * B running
+        rows laid out copy-major: row j * B + i is copy j of image i, and
+        reads memory row i.  The memory and its key projection stay one
+        row per image."""
         p = self.params
         mean = T.reduce_mean(entries, axis=1)           # (B, d)
+        if copies > 1:
+            mean = T.concat([mean] * copies)            # (copies * B, d)
         hs, cs = [], []
         for layer in (1, 2):
             hs.append(T.tanh(mean @ p[f"dec.init.h{layer}.w"] + p[f"dec.init.h{layer}.b"]))
             cs.append(T.tanh(mean @ p[f"dec.init.c{layer}.w"] + p[f"dec.init.c{layer}.b"]))
         b, length, d = entries.shape
-        o0 = Tensor(np.zeros((b, self.config.out_dim), dtype=self.config.np_dtype()))
+        o0 = Tensor(np.zeros((b * copies, self.config.out_dim), dtype=self.config.np_dtype()))
         proj = T.reshape(T.reshape(entries, (b * length, d)) @ p["dec.attn.w2"],
                          (b, length, self.config.attn_dim))
-        return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj, mem_rows=b)
+        mem_rows = b if copies == 1 else np.tile(np.arange(b), copies)
+        return DecoderState(h=hs, c=cs, o_prev=o0, entries=entries, proj=proj,
+                            mem_rows=mem_rows)
 
     def keep_rows(self, state: DecoderState, rows) -> DecoderState:
         """State cut to running rows `rows` as `T.take_rows` takes them: h, c

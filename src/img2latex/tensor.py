@@ -173,9 +173,13 @@ def backward(loss: Tensor) -> None:
     as it is consumed, so backward may run only once per forward pass.
 
     A VJP returns per input None, a gradient of the input's shape, or
-    (index, g), the gradient of input.data[index] alone, which backward
-    adds into a full-shape buffer it owns (+0.0 elsewhere): no VJP
-    zero-pads a cut, and only the sign of a zero can differ from that.
+    (runs, g) for a cut: per run (src, dst), g[dst] is the gradient of
+    input.data[src] alone.  backward adds each run, as a slice, into a
+    full-shape buffer it owns (+0.0 elsewhere), so no VJP zero-pads a
+    cut.  When no two runs read the same input element, the first
+    gradient assigns them, and only the sign of a zero can differ from
+    zero-padding; runs that overlap, as several copies reading one
+    attention memory do, are added into zeros in run order.
     """
     if loss.size != 1:
         raise TensorError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -216,15 +220,17 @@ def backward(loss: Tensor) -> None:
                     continue
                 acc = inp.grad
                 if type(g) is tuple:
-                    index, g = g
+                    runs, g = g
                     if acc is None:
-                        inp.grad = owned[id(inp)] = np.zeros(inp.shape, dtype=g.dtype)
-                        inp.grad[index] = g
-                    elif owned.get(id(inp)) is acc and acc.dtype == np.result_type(acc, g):
-                        acc[index] += g
-                    else:
-                        inp.grad = owned[id(inp)] = acc.astype(np.result_type(acc, g))
-                        inp.grad[index] += g
+                        acc = inp.grad = owned[id(inp)] = np.zeros(inp.shape, dtype=g.dtype)
+                        if _disjoint(runs):
+                            for src, dst in runs:
+                                acc[src] = g[dst]
+                            continue
+                    elif owned.get(id(inp)) is not acc or acc.dtype != np.result_type(acc, g):
+                        acc = inp.grad = owned[id(inp)] = acc.astype(np.result_type(acc, g))
+                    for src, dst in runs:
+                        acc[src] += g[dst]
                 elif acc is None:
                     inp.grad = g
                 elif owned.get(id(inp)) is acc and acc.dtype == g.dtype and acc.shape == g.shape:
@@ -240,6 +246,15 @@ def backward(loss: Tensor) -> None:
         rec.out = None
         rec.inputs = ()
         rec.backward_fn = None
+
+
+def _disjoint(runs) -> bool:
+    """Whether no two runs read the same input element.  A single run never
+    does (a take_rows index is distinct); more runs are row slices."""
+    if len(runs) < 2:
+        return True
+    spans = sorted((src.start, src.stop) for src, _ in runs)
+    return all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
 
 
 def _as_tensor(x, dtype=None) -> Tensor:
@@ -367,10 +382,10 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
     return _record("repeat_rows", out, (a,), bwd)
 
 
-def _row_index(rows, n: int, op: str, count: int | None = None):
+def _row_index(rows, n: int, op: str, count: int | None = None, repeats: bool = False):
     """rows as an index into n rows: an int m is the view slice(0, m), 0 < m
-    <= n, else 1-D distinct indices; ShapeError naming op if not, or if
-    it picks other than count rows."""
+    <= n, else 1-D indices, distinct unless repeats; ShapeError naming op
+    if not, or if it picks other than count rows."""
     if type(rows) is int and 0 < rows <= n and (count is None or count == rows):
         return slice(0, rows)               # the common case, without the checks below
     if isinstance(rows, (int, np.integer)):
@@ -381,12 +396,29 @@ def _row_index(rows, n: int, op: str, count: int | None = None):
         index = np.asarray(rows, dtype=np.intp)
         if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= n)):
             raise ShapeError(f"{op}: rows must be 1-D indices into {n} rows")
-        if np.unique(index).size != index.size:
+        if not repeats and np.unique(index).size != index.size:
             raise ShapeError(f"{op}: rows must be distinct")
     picked = index.stop if isinstance(index, slice) else index.size
     if count is not None and picked != count:
         raise ShapeError(f"{op}: {count} rows attend but {picked} memory rows are picked")
     return index
+
+
+def _row_runs(rows, n: int, op: str, count: int):
+    """The memory rows of count attending rows, read as `_row_index` reads
+    them (repeats allowed), as runs (src, dst) in attending-row order:
+    attending rows dst read memory rows src, one run per stretch of
+    consecutive memory rows.  A prefix is one run, and so is a 1-row int,
+    without building an index; no rows are one empty run."""
+    index = _row_index(rows, n, op, count, repeats=True)
+    if type(index) is slice:
+        return ((index, index),)
+    if not index.size:
+        return ((slice(0, 0), slice(0, 0)),)
+    breaks = (np.flatnonzero(np.diff(index) != 1) + 1).tolist()
+    starts, stops = [0] + breaks, breaks + [index.size]
+    return tuple((slice(m, m + stop - start), slice(start, stop))
+                 for m, start, stop in zip(index[starts].tolist(), starts, stops))
 
 
 def take_rows(a: Tensor, rows) -> Tensor:
@@ -396,7 +428,8 @@ def take_rows(a: Tensor, rows) -> Tensor:
     if a.ndim == 0:
         raise ShapeError("take_rows: a 0-d tensor has no rows")
     index = _row_index(rows, a.shape[0], "take_rows")
-    return _record("take_rows", Tensor(a.data[index]), (a,), lambda g: ((index, g),))
+    return _record("take_rows", Tensor(a.data[index]), (a,),
+                   lambda g: ((((index, slice(None)),), g),))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -405,7 +438,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.ndim != 2 or not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"slice_cols: columns [{start}, {stop}) invalid for {a.shape}")
     index = (slice(None), slice(start, stop))
-    return _record("slice_cols", Tensor(a.data[index]), (a,), lambda g: ((index, g),))
+    return _record("slice_cols", Tensor(a.data[index]), (a,),
+                   lambda g: ((((index, slice(None)),), g),))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -537,10 +571,17 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     return _record("lstm_cell", out, (x, h, c, w, b), bwd)
 
 
-def _attention_act(qp: np.ndarray, pd: np.ndarray, index) -> np.ndarray:
-    """tanh(qp + pd[index]) for the (B, 1, A) query projection qp and the (M, L, A)
-    key projection pd, as one (B, L, A) array; a prefix index reads pd in place."""
-    act = np.add(qp, pd[index])
+def _attention_act(qp: np.ndarray, pd: np.ndarray, runs) -> np.ndarray:
+    """tanh(qp + pd[src]) for the (B, 1, A) query projection qp and the (M, L, A)
+    key projection pd, as one (B, L, A) array: per run (src, dst), rows src
+    of pd are read in place and added to rows dst of qp.  One run covers
+    every row, and numpy allocates its sum."""
+    if len(runs) == 1:
+        act = np.add(qp, pd[runs[0][0]])
+    else:
+        act = np.empty((qp.shape[0],) + pd.shape[1:], dtype=np.result_type(qp, pd))
+        for src, dst in runs:
+            np.add(qp[dst], pd[src], out=act[dst])
     np.tanh(act, out=act)
     return act
 
@@ -551,21 +592,25 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
 
     query is (B, q), w1 (q, A), proj the (M, L, A) key projection of the
     memory and beta (A,); rows picks each query row's memory row as
-    `take_rows` does (None: all M = B rows).  Returns alpha = softmax over
-    L of tanh(query @ w1 + proj[rows]) @ beta, shape (B, L).
+    `_row_runs` reads them (None: all M = B rows), and several query rows
+    may read one memory row.  Returns alpha = softmax over L of
+    tanh(query @ w1 + proj[rows]) @ beta, shape (B, L).
 
     Memory: the record keeps its inputs, the (B, 1, A) query projection
-    and alpha, never a (B, L, A) array, and proj is never cut.  Forward
-    builds the tanh activations in one array, reading a prefix of proj in
-    place and gathering other rows, and scores and drops them.  The VJP
+    and alpha, never a (B, L, A) array, and proj is never cut, gathered or
+    tiled.  Forward builds the tanh activations in one array, reading
+    proj in place run by run, and scores and drops them.  The VJP
     rebuilds them, turns that array in place into the gradient of
-    proj[rows], (g beta^T) * (1 - act * act), and holds one more array of
-    its size, 1 - act * act, while it does.
+    proj[rows], (g beta^T) * (1 - act * act), which it returns by run,
+    and holds one more array of its size, 1 - act * act, while it does.
 
     Bit-identity contract: forward and VJP run the numpy expressions of
-    the chain take_rows (of proj), matmul, reshape, add, tanh, reshape,
-    reshape (of beta), matmul, reshape and softmax, in its order, so
-    outputs and gradients are bit-equal to the chain's.
+    the chain take_rows (of proj tiled so that every query row reads its
+    own memory row), matmul, reshape, add, tanh, reshape, reshape (of
+    beta), matmul, reshape and softmax, in its order, so outputs and the
+    query, w1 and beta gradients are bit-equal to the chain's.  The proj
+    gradient is too wherever no two query rows read one memory row;
+    where they do, it sums their gradients in run order, not the chain's.
     """
     if (query.ndim != 2 or w1.ndim != 2 or proj.ndim != 3 or w1.shape[0] != query.shape[1]
             or proj.shape[2] != w1.shape[1] or beta.shape != (w1.shape[1],)):
@@ -573,25 +618,25 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
                          f"and beta (A,), got {query.shape}, {w1.shape}, {proj.shape}, "
                          f"{beta.shape}")
     bsz, (m, length, a) = query.shape[0], proj.shape
-    index = _row_index(m if rows is None else rows, m, "attention_scores", bsz)
+    runs = _row_runs(m if rows is None else rows, m, "attention_scores", bsz)
     qd, w1d, pd = query.data, w1.data, proj.data
     qp = (qd @ w1d).reshape(bsz, 1, a)
     beta_col = beta.data.reshape(a, 1)
-    scores = _attention_act(qp, pd, index).reshape(bsz * length, a) @ beta_col
+    scores = _attention_act(qp, pd, runs).reshape(bsz * length, a) @ beta_col
     alpha, softmax_vjp = _row_softmax(scores.reshape(bsz, length))
 
     def bwd(g):
         gs = softmax_vjp(g).reshape(bsz * length, 1)
         # d_pre holds the recomputed activations until it is overwritten
         # with their gradient
-        d_pre = _attention_act(qp, pd, index)
+        d_pre = _attention_act(qp, pd, runs)
         d_beta = d_pre.reshape(bsz * length, a).T @ gs
         t = np.multiply(d_pre, d_pre)
         np.subtract(1.0, t, out=t)
         np.multiply(gs.reshape(bsz, length, 1), beta_col.T, out=d_pre)
         np.multiply(d_pre, t, out=d_pre)
         d_query, d_w1 = _matmul_vjp(d_pre.sum(axis=1), qd, w1d)
-        return d_query, d_w1, (index, d_pre), d_beta.reshape(a)
+        return d_query, d_w1, (runs, d_pre), d_beta.reshape(a)
 
     return _record("attention_scores", Tensor(alpha), (query, w1, proj, beta), bwd)
 
@@ -599,23 +644,27 @@ def attention_scores(query: Tensor, w1: Tensor, proj: Tensor, beta: Tensor,
 def attention_context(alpha: Tensor, entries: Tensor, rows=None) -> Tensor:
     """Attention-weighted sum of memory entries, (B, L) x (M, L, d) -> (B, d),
     over the memory rows picked as in `attention_scores`: one stacked matmul
-    that reads a prefix in place and gathers other rows, in the forward and
-    again in the VJP."""
+    per run, which reads its memory rows in place, in the forward and again
+    in the VJP; a single run (a prefix) needs no concatenation.  The
+    entries gradient is returned by run (see `backward`)."""
     if alpha.ndim != 2 or entries.ndim != 3 or alpha.shape[1] != entries.shape[1]:
         raise ShapeError(
             f"attention_context: weights {alpha.shape} do not match entries {entries.shape}")
     bsz, m = alpha.shape[0], entries.shape[0]
-    index = _row_index(m if rows is None else rows, m, "attention_context", bsz)
+    runs = _row_runs(m if rows is None else rows, m, "attention_context", bsz)
     ad, ed = alpha.data, entries.data
-    out = Tensor(np.matmul(ad[:, None, :], ed[index])[:, 0, :])
+    if len(runs) == 1:
+        out = np.matmul(ad[:, None], ed[runs[0][0]])
+    else:
+        out = np.concatenate([np.matmul(ad[dst, None], ed[src]) for src, dst in runs])
 
     def bwd(g):
+        d_alpha = np.concatenate([np.matmul(ed[src], g[dst, :, None]) for src, dst in runs])
         # the entries VJP is an outer product per row; a matmul with an
         # inner size of 1 would be slower than the broadcast multiply
-        d_alpha = np.matmul(ed[index], g[:, :, None])[:, :, 0]
-        return d_alpha, (index, ad[:, :, None] * g[:, None, :])
+        return d_alpha[:, :, 0], (runs, ad[:, :, None] * g[:, None, :])
 
-    return _record("attention_context", out, (alpha, entries), bwd)
+    return _record("attention_context", Tensor(out[:, 0]), (alpha, entries), bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

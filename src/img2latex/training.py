@@ -14,6 +14,7 @@ resume reproduces).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -68,29 +69,32 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
 
 def _run_packed(decoder: Decoder, entries: Tensor, caps: np.ndarray, choose,
                 train: bool = False, rng: np.random.Generator | None = None,
-                audit: InputFeedAudit | None = None):
+                audit: InputFeedAudit | None = None, copies: int = 1):
     """The decoder loop of both phases, which differ only in the token
-    each step chooses.  Step t feeds each running row its last token
-    (START at t=0) and takes the next from choose(rows, t, logits), rows
-    being the running rows' original indices.  A row leaves on the step it
-    chooses END or its caps[row]-th token; the state keeps the rest
+    each step chooses.  It runs copies rows per image of entries (B, L,
+    d), copies * B in all, laid out as `Decoder.init_state` lays them out
+    (row j * B + i is copy j of image i); every row reads its image's one
+    memory.  Step t feeds each running row its last token (START at
+    t=0) and takes the next from choose(rows, t, logits), rows being the
+    running rows' original indices.  A row leaves on the step it chooses
+    END or its caps[row]-th token; the state keeps the rest
     (`Decoder.keep_rows`) by count, as views, when they are a prefix, else
     by index.  A matmul row's bits depend on how many rows share the call,
     so the outputs can differ in their last bits from a loop that steps
-    all B rows to the end.  Recorded on the tape unless run under
+    all rows to the end.  Recorded on the tape unless run under
     T.no_grad(), which changes no token.  An audit checks each token fed
     after step 0.
 
-    Returns (tokens (B, T), PAD after each row's last; logits (N, V);
-    targets (N,); rows (N,)): every step's running rows in step order,
-    the token each chose and its original row.
+    Returns (tokens (copies * B, T), PAD after each row's last; logits
+    (N, V); targets (N,); rows (N,)): every step's running rows in step
+    order, the token each chose and its original row.
     """
-    b = entries.shape[0]
+    b = entries.shape[0] * copies
     rows = np.arange(b)                     # original row of each running row
     fed = np.full(b, START_ID, dtype=np.int64)
     tokens = np.full((b, int(caps.max())), PAD_ID, dtype=np.int64)
     steps = []                              # (running rows, logits) per step
-    state = decoder.init_state(entries)
+    state = decoder.init_state(entries, copies)
     for t in range(tokens.shape[1]):
         out = decoder.step(state, fed, train=train, rng=rng)
         if audit is not None and t:
@@ -193,15 +197,17 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
 
 
 def _sample_rollout(decoder: Decoder, entries: Tensor, max_len: int, rngs,
-                    audit: InputFeedAudit | None = None):
+                    audit: InputFeedAudit | None = None, copies: int = 1):
     """`_run_packed` fed its own multinomial samples, in eval mode, for at
-    most max_len steps.  Row i always draws from rngs[i], so it draws what
-    it would in a loop that steps all B rows, up to draws within rounding
-    of a bucket boundary."""
+    most max_len steps, over copies rows per image (row j * B + i is
+    sample j of image i).  Row r always draws from rngs[r], so it draws
+    what it would in a loop that steps all rows, up to draws within
+    rounding of a bucket boundary."""
     def draw(rows, t, logits):
         _, e, total = T.softmax_terms(logits.data.astype(np.float64))
         return _multinomial_rows(e / total, [rngs[i] for i in rows])
-    return _run_packed(decoder, entries, np.full(len(rngs), max_len), draw, audit=audit)
+    return _run_packed(decoder, entries, np.full(len(rngs), max_len), draw, audit=audit,
+                       copies=copies)
 
 
 def strip_sentinels(row) -> list[int]:
@@ -252,9 +258,13 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
 
     Encodes once in eval mode (no dropout, batch-norm running
     statistics) and draws k samples per image in one recorded rollout
-    over the memory tiled k times, so the decoder runs once per sampled
-    step.  Rewards are computed on sentinel-stripped token ids and
-    clamped to [0, 1].  The loss is sum(w[row] * ce) / (B*k) over the
+    over that one memory per image (`_sample_rollout` with k copies), so
+    the decoder runs once per sampled step and no memory is tiled.  The
+    rollout's rows are sample-major: row j * B + i is sample j of image
+    i, and draws from the generator of element i * k + j.  Rewards,
+    weights and the returned mean are image-major (element i * k + j).
+    Rewards are computed on sentinel-stripped token ids and clamped to
+    [0, 1].  The loss is sum(w[row] * ce) / (B*k) over the
     log-probabilities the rollout drew its tokens with, END included.  A
     non-finite loss raises DivergenceError before backward.
     """
@@ -263,9 +273,13 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
     b = images.shape[0]
     if b == 0:
         raise TrainError("reinforce_step: empty batch")
-    tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
-    rngs = [derive_rng(seed, RNG_SAMPLE, step, i) for i in range(b * k)]
-    tokens, logits, targets, rows = _sample_rollout(model.decoder, tiled, max_len, rngs, audit)
+    entries = model.encoder.encode(images, train=False)
+    rngs = [derive_rng(seed, RNG_SAMPLE, step, i * k + j) for j in range(k) for i in range(b)]
+    tokens, logits, targets, rows = _sample_rollout(model.decoder, entries, max_len, rngs,
+                                                    audit, k)
+    # sample-major rows to image-major elements
+    tokens = tokens.reshape(k, b, -1).transpose(1, 0, 2).reshape(b * k, -1)
+    rows = rows % b * k + rows // b
     rewards = np.clip([float(reward_fn(strip_sentinels(row), references[i // k]))
                        for i, row in enumerate(tokens)], 0.0, 1.0)
     weights = reinforce_weights(rewards.reshape(b, k), leave_one_out).reshape(b * k)
@@ -383,9 +397,21 @@ def _epoch_batches(examples, buckets, batch_size, seed, epoch):
     return plan_batches([examples[i] for i in order], buckets, batch_size)[0]
 
 
+def _write_profile(path, prof: T.profile) -> None:
+    """One TSV row per op name that prof saw: its tape records, their
+    output bytes and the seconds its VJPs took, costliest VJP first."""
+    names = sorted(prof.records, key=lambda name: (-prof.vjp_s[name], name))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("op\trecords\tout_bytes\tvjp_s\n")
+        for name in names:
+            fh.write(f"{name}\t{prof.records[name]}\t{prof.out_bytes[name]}"
+                     f"\t{prof.vjp_s[name]:.6f}\n")
+
+
 def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
           phase: str = "mle", init: str | None = None, resume: str | None = None,
-          log_fn=None, reward_fn=sentence_bleu4, config_fn=None) -> TrainOutcome:
+          log_fn=None, reward_fn=sentence_bleu4, config_fn=None,
+          profile: str | None = None) -> TrainOutcome:
     """Run one training phase; writes best.ckpt, last.ckpt and a TSV log.
 
     init starts the rl phase (or mle fine-tuning) from a checkpoint with
@@ -400,7 +426,14 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     past `steps` is not resumed (TrainError).  Every rl step runs an
     InputFeedAudit, and a step that fed any row a token other than its
     own previous sample raises TrainError.  config_fn, if given, gets
-    the run's effective config before the first step.
+    the run's effective config before the first step.  profile, if
+    given, is a file path: the run's first step runs under `T.profile`
+    and its table is written there (`_write_profile`); a path that is a
+    directory, or whose directory does not exist, is refused before any
+    input is read.
+
+    A refused run writes nothing: out_dir is made, the log cut and the
+    config passed on only once every check has passed.
 
     Memory: the examples stay at their native size, and an epoch is held
     as its plan (`_epoch_batches`).  Each step pads its own batch with
@@ -415,7 +448,12 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     if phase == "rl" and not (init or resume):
         raise TrainError("rl phase requires an mle checkpoint via init "
                          "(train the mle phase first)")
-    os.makedirs(out_dir, exist_ok=True)
+    if profile is not None:
+        where = os.path.dirname(os.path.abspath(profile))
+        if not os.path.isdir(where):
+            raise TrainError(f"--profile {profile}: directory {where} does not exist")
+        if os.path.isdir(profile):
+            raise TrainError(f"--profile {profile} is a directory")
     log_path = os.path.join(out_dir, "train_log.tsv")
     train_examples = load_dataset(train_manifest)
     if not train_examples:
@@ -441,12 +479,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         if start_step > steps:
             raise TrainError(f"{resume} is at step {start_step}, past steps={steps}; "
                              "raise steps to continue it")
-        _cut_log(log_path, start_step, phase)
-    if config_fn:
-        # the model's keys are the model's, the checkpoint's under init or
-        # resume; seed stays the config's, since train draws from it
-        config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
-                   "seed": cfg["seed"]})
 
     batch_size, validate_every, patience, max_len, k = (
         int(cfg[key]) for key in ("batch_size", "validate_every", "patience", "max_len", "k"))
@@ -468,6 +500,15 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         if dropped == len(val_examples):
             raise TrainError(f"{val_manifest}: no validation example fits a bucket "
                              f"of {buckets_path}")
+
+    if resume:
+        _cut_log(log_path, start_step, phase)
+    os.makedirs(out_dir, exist_ok=True)
+    if config_fn:
+        # the model's keys are the model's, the checkpoint's under init or
+        # resume; seed stays the config's, since train draws from it
+        config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
+                   "seed": cfg["seed"]})
 
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
@@ -498,21 +539,26 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
                     train_examples, buckets, batch_size, seed, epoch))
             batch = padded(epoch_plan[1][idx])
 
-            if phase == "mle":
-                rng = derive_rng(seed, RNG_DROPOUT, step)
-                loss, _ = mle_loss(model, batch.images, batch.seq, train=True, rng=rng)
-                value = _descend(model, optimizer, loss, step, clip)
-            else:
-                refs = [strip_sentinels(row) for row in batch.seq]
-                audit = InputFeedAudit()
-                value = reinforce_step(model, batch.images, refs, optimizer, k=k,
-                                       seed=seed, step=step, max_len=max_len,
-                                       reward_fn=reward_fn, leave_one_out=leave_one_out,
-                                       clip_norm=clip, audit=audit)
-                if audit.violations:
-                    raise TrainError(
-                        f"input-feed audit failed at step {step}: {audit.violations} of "
-                        f"{audit.steps_checked} fed tokens were not the row's previous sample")
+            profiling = profile is not None and step == start_step + 1
+            with T.profile() if profiling else contextlib.nullcontext() as prof:
+                if phase == "mle":
+                    rng = derive_rng(seed, RNG_DROPOUT, step)
+                    loss, _ = mle_loss(model, batch.images, batch.seq, train=True, rng=rng)
+                    value = _descend(model, optimizer, loss, step, clip)
+                else:
+                    refs = [strip_sentinels(row) for row in batch.seq]
+                    audit = InputFeedAudit()
+                    value = reinforce_step(model, batch.images, refs, optimizer, k=k,
+                                           seed=seed, step=step, max_len=max_len,
+                                           reward_fn=reward_fn, leave_one_out=leave_one_out,
+                                           clip_norm=clip, audit=audit)
+                    if audit.violations:
+                        raise TrainError(
+                            f"input-feed audit failed at step {step}: {audit.violations} of "
+                            f"{audit.steps_checked} fed tokens were not the row's previous "
+                            "sample")
+            if profiling:
+                _write_profile(profile, prof)
             losses.append(value)
 
             if step % validate_every == 0 or step == steps:

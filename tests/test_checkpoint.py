@@ -1,12 +1,13 @@
 """Binary checkpoint format: bit-exact round trips and corruption errors."""
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from img2latex.checkpoint import (CheckpointError, MAGIC, load_checkpoint,
-                                  save_checkpoint)
+from img2latex.checkpoint import (CheckpointError, CheckpointNotFound, MAGIC,
+                                  load_checkpoint, save_checkpoint)
 
 
 def sample_params(dtype=np.float64):
@@ -191,3 +192,29 @@ def test_fuzzed_checkpoints_raise_only_checkpoint_error(tmp_path):
             else:
                 b[pos] = int(rng.integers(0, 256))
         load(bytes(b))
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+def test_a_refused_save_leaves_the_directory_as_it_was(tmp_path):
+    # an int64 array is refused mid-write; its temp file used to stay behind
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, {"step": 1}, sample_params())
+    before = tree(tmp_path)
+    with pytest.raises(CheckpointError, match="array 'a' has unsupported dtype int64"):
+        save_checkpoint(path, {"step": 2}, {"a": np.zeros(3, np.int64)})
+    assert tree(tmp_path) == before
+    with pytest.raises(CheckpointError, match="unsupported dtype"):
+        save_checkpoint(str(tmp_path / "new.ckpt"), {}, {"a": np.zeros(3, np.int64)})
+    assert tree(tmp_path) == before
+
+
+def test_a_missing_checkpoint_is_named(tmp_path):
+    path = str(tmp_path / "none.ckpt")
+    with pytest.raises(CheckpointNotFound, match=f"^checkpoint not found: {re.escape(path)}$"):
+        load_checkpoint(path)
+    assert issubclass(CheckpointNotFound, CheckpointError)

@@ -134,6 +134,91 @@ def test_train_rl_without_init_is_a_usage_error(ws, tmp_path, capsys):
     assert "rl phase requires" in capsys.readouterr().err
 
 
+def tree(root):
+    """Every directory and file under root, by relative path, with a file's
+    bytes (None for a directory)."""
+    found = {}
+    for d, dirs, files in os.walk(root):
+        found.update((os.path.relpath(os.path.join(d, name), root), None) for name in dirs)
+        for name in files:
+            with open(os.path.join(d, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(d, name), root)] = fh.read()
+    return found
+
+
+@pytest.mark.parametrize("case", ["empty-val-manifest", "missing-resume", "missing-init"])
+def test_a_refused_train_leaves_the_tree_as_it_found_it(ws, tmp_path, capsys, case):
+    # each used to leave an empty run directory behind, and a missing
+    # checkpoint read "[Errno 2] No such file or directory"
+    (tmp_path / "empty.tsv").write_text("")
+    missing = str(tmp_path / "no.ckpt")
+    extra, code, message = {
+        "empty-val-manifest": (["--val-manifest", str(tmp_path / "empty.tsv")], 2,
+                               f"{tmp_path / 'empty.tsv'}: no validation examples"),
+        "missing-resume": (["--resume", missing], 1, f"checkpoint not found: {missing}"),
+        "missing-init": (["--phase", "rl", "--init", missing], 1,
+                         f"checkpoint not found: {missing}"),
+    }[case]
+    before, run = (tree(tmp_path), tree(ws["run"])), tmp_path / "run"
+    rc = main(["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+               "--out", str(run)] + TINY + extra)
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (tree(tmp_path), tree(ws["run"])) == before and not run.exists()
+
+
+def profile_table(path):
+    """The --profile TSV as {op: (records, out_bytes, vjp_s)}, in file order."""
+    header, *rows = [line.split("\t") for line in path.read_text().splitlines()]
+    assert header == ["op", "records", "out_bytes", "vjp_s"]
+    table = {op: (int(n), int(nbytes), float(secs)) for op, n, nbytes, secs in rows}
+    assert len(table) == len(rows)
+    return table
+
+
+def without_wall_time(log):
+    return [line.rsplit("\t", 1)[0] for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("phase", ["mle", "rl"])
+def test_train_profile_writes_the_first_steps_ops_and_changes_no_output(ws, tmp_path, phase):
+    base = ["train", "--train-manifest", ws["manifest"], "--buckets", ws["buckets"],
+            "--phase", phase] + TINY + (["--init", ws["ckpt"]] if phase == "rl" else [])
+    assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(base + ["--out", str(tmp_path / "two"), "--profile",
+                        str(tmp_path / "two.tsv")]) == 0
+    assert main(base + ["--out", str(tmp_path / "one"), "--profile", str(tmp_path / "one.tsv"),
+                        "--set", "steps=1"]) == 0
+    plain, two = tmp_path / "plain", tmp_path / "two"
+    for name in ("best.ckpt", "last.ckpt", "effective.cfg"):
+        assert (plain / name).read_bytes() == (two / name).read_bytes(), name
+    assert without_wall_time(plain / "train_log.tsv") == without_wall_time(two / "train_log.tsv")
+    table = profile_table(tmp_path / "two.tsv")
+    assert {"attention_scores", "attention_context", "lstm_cell", "conv2d",
+            "cross_entropy"} <= set(table)
+    assert all(n > 0 and nbytes > 0 and secs >= 0.0 for n, nbytes, secs in table.values())
+    secs = [s for _, _, s in table.values()]
+    assert secs == sorted(secs, reverse=True) and sum(secs) > 0.0
+    # only the first step is profiled: a one-step run records the same ops
+    one = profile_table(tmp_path / "one.tsv")
+    assert {op: v[:2] for op, v in one.items()} == {op: v[:2] for op, v in table.items()}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_a_profile_path_that_cannot_be_written_is_refused_before_any_input_is_read(
+        tmp_path, capsys, where):
+    # the manifest and bucket file do not exist: reading either would exit 1
+    path = tmp_path / "none" / "p.tsv" if where == "missing-directory" else tmp_path
+    before = tree(tmp_path)
+    rc = main(["train", "--train-manifest", str(tmp_path / "no.tsv"), "--buckets",
+               str(tmp_path / "no.txt"), "--out", str(tmp_path / "run"), "--profile",
+               str(path)] + TINY)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: --profile {path}"), err
+    assert tree(tmp_path) == before
+
+
 def poisoned_checkpoint(ws, tmp_path):
     """The ws checkpoint with dec.w4 at the dtype's largest finite value:
     it loads, and its logits overflow at the first step."""

@@ -1,4 +1,5 @@
 """Attentional LSTM decoder: one step against a straight-line transcription."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -458,6 +459,123 @@ def test_an_int_prefix_gives_the_bits_of_the_same_rows_as_indices(bsz, memory_ro
         return scores + [out.data.tobytes(), weights.grad.tobytes(), memory.grad.tobytes()]
 
     assert both(rows) == both(np.arange(bsz))
+
+
+def copies_case(seed, dtype):
+    """A rollout-shaped cut over b per-image memories read by k copies: row
+    j * b + i is copy j of image i, and each row is kept at random, in
+    order.  Returns (kept rows of the k * b, b, k, and the op inputs:
+    query, w1, proj, beta, alpha, entries).  Half the seeds store proj
+    and entries transposed, as the encoder's output is."""
+    r = np.random.default_rng(300 + seed)
+    b, k, length, a, d = (int(r.integers(1, 6)), int(r.integers(1, 6)),
+                          int(r.integers(1, 30)), 8, 6)
+    kept = np.flatnonzero(r.random(k * b) < r.uniform(0.2, 1.0))
+    if not kept.size:
+        kept = np.array([int(r.integers(k * b))])
+    n = kept.size
+
+    def memory(width):
+        if seed % 2:
+            return r.normal(size=(b, width, length)).astype(dtype).transpose(0, 2, 1)
+        return r.normal(size=(b, length, width)).astype(dtype)
+
+    inputs = [r.normal(size=(n, 9)).astype(dtype), r.normal(size=(9, a)).astype(dtype),
+              memory(a), r.normal(size=(a,)).astype(dtype),
+              r.random((n, length)).astype(dtype), memory(d)]
+    return kept, b, k, inputs
+
+
+def tile(memory, k):
+    """memory repeated k times over, copy-major, in memory's own layout."""
+    if memory.flags.c_contiguous:
+        return np.tile(memory, (k, 1, 1))
+    return np.tile(memory.transpose(0, 2, 1), (k, 1, 1)).transpose(0, 2, 1)
+
+
+def both_attention_ops(query, w1, proj, beta, alpha, entries, rows, seed):
+    """Both ops' outputs and the query, proj, alpha and entries gradients
+    for fixed random cotangents."""
+    r = np.random.default_rng(seed)
+    leaves = [Tensor(x, requires_grad=True) for x in (query, w1, proj, beta, alpha, entries)]
+    scores = T.attention_scores(*leaves[:4], rows)
+    ctx = T.attention_context(leaves[4], leaves[5], rows)
+    cot_s = r.normal(size=scores.shape).astype(scores.dtype)
+    cot_c = r.normal(size=ctx.shape).astype(ctx.dtype)
+    ((scores * Tensor(cot_s)).sum() + (ctx * Tensor(cot_c)).sum()).backward()
+    return scores.data, ctx.data, {name: leaves[i].grad for name, i in
+                                   (("query", 0), ("proj", 2), ("alpha", 4), ("entries", 5))}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(12))
+def test_copies_over_one_memory_per_image_equal_a_tiled_memory(seed, dtype):
+    # memory rows that repeat are read run by run; the reference reads the
+    # memory tiled k times, a distinct row for every copy
+    kept, b, k, (query, w1, proj, beta, alpha, entries) = copies_case(seed, dtype)
+    runs = both_attention_ops(query, w1, proj, beta, alpha, entries, kept % b, seed)
+    tiled = both_attention_ops(query, w1, tile(proj, k), beta, alpha, tile(entries, k), kept,
+                               seed)
+    assert runs[0].tobytes() == tiled[0].tobytes()
+    assert runs[1].tobytes() == tiled[1].tobytes()
+    for name, got in runs[2].items():
+        want = tiled[2][name]
+        if name in ("proj", "entries"):
+            want = want.reshape((k, b) + want.shape[1:]).sum(axis=0)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+
+
+def test_a_one_row_prefix_reads_the_memory_in_place(monkeypatch):
+    # a decode step's one row takes the int path: no index is built
+    assert T._row_runs(1, 4, "op", 1) == ((slice(0, 1), slice(0, 1)),)
+    query, w1, proj, beta = attention_inputs(1, 154, 64, np.float32)
+    memory = np.random.default_rng(26).normal(size=(4, 154, 64)).astype(np.float32)
+    proj = np.concatenate([proj, memory[1:]])
+    tensors = [Tensor(x) for x in (query, w1, proj, beta, memory)]
+
+    def ops(rows):
+        with T.no_grad():
+            alpha = T.attention_scores(*tensors[:4], rows)
+            ctx = T.attention_context(alpha, tensors[4], rows)
+        return alpha.data.tobytes(), ctx.data.tobytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-row prefix built an index")
+
+    want = ops(np.array([0]))
+    for name in ("asarray", "unique", "diff", "flatnonzero"):
+        monkeypatch.setattr(np, name, refuse)
+    got = ops(1)
+    monkeypatch.undo()
+    assert got == want
+
+
+@pytest.mark.parametrize("rows,message", [
+    (0, "a prefix of 0 rows is not in 1..3"),
+    (np.int64(4), "a prefix of 4 rows is not in 1..3"),
+    ([[0, 1]], "rows must be 1-D indices into 3 rows"),
+    ([0, 3], "rows must be 1-D indices into 3 rows"),
+    ([-1, 0], "rows must be 1-D indices into 3 rows"),
+    (1, "2 rows attend but 1 memory rows are picked"),
+    ([0, 1, 2], "2 rows attend but 3 memory rows are picked"),
+])
+def test_memory_rows_are_refused_with_the_row_index_messages(rows, message):
+    query, w1, proj, beta = (Tensor(x) for x in attention_inputs(2, 4, 8, np.float64))
+    proj = Tensor(np.zeros((3, 4, 8)))
+    with pytest.raises(T.ShapeError, match=re.escape(f"attention_scores: {message}")):
+        T.attention_scores(query, w1, proj, beta, rows)
+    with pytest.raises(T.ShapeError, match=re.escape(f"attention_context: {message}")):
+        T.attention_context(Tensor(np.zeros((2, 4))), proj, rows)
+
+
+def test_memory_rows_may_repeat_but_taken_rows_may_not():
+    proj = Tensor(np.zeros((3, 4, 8)))
+    query, w1, _, beta = (Tensor(x) for x in attention_inputs(2, 4, 8, np.float64))
+    assert T.attention_scores(query, w1, proj, beta, [1, 1]).shape == (2, 4)
+    assert T.attention_context(Tensor(np.zeros((2, 4))), proj, [1, 1]).shape == (2, 8)
+    with pytest.raises(T.ShapeError, match="take_rows: rows must be distinct"):
+        T.take_rows(proj, [1, 1])
 
 
 def test_attention_scores_keeps_no_activations_on_the_tape():

@@ -301,7 +301,7 @@ class ChainModel:
     def encode(self, image, train=False):
         return Tensor(np.zeros((1, 1, 4)))
 
-    def init_state(self, entries):
+    def init_state(self, entries, copies=1):
         return None
 
     def keep_rows(self, state, rows):
@@ -601,7 +601,7 @@ class RowTaggedModel:
         ids = np.arange(self.n, dtype=np.float64)[:, None, None]
         return Tensor(ids)
 
-    def init_state(self, entries):
+    def init_state(self, entries, copies=1):
         return (entries, 0)
 
     def keep_rows(self, state, rows):
@@ -807,7 +807,8 @@ def test_reinforce_step_samples_and_rewards_what_an_unrecorded_rollout_does(monk
     opt = Adam(model.params, lr=1e-4)
     images = np.random.default_rng(4).random((2, 1, 16, 24))
     refs, k, seed, step = [[4, 5], [6]], 3, 1, 1
-    # the same rollout off the tape, before the step moves the parameters
+    # the same rollout off the tape, before the step moves the parameters,
+    # over the memory tiled k times: row i * k + j is sample j of image i
     with T.no_grad():
         tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
         rngs = [training.derive_rng(seed, training.RNG_SAMPLE, step, i) for i in range(2 * k)]
@@ -824,14 +825,23 @@ def test_reinforce_step_samples_and_rewards_what_an_unrecorded_rollout_does(monk
 
     real_sample = training._sample_rollout
     monkeypatch.setattr(training, "_sample_rollout",
-                        lambda *a: (sampled.append(real_sample(*a)), sampled[-1])[1])
+                        lambda *a: (sampled.append((a, real_sample(*a))), sampled[-1][1])[1])
     mean = reinforce_step(model, images, refs, opt, k=k, seed=seed, step=step, max_len=12,
                           reward_fn=reward)
-    (taped,), = [sampled]
+    ((args, taped),) = sampled
     assert taped[1].requires_grad
-    assert np.array_equal(taped[0], free[0])
-    assert np.array_equal(taped[1].data, free[1].data)
-    assert np.array_equal(taped[2], free[2]) and np.array_equal(taped[3], free[3])
+    # the step rolls out k copies over one memory per image, sample-major:
+    # row j * 2 + i is sample j of image i, the tiled rollout's row i * k + j
+    assert args[1].shape[0] == 2 and args[-1] == k
+    assert np.array_equal(taped[0][np.arange(2 * k).reshape(k, 2).T.reshape(-1)], free[0])
+    # a row's place in a matmul call can move its logits' last bits, and
+    # the layouts place rows differently; the samples drawn are the same
+    element = taped[3] % 2 * k + taped[3] // 2
+    scale = np.abs(free[1].data).max()
+    for e in range(2 * k):
+        logits, ref = taped[1].data[element == e], free[1].data[free[3] == e]
+        assert np.abs(logits - ref).max() <= 1e-12 * scale
+        assert np.array_equal(taped[2][element == e], free[2][free[3] == e])
     assert [cand for cand, _ in rewarded] == [strip_sentinels(row) for row in free[0]]
     assert [value for _, value in rewarded] == free_rewards
     assert mean == float(np.clip(free_rewards, 0.0, 1.0).mean())
