@@ -319,25 +319,16 @@ def plan_batches(examples, buckets, batch_size: int) -> tuple[list[list[Example]
     return plan, dropped
 
 
-def bucket_and_pad(examples, buckets, batch_size: int,
-                   vocab: Vocabulary) -> tuple[list[Batch], int]:
-    """The batches of `plan_batches`, padded.
-
-    Images are padded by `pad_for_model`; sequences are encoded as ids,
-    terminated with END and padded with PAD to the batch max.  Returns
-    (batches, dropped) as `plan_batches` does.  One planned batch, given
-    as the examples, comes back as exactly one batch; training pads its
-    steps' batches that way, one per step.
-    """
-    plan, dropped = plan_batches(examples, buckets, batch_size)
-    batches = []
-    for chunk in plan:
-        images = np.stack([pad_for_model(ex.image, buckets)[0] for ex in chunk])[:, None]
-        t_max = max(len(ex.tokens) for ex in chunk) + 1    # room for END
-        seq = np.full((len(chunk), t_max), PAD_ID, dtype=np.int64)
-        for j, ex in enumerate(chunk):
-            ids = vocab.encode(ex.tokens)
-            seq[j, :len(ids)] = ids
-            seq[j, len(ids)] = END_ID
-        batches.append(Batch(images=images, seq=seq))
-    return batches, dropped
+def bucket_and_pad(examples, buckets, vocab: Vocabulary) -> Batch:
+    """One planned batch (`plan_batches`), padded: images by
+    `pad_for_model`, sequences as ids, terminated with END and padded with
+    PAD to the batch max.  The examples must share a `model_size`, as a
+    planned batch does."""
+    images = np.stack([pad_for_model(ex.image, buckets)[0] for ex in examples])[:, None]
+    t_max = max(len(ex.tokens) for ex in examples) + 1     # room for END
+    seq = np.full((len(examples), t_max), PAD_ID, dtype=np.int64)
+    for j, ex in enumerate(examples):
+        ids = vocab.encode(ex.tokens)
+        seq[j, :len(ids)] = ids
+        seq[j, len(ids)] = END_ID
+    return Batch(images=images, seq=seq)

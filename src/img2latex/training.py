@@ -30,7 +30,7 @@ from .data import (END_ID, PAD_ID, START_ID, Vocabulary, bucket_and_pad,
 from .decoding import greedy_decode
 from .metrics import sentence_bleu4
 from .config import ModelConfig
-from .decoder import Decoder
+from .decoder import Decoder, DecoderState
 from .model import RNG_DROPOUT, RNG_SAMPLE, RNG_SHUFFLE, Model, derive_rng
 from .optim import Adam, clip_global_norm
 from .tensor import Tensor
@@ -67,34 +67,31 @@ def _target_counts(seq: np.ndarray) -> np.ndarray:
     return live.sum(axis=1)
 
 
-def _run_packed(decoder: Decoder, entries: Tensor, caps: np.ndarray, choose,
+def _run_packed(decoder: Decoder, state: DecoderState, caps: np.ndarray, choose,
                 train: bool = False, rng: np.random.Generator | None = None,
-                audit: InputFeedAudit | None = None, copies: int = 1):
+                audit: InputFeedAudit | None = None):
     """The decoder loop of both phases, which differ only in the token
-    each step chooses.  It runs copies rows per image of entries (B, L,
-    d), copies * B in all, laid out as `Decoder.init_state` lays them out
-    (row j * B + i is copy j of image i); every row reads its image's one
-    memory.  Step t feeds each running row its last token (START at
-    t=0) and takes the next from choose(rows, t, logits), rows being the
-    running rows' original indices.  A row leaves on the step it chooses
-    END or its caps[row]-th token; the state keeps the rest
-    (`Decoder.keep_rows`) by count, as views, when they are a prefix, else
-    by index.  A matmul row's bits depend on how many rows share the call,
-    so the outputs can differ in their last bits from a loop that steps
-    all rows to the end.  Recorded on the tape unless run under
-    T.no_grad(), which changes no token.  An audit checks each token fed
-    after step 0.
+    each step chooses.  It steps one row of state (`Decoder.init_state`)
+    per entry of caps, in the state's row order.  Step t feeds each
+    running row its last token (START at t=0) and takes the next from
+    choose(rows, t, logits), rows being the running rows' original
+    indices.  A row leaves on the step it chooses END or its caps[row]-th
+    token; the state keeps the rest (`Decoder.keep_rows`) by count, as
+    views, when they are a prefix, else by index.  A matmul row's bits
+    depend on how many rows share the call, so the outputs can differ in
+    their last bits from a loop that steps all rows to the end.  Recorded
+    on the tape unless run under T.no_grad(), which changes no token.  An
+    audit checks each token fed after step 0.
 
-    Returns (tokens (copies * B, T), PAD after each row's last; logits
+    Returns (tokens (len(caps), T), PAD after each row's last; logits
     (N, V); targets (N,); rows (N,)): every step's running rows in step
     order, the token each chose and its original row.
     """
-    b = entries.shape[0] * copies
+    b = len(caps)
     rows = np.arange(b)                     # original row of each running row
     fed = np.full(b, START_ID, dtype=np.int64)
     tokens = np.full((b, int(caps.max())), PAD_ID, dtype=np.int64)
     steps = []                              # (running rows, logits) per step
-    state = decoder.init_state(entries, copies)
     for t in range(tokens.shape[1]):
         out = decoder.step(state, fed, train=train, rng=rng)
         if audit is not None and t:
@@ -127,7 +124,7 @@ def _teacher_forced(decoder: Decoder, entries: Tensor, seq: np.ndarray, train: b
     if (order != np.arange(seq.shape[0])).any():
         entries = T.take_rows(entries, order)
     seq = seq[order]
-    _, logits, targets, _ = _run_packed(decoder, entries, lengths[order],
+    _, logits, targets, _ = _run_packed(decoder, decoder.init_state(entries), lengths[order],
                                         lambda rows, t, _: seq[rows, t], train, rng)
     return logits, targets
 
@@ -196,18 +193,16 @@ def _multinomial_rows(probs: np.ndarray, rngs) -> np.ndarray:
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def _sample_rollout(decoder: Decoder, entries: Tensor, max_len: int, rngs,
-                    audit: InputFeedAudit | None = None, copies: int = 1):
+def _sample_rollout(decoder: Decoder, state: DecoderState, max_len: int, rngs,
+                    audit: InputFeedAudit | None = None):
     """`_run_packed` fed its own multinomial samples, in eval mode, for at
-    most max_len steps, over copies rows per image (row j * B + i is
-    sample j of image i).  Row r always draws from rngs[r], so it draws
-    what it would in a loop that steps all rows, up to draws within
-    rounding of a bucket boundary."""
+    most max_len steps, over one row of state per generator.  Row r
+    always draws from rngs[r], so it draws what it would in a loop that
+    steps all rows, up to draws within rounding of a bucket boundary."""
     def draw(rows, t, logits):
         _, e, total = T.softmax_terms(logits.data.astype(np.float64))
         return _multinomial_rows(e / total, [rngs[i] for i in rows])
-    return _run_packed(decoder, entries, np.full(len(rngs), max_len), draw, audit=audit,
-                       copies=copies)
+    return _run_packed(decoder, state, np.full(len(rngs), max_len), draw, audit=audit)
 
 
 def strip_sentinels(row) -> list[int]:
@@ -258,10 +253,10 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
 
     Encodes once in eval mode (no dropout, batch-norm running
     statistics) and draws k samples per image in one recorded rollout
-    over that one memory per image (`_sample_rollout` with k copies), so
-    the decoder runs once per sampled step and no memory is tiled.  The
-    rollout's rows are sample-major: row j * B + i is sample j of image
-    i, and draws from the generator of element i * k + j.  Rewards,
+    over that one memory per image (`Decoder.init_state` with k copies),
+    so the decoder runs once per sampled step and no memory is tiled.
+    The rollout's rows are sample-major: row j * B + i is sample j of
+    image i, and draws from the generator of element i * k + j.  Rewards,
     weights and the returned mean are image-major (element i * k + j).
     Rewards are computed on sentinel-stripped token ids and clamped to
     [0, 1].  The loss is sum(w[row] * ce) / (B*k) over the
@@ -275,8 +270,8 @@ def reinforce_step(model: Model, images: np.ndarray, references: list[list[int]]
         raise TrainError("reinforce_step: empty batch")
     entries = model.encoder.encode(images, train=False)
     rngs = [derive_rng(seed, RNG_SAMPLE, step, i * k + j) for j in range(k) for i in range(b)]
-    tokens, logits, targets, rows = _sample_rollout(model.decoder, entries, max_len, rngs,
-                                                    audit, k)
+    state = model.decoder.init_state(entries, k)
+    tokens, logits, targets, rows = _sample_rollout(model.decoder, state, max_len, rngs, audit)
     # sample-major rows to image-major elements
     tokens = tokens.reshape(k, b, -1).transpose(1, 0, 2).reshape(b * k, -1)
     rows = rows % b * k + rows // b
@@ -369,12 +364,13 @@ def _resume(ckpt: Checkpoint, path: str, phase: str,
     return meta["step"], -np.inf if best is None else best, meta["stale_validations"]
 
 
-def _cut_log(path: str, step: int, phase: str) -> None:
-    """Cut the log at path after its last row of `phase` at `step`, where a
-    resume picks up, and say so on stderr; without that row (at step > 0)
-    refuse it (TrainError).  An absent log stays absent."""
+def _cut_log(path: str, step: int, phase: str):
+    """The cut of the log at path after its last row of `phase` at `step`,
+    where a resume picks up: a function that makes it and says so on
+    stderr.  Without that row (at step > 0) the log is refused now
+    (TrainError).  An absent log stays absent."""
     if not os.path.exists(path):
-        return
+        return lambda: None
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     found = [i + 1 for i, line in enumerate(lines)
@@ -383,11 +379,14 @@ def _cut_log(path: str, step: int, phase: str) -> None:
         raise TrainError(f"{path} has no row for {phase} step {step}, where the checkpoint "
                          "was saved, so it cannot be cut back to it; resume into another --out")
     keep = found[-1] if found else len(lines)
-    if keep < len(lines):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:keep])
-        print(f"{path}: cut {len(lines) - keep} rows after {phase} step {step}, "
-              "which the resumed run writes again", file=sys.stderr)
+
+    def cut():
+        if keep < len(lines):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(lines[:keep])
+            print(f"{path}: cut {len(lines) - keep} rows after {phase} step {step}, "
+                  "which the resumed run writes again", file=sys.stderr)
+    return cut
 
 
 def _epoch_batches(examples, buckets, batch_size, seed, epoch):
@@ -426,20 +425,26 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
     past `steps` is not resumed (TrainError).  Every rl step runs an
     InputFeedAudit, and a step that fed any row a token other than its
     own previous sample raises TrainError.  config_fn, if given, gets
-    the run's effective config before the first step.  profile, if
-    given, is a file path: the run's first step runs under `T.profile`
-    and its table is written there (`_write_profile`); a path that is a
-    directory, or whose directory does not exist, is refused before any
-    input is read.
+    the run's effective config after the first step, before its log row.
+    profile, if given, is a file path: the run's first step runs under
+    `T.profile` and its table is written there (`_write_profile`); a path
+    that is a directory, or whose directory does not exist, is refused
+    before any input is read.
 
     A refused run writes nothing: out_dir is made, the log cut and the
-    config passed on only once every check has passed.
+    config passed on only once every check has passed and the first step
+    has run, so a first step that diverges or fails its audit leaves no
+    trace.  A later one stops the run where its last validation saved it.
+
+    Checkpoints: each validation saves last.ckpt, and best.ckpt when the
+    metric improved.  The last step always validates, so only a run of no
+    step (a resume at `steps`) saves last.ckpt after the loop, and
+    best.ckpt too where out_dir has none.
 
     Memory: the examples stay at their native size, and an epoch is held
-    as its plan (`_epoch_batches`).  Each step pads its own batch with
-    `bucket_and_pad`, and mle validation pads its batches one at a time
-    each time it runs, so no padded copy of an epoch or of the
-    validation set is ever held.
+    as its plan (`_epoch_batches`).  A step pads its planned batch, and
+    mle validation each planned batch in turn, with `bucket_and_pad`, so
+    no padded copy of an epoch or of the validation set is ever held.
     """
     if phase not in ("mle", "rl"):
         raise TrainError(f"unknown phase {phase!r}")
@@ -484,11 +489,6 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         int(cfg[key]) for key in ("batch_size", "validate_every", "patience", "max_len", "k"))
     clip, leave_one_out = float(cfg["clip_norm"]), bool(cfg["leave_one_out"])
 
-    def padded(planned):
-        # one planned batch pads to exactly one batch
-        (batch,), _ = bucket_and_pad(planned, buckets, batch_size, vocab)
-        return batch
-
     # batch count per epoch is order-independent, so the schedule is a
     # pure function of (seed, step) and resuming lands on the same batch
     epoch_plan = (0, _epoch_batches(train_examples, buckets, batch_size, seed, 0))
@@ -501,26 +501,27 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
             raise TrainError(f"{val_manifest}: no validation example fits a bucket "
                              f"of {buckets_path}")
 
-    if resume:
-        _cut_log(log_path, start_step, phase)
-    os.makedirs(out_dir, exist_ok=True)
-    if config_fn:
-        # the model's keys are the model's, the checkpoint's under init or
-        # resume; seed stays the config's, since train draws from it
-        config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
-                   "seed": cfg["seed"]})
-
+    cut_log = _cut_log(log_path, start_step, phase) if resume else lambda: None
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
-    log_file = open(log_path, "a", encoding="utf-8")
     t0 = time.time()
     losses: list[float] = []
     stopped_early = False
 
+    def begin():
+        # the run's first write, once its first step has passed the audit
+        cut_log()
+        os.makedirs(out_dir, exist_ok=True)
+        if config_fn:
+            # the model's keys are the model's, the checkpoint's under init or
+            # resume; seed stays the config's, since train draws from it
+            config_fn({**cfg, **{k: v for k, v in asdict(model.config).items() if k in cfg},
+                       "seed": cfg["seed"]})
+
     def emit(step, value, val_metric=""):
         line = f"{step}\t{phase}\t{value:.6f}\t{val_metric}\t{time.time() - t0:.3f}"
-        log_file.write(line + "\n")
-        log_file.flush()
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
         if log_fn:
             log_fn(line)
 
@@ -531,55 +532,60 @@ def train(cfg: dict, train_manifest, val_manifest, buckets_path, out_dir,
         model.save(path, run, optimizer.state_dict())
 
     step = start_step
-    try:
-        for step in range(start_step + 1, steps + 1):
-            epoch, idx = divmod(step - 1, per_epoch)
-            if epoch_plan[0] != epoch:
-                epoch_plan = (epoch, _epoch_batches(
-                    train_examples, buckets, batch_size, seed, epoch))
-            batch = padded(epoch_plan[1][idx])
+    for step in range(start_step + 1, steps + 1):
+        epoch, idx = divmod(step - 1, per_epoch)
+        if epoch_plan[0] != epoch:
+            epoch_plan = (epoch, _epoch_batches(
+                train_examples, buckets, batch_size, seed, epoch))
+        batch = bucket_and_pad(epoch_plan[1][idx], buckets, vocab)
 
-            profiling = profile is not None and step == start_step + 1
-            with T.profile() if profiling else contextlib.nullcontext() as prof:
-                if phase == "mle":
-                    rng = derive_rng(seed, RNG_DROPOUT, step)
-                    loss, _ = mle_loss(model, batch.images, batch.seq, train=True, rng=rng)
-                    value = _descend(model, optimizer, loss, step, clip)
-                else:
-                    refs = [strip_sentinels(row) for row in batch.seq]
-                    audit = InputFeedAudit()
-                    value = reinforce_step(model, batch.images, refs, optimizer, k=k,
-                                           seed=seed, step=step, max_len=max_len,
-                                           reward_fn=reward_fn, leave_one_out=leave_one_out,
-                                           clip_norm=clip, audit=audit)
-                    if audit.violations:
-                        raise TrainError(
-                            f"input-feed audit failed at step {step}: {audit.violations} of "
-                            f"{audit.steps_checked} fed tokens were not the row's previous "
-                            "sample")
-            if profiling:
-                _write_profile(profile, prof)
-            losses.append(value)
-
-            if step % validate_every == 0 or step == steps:
-                metric = (token_accuracy(model, map(padded, val_plan)) if phase == "mle"
-                          else greedy_bleu(model, val_examples, max_len, buckets))
-                improved = metric > best_metric
-                best_metric, stale = (metric, 0) if improved else (best_metric, stale + 1)
-                emit(step, value, repr(metric))
-                if improved:
-                    save(best_path, step)
-                save(last_path, step)
-                if stale >= patience:
-                    stopped_early = True
-                    break
+        first = step == start_step + 1
+        profiling = profile is not None and first
+        with T.profile() if profiling else contextlib.nullcontext() as prof:
+            if phase == "mle":
+                rng = derive_rng(seed, RNG_DROPOUT, step)
+                loss, _ = mle_loss(model, batch.images, batch.seq, train=True, rng=rng)
+                value = _descend(model, optimizer, loss, step, clip)
             else:
-                emit(step, value)
-        if not os.path.exists(best_path):
-            save(best_path, step)
+                refs = [strip_sentinels(row) for row in batch.seq]
+                audit = InputFeedAudit()
+                value = reinforce_step(model, batch.images, refs, optimizer, k=k,
+                                       seed=seed, step=step, max_len=max_len,
+                                       reward_fn=reward_fn, leave_one_out=leave_one_out,
+                                       clip_norm=clip, audit=audit)
+                if audit.violations:
+                    raise TrainError(
+                        f"input-feed audit failed at step {step}: {audit.violations} of "
+                        f"{audit.steps_checked} fed tokens were not the row's previous "
+                        "sample")
+        if first:
+            begin()
+        if profiling:
+            _write_profile(profile, prof)
+        losses.append(value)
+
+        if step % validate_every == 0 or step == steps:
+            if phase == "mle":
+                metric = token_accuracy(model, (bucket_and_pad(planned, buckets, vocab)
+                                                for planned in val_plan))
+            else:
+                metric = greedy_bleu(model, val_examples, max_len, buckets)
+            improved = metric > best_metric
+            best_metric, stale = (metric, 0) if improved else (best_metric, stale + 1)
+            emit(step, value, repr(metric))
+            if improved:
+                save(best_path, step)
+            save(last_path, step)
+            if stale >= patience:
+                stopped_early = True
+                break
+        else:
+            emit(step, value)
+    if step == start_step:      # no step ran: a resume at `steps`
+        begin()
         save(last_path, step)
-    finally:
-        log_file.close()
+    if not os.path.exists(best_path):
+        save(best_path, step)
     return TrainOutcome(steps_run=step, best_metric=float(best_metric), best_path=best_path,
                         last_path=last_path, log_path=log_path,
                         stopped_early=stopped_early, losses=losses)

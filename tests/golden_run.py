@@ -13,8 +13,9 @@ each digest that moved, and why.  WORKDIR must be empty or absent.
 The script runs, in WORKDIR and with relative paths only: gen-data; an
 MLE train with validation and dropout; a same-phase --resume of it; an
 RL train --init from it with leave_one_out; predict greedy, beam 5 and
-beam 5 with --length-normalize; evaluate; and inspect with --dump-pe and
---dump-features.  Every file written is hashed, and so is each command's
+beam 5 with --length-normalize; evaluate; inspect with --dump-pe and
+--dump-features; and a one-step train whose --config is the MLE run's
+effective.cfg.  Every file written is hashed, and so is each command's
 stdout.  train_log.tsv loses its wall-time column first, and every
 occurrence of WORKDIR's absolute path is cut from text before hashing.
 Training checkpoints depend on the BLAS thread count, so run it with
@@ -68,6 +69,9 @@ SCRIPT = [
     ("inspect", ["inspect", "--checkpoint", "resumed/last.ckpt",
                  "--image", "data/images/0000.pgm", "--out", "inspect",
                  "--dump-pe", "--dump-features"] + DECODE),
+    ("train-config", ["train", "--config", "mle/effective.cfg",
+                      "--train-manifest", "data/manifest.tsv", "--buckets", "data/buckets.txt",
+                      "--out", "config", "--set", "steps=1"]),
 ]
 
 

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: a finite-difference gradient
-oracle, a model-config builder, the shipped desk preset and a fault that
-misfeeds rollouts.
+oracle, a model-config builder, the shipped desk preset, a fault that
+misfeeds rollouts, and a snapshot of a directory tree with the check
+that a refused command leaves it as it found it.
 
 Central difference with h = 1e-5 in float64; compared against the
 analytic gradient with relative error |a - f| / max(|a|, |f|, 1e-6).
@@ -70,3 +71,27 @@ def misfeed_rollouts(monkeypatch):
         return step(self, state, tokens, train=train, rng=rng)
 
     monkeypatch.setattr(Decoder, "step", misfeed)
+
+
+def tree(root):
+    """Every directory and file under root, by relative path, with a file's
+    bytes (None for a directory)."""
+    found = {}
+    for d, dirs, files in os.walk(root):
+        found.update((os.path.relpath(os.path.join(d, name), root), None) for name in dirs)
+        for name in files:
+            with open(os.path.join(d, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(d, name), root)] = fh.read()
+    return found
+
+
+def refusals_leave_no_trace(main, roots):
+    """main, checked: a call that exits 1 or 2 must leave the `tree` of
+    each directory in roots as it found it."""
+    def checked(argv):
+        before = [tree(root) for root in roots]
+        rc = main(argv)
+        if rc in (1, 2):
+            assert [tree(root) for root in roots] == before, f"exit {rc} changed the tree"
+        return rc
+    return checked

@@ -18,7 +18,7 @@ from img2latex import tensor as T
 from img2latex.cli import main as cli_main
 from img2latex.data import (END_ID, START_ID, RESERVED, Vocabulary,
                             bucket_and_pad, load_buckets, load_dataset,
-                            pad_image)
+                            pad_image, plan_batches)
 from img2latex.decoding import beam_decode, greedy_decode
 from img2latex.encoder import Encoder, positional_encoding
 from img2latex.metrics import bleu4, edit_distance_score, exact_match, sentence_bleu4
@@ -325,8 +325,9 @@ def test_criterion_6_rl_recovery_and_bandit(desk_data, desk_run):
     add_parameter_noise(model, 0.10, seed=0)
     vocab = Vocabulary(model.vocab)
     cfg = desk_config()
-    batches, _ = bucket_and_pad(desk_data["examples"],
-                                [desk_data["bucket"]], 4, vocab)
+    buckets = [desk_data["bucket"]]
+    batches = [bucket_and_pad(planned, buckets, vocab)
+               for planned in plan_batches(desk_data["examples"], buckets, 4)[0]]
     refs = [[strip_sentinels(row) for row in b.seq] for b in batches]
     opt = Adam(model.params, lr=float(cfg["rl_lr"]))
     audit = InputFeedAudit()
@@ -359,15 +360,16 @@ def test_criterion_7_input_feeding_audit(desk_data, desk_run):
     model, _ = Model.load(desk_run["ckpt"])
     add_parameter_noise(model, 0.10, seed=1)   # noisier model samples longer
     vocab = Vocabulary(model.vocab)
-    batches, _ = bucket_and_pad(desk_data["examples"],
-                                [desk_data["bucket"]], 32, vocab)
+    buckets = [desk_data["bucket"]]
+    batches = [bucket_and_pad(planned, buckets, vocab)
+               for planned in plan_batches(desk_data["examples"], buckets, 32)[0]]
     audit = InputFeedAudit()
     passes = 0
     with T.no_grad():
         while audit.steps_checked < 10_000:
             tiled = T.repeat_rows(model.encoder.encode(batches[0].images), 2)
             rngs = [derive_rng(2, RNG_SAMPLE, passes, i) for i in range(tiled.shape[0])]
-            _sample_rollout(model.decoder, tiled, 50, rngs, audit)
+            _sample_rollout(model.decoder, model.decoder.init_state(tiled), 50, rngs, audit)
             passes += 1
     report(7, audit.steps_checked >= 10_000 and audit.violations == 0,
            f"{audit.steps_checked} sampled steps audited, "

@@ -9,11 +9,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gradcheck import desk_config, misfeed_rollouts
+from gradcheck import desk_config, misfeed_rollouts, refusals_leave_no_trace, tree
 
 from img2latex import cli, training
 from img2latex.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from img2latex.cli import build_parser, main
+from img2latex.cli import build_parser
 from img2latex.config import SCHEMA, ModelConfig, full_defaults, load_config
 from img2latex.data import (assign_bucket, build_vocab, load_buckets, load_dataset,
                             pad_for_model, read_pgm_raw, write_pgm)
@@ -21,6 +21,19 @@ from img2latex.decoding import DecodeResult, greedy_decode
 from img2latex.encoder import Encoder
 from img2latex.metrics import MetricReport
 from img2latex.model import Model
+
+main = cli.main
+
+
+@pytest.fixture(autouse=True)
+def refusals_checked(request, tmp_path, monkeypatch):
+    """Every command of a test that exits 1 or 2 must leave the test's
+    tmp_path, and the ws workspace if it uses one, as it found them."""
+    roots = [tmp_path]
+    if "ws" in request.fixturenames:
+        roots.append(request.getfixturevalue("ws")["root"])
+    monkeypatch.setattr(sys.modules[__name__], "main", refusals_leave_no_trace(cli.main, roots))
+
 
 TINY = []
 for kv in ("d=8", "d_emb=4", "hidden=8", "attn_dim=8", "out_dim=8",
@@ -45,7 +58,7 @@ def ws(tmp_path_factory):
     rc = main(["train", "--train-manifest", str(data / "manifest.tsv"),
                "--buckets", str(data / "buckets.txt"), "--out", str(run)] + TINY)
     assert rc == 0
-    return {"data": data, "manifest": str(data / "manifest.tsv"),
+    return {"root": root, "data": data, "manifest": str(data / "manifest.tsv"),
             "buckets": str(data / "buckets.txt"),
             "ckpt": str(run / "best.ckpt"), "run": run}
 
@@ -132,18 +145,6 @@ def test_train_rl_without_init_is_a_usage_error(ws, tmp_path, capsys):
                "--phase", "rl"] + TINY)
     assert rc == 2
     assert "rl phase requires" in capsys.readouterr().err
-
-
-def tree(root):
-    """Every directory and file under root, by relative path, with a file's
-    bytes (None for a directory)."""
-    found = {}
-    for d, dirs, files in os.walk(root):
-        found.update((os.path.relpath(os.path.join(d, name), root), None) for name in dirs)
-        for name in files:
-            with open(os.path.join(d, name), "rb") as fh:
-                found[os.path.relpath(os.path.join(d, name), root)] = fh.read()
-    return found
 
 
 @pytest.mark.parametrize("case", ["empty-val-manifest", "missing-resume", "missing-init"])

@@ -5,7 +5,9 @@ config file, a `--set` value, a PGM image or a checkpoint) and runs the
 command that reads it, in process, through `cli.main`; a mutated
 checkpoint is read by `predict`, and also by `train --resume`.  Whatever
 the mutant holds, the command must exit 0, or exit 1 or 2 with exactly
-one stderr line that starts with `error:`: never a traceback.  A resumed
+one stderr line that starts with `error:`: never a traceback.  A refused
+command (exit 1 or 2) leaves the fuzz inputs and its output directory
+as it found them, byte for byte (`gradcheck.tree`).  A resumed
 run may also exit 3, the same way: a checkpoint's parameters must be
 finite, but a flipped exponent bit can leave one finite and so large
 that the first loss overflows.
@@ -24,6 +26,7 @@ size value the file still sets, mutated or not, is the one trained with.
 import numpy as np
 import pytest
 
+from gradcheck import refusals_leave_no_trace
 from img2latex.checkpoint import load_checkpoint, save_checkpoint
 from img2latex.cli import main
 from img2latex.config import ConfigError, parse_config_file
@@ -252,6 +255,7 @@ def test_mutated_input_exits_cleanly(kind, base, tmp_path, capfd):
     else:
         others = [data for name, data in inputs.items() if name != source]
     seed = KINDS.index(kind)
+    checked_main = refusals_leave_no_trace(main, [base["root"], tmp_path])
     codes = []
     for case in range(CASES):
         rng = np.random.default_rng((seed, case))
@@ -261,7 +265,7 @@ def test_mutated_input_exits_cleanly(kind, base, tmp_path, capfd):
             data = pool[rng.integers(len(pool))] if kind == "set" else inputs[source]
             mutant = mutate(data, rng, others)
         capfd.readouterr()
-        rc = main(argv_for(kind, base, tmp_path, mutant))
+        rc = checked_main(argv_for(kind, base, tmp_path, mutant))
         err = capfd.readouterr().err
         assert rc in EXITS.get(kind, (0, 1, 2)), (case, mutant[:200], rc, err)
         if rc:

@@ -226,25 +226,31 @@ def make_examples(sizes, tokens=("a",)):
 def test_bucket_and_pad_groups_and_pads():
     vocab = Vocabulary.from_corpus([["a"]])
     exs = make_examples([(10, 20), (12, 30), (40, 60)])
-    batches, dropped = bucket_and_pad(exs, [(32, 16), (64, 48)], 16, vocab)
-    assert dropped == 0
+    buckets = [(32, 16), (64, 48)]
+    batches = [bucket_and_pad(c, buckets, vocab) for c in plan_batches(exs, buckets, 16)[0]]
     assert [b.images.shape for b in batches] == [(2, 1, 16, 32), (1, 1, 48, 64)]
     # sequences: token, END, then PAD
     assert batches[0].seq[0].tolist() == [4, END_ID]
 
 
-def test_bucket_and_pad_drops_oversize_when_allowed():
-    vocab = Vocabulary.from_corpus([["a"]])
-    exs = make_examples([(10, 20), (100, 100)])
-    batches, dropped = bucket_and_pad(exs, [(32, 16)], 4, vocab)
-    assert dropped == 1 and len(batches) == 1
-
-
-def test_bucket_and_pad_respects_batch_size():
+def test_bucket_and_pad_pads_exactly_the_examples_it_is_given(monkeypatch):
     vocab = Vocabulary.from_corpus([["a"]])
     exs = make_examples([(8, 8)] * 5)
-    batches, _ = bucket_and_pad(exs, [(8, 8)], 2, vocab)
-    assert [len(b.seq) for b in batches] == [2, 2, 1]
+    monkeypatch.setattr(data, "plan_batches", lambda *a: pytest.fail("padding planned"))
+    batch = bucket_and_pad(exs, [(8, 8)], vocab)
+    assert batch.images.shape == (5, 1, 8, 8) and batch.seq.shape == (5, 2)
+
+
+def test_the_plan_drops_oversize_and_counts_it():
+    exs = make_examples([(10, 20), (100, 100)])
+    plan, dropped = plan_batches(exs, [(32, 16)], 4)
+    assert dropped == 1 and [[ex.id for ex in chunk] for chunk in plan] == [["e0"]]
+
+
+def test_the_plan_respects_batch_size():
+    exs = make_examples([(8, 8)] * 5)
+    plan, _ = plan_batches(exs, [(8, 8)], 2)
+    assert [len(chunk) for chunk in plan] == [2, 2, 1]
 
 
 def test_the_plan_groups_by_bucket_in_input_order_and_pads_nothing(monkeypatch):
@@ -255,24 +261,6 @@ def test_the_plan_groups_by_bucket_in_input_order_and_pads_nothing(monkeypatch):
     assert dropped == 1
     assert [[ex.id for ex in chunk] for chunk in plan] == [["e0", "e3"], ["e4", "e5"],
                                                            ["e1"]]
-
-
-def test_each_planned_batch_pads_to_the_batch_of_the_whole():
-    vocab = Vocabulary.from_corpus([["a", "b"]])
-    rng = np.random.default_rng(3)
-    exs = [Example(f"e{i}", rng.random(s), ["a", "b"][:1 + i % 2])
-           for i, s in enumerate([(10, 20), (40, 60), (100, 100), (12, 30), (9, 9),
-                                  (16, 32), (30, 50)])]
-    buckets = [(32, 16), (64, 48)]
-    whole, dropped = bucket_and_pad(exs, buckets, 2, vocab)
-    plan, _ = plan_batches(exs, buckets, 2)
-    assert dropped == 1 and len(plan) == len(whole) == 3
-    for chunk, want in zip(plan, whole):
-        (got,), none_dropped = bucket_and_pad(chunk, buckets, 2, vocab)
-        assert none_dropped == 0
-        for name in ("images", "seq"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_model_size_is_the_size_pad_for_model_pads_to():
@@ -286,7 +274,6 @@ def test_batch_seq_pads_to_longest():
     vocab = Vocabulary.from_corpus([["a", "b"]])
     exs = [Example("x", np.zeros((8, 8)), ["a", "b"]),
            Example("y", np.zeros((8, 8)), ["b"])]
-    batches, _ = bucket_and_pad(exs, [(8, 8)], 4, vocab)
-    seq = batches[0].seq
+    seq = bucket_and_pad(exs, [(8, 8)], vocab).seq
     assert seq.shape == (2, 3)
     assert seq[1].tolist() == [5, END_ID, PAD_ID]

@@ -8,15 +8,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradcheck import desk_config, misfeed_rollouts, model_config
+from gradcheck import desk_config, misfeed_rollouts, model_config, tree
 
 from img2latex import tensor as T
 from img2latex import cli, data, training
+from img2latex import model as model_module
 from img2latex.checkpoint import load_checkpoint
 from img2latex.config import ModelConfig, full_defaults
 from img2latex.data import (END_ID, PAD_ID, START_ID, RESERVED,
                             bucket_and_pad, build_vocab, load_buckets, load_dataset,
-                            write_manifest, write_pgm)
+                            plan_batches, write_manifest, write_pgm)
 from img2latex.decoder import StepOutput
 from img2latex.decoding import greedy_decode
 from img2latex.metrics import sentence_bleu4
@@ -62,11 +63,9 @@ def corpus(tmp_path_factory):
 
 def first_batch(corpus):
     examples = load_dataset(corpus["manifest"])
-    vocab = build_vocab([corpus["manifest"]])
-    batches, _ = bucket_and_pad(examples, load_buckets(corpus["buckets"]),
-                                batch_size=4, vocab=vocab)
-    assert len(batches) == 1
-    return batches[0], vocab
+    vocab, buckets = build_vocab([corpus["manifest"]]), load_buckets(corpus["buckets"])
+    (planned,), _ = plan_batches(examples, buckets, 4)
+    return bucket_and_pad(planned, buckets, vocab), vocab
 
 
 # ---------------------------------------------------------------------
@@ -323,7 +322,8 @@ def rollout_nll(decoder, entries, max_len, rngs, audit=None):
     """The path reinforce_step takes: one rollout, whose packed logits
     give every sampled token's cross entropy.  Returns (tokens, finished,
     per-row nll, (per-token ce Tensor, rows))."""
-    tokens, logits, targets, rows = _sample_rollout(decoder, entries, max_len, rngs, audit)
+    tokens, logits, targets, rows = _sample_rollout(decoder, decoder.init_state(entries),
+                                                    max_len, rngs, audit)
     ce = T.cross_entropy(logits, targets)
     nll = np.bincount(rows, weights=ce.data, minlength=tokens.shape[0])
     return tokens, (tokens == END_ID).any(axis=1), nll, (ce, rows)
@@ -384,7 +384,8 @@ def test_single_step_sample_frequencies_match_probabilities():
     model = StaticModel(row)
     rngs = [np.random.default_rng((9, i)) for i in range(n)]
     with T.no_grad():
-        tokens = _sample_rollout(model, Tensor(np.zeros((n, 1, 4))), 1, rngs)[0]
+        tokens = _sample_rollout(model, model.init_state(Tensor(np.zeros((n, 1, 4)))), 1,
+                                 rngs)[0]
     freq = np.bincount(tokens[:, 0], minlength=len(row)) / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(freq - p) <= 3 * sigma).all()
@@ -525,8 +526,9 @@ def test_a_rollout_whose_finishing_rows_are_a_suffix_cuts_views_equal_to_gathers
         monkeypatch.setattr(T, "take_rows", lambda a, rows: (
             isinstance(rows, int) or gathers.append(rows), take_rows(a, rows))[1])
         tiled = T.repeat_rows(model.encoder.encode(images, train=False), 2)
+        state = model.decoder.init_state(tiled)
         tokens, logits, targets, rows = _sample_rollout(
-            model.decoder, tiled, 6, [FixedDraws(*us) for us in draws])
+            model.decoder, state, 6, [FixedDraws(*us) for us in draws])
         loss = training.reinforce_loss(T.cross_entropy(logits, targets), weights, rows)
         model.zero_grad()
         loss.backward()
@@ -658,7 +660,7 @@ def test_misaligned_feed_is_counted_as_a_violation():
     model = MisfeedModel(5)
     audit = InputFeedAudit()
     rngs = [np.random.default_rng((5, i)) for i in range(5)]
-    _sample_rollout(model, model.encode(None), 4, rngs, audit)
+    _sample_rollout(model, model.init_state(model.encode(None)), 4, rngs, audit)
     # reversed feeds [4, 7, 6, 5], [4, 7, 6] and [4, 7]: only the middle
     # row of step 2 matches its own previous token
     assert audit.steps_checked == 9
@@ -812,7 +814,7 @@ def test_reinforce_step_samples_and_rewards_what_an_unrecorded_rollout_does(monk
     with T.no_grad():
         tiled = T.repeat_rows(model.encoder.encode(images, train=False), k)
         rngs = [training.derive_rng(seed, training.RNG_SAMPLE, step, i) for i in range(2 * k)]
-        free = _sample_rollout(model.decoder, tiled, 12, rngs)
+        free = _sample_rollout(model.decoder, model.decoder.init_state(tiled), 12, rngs)
     assert not free[1].requires_grad
     free_rewards = [sentence_bleu4(strip_sentinels(row), refs[i // k])
                     for i, row in enumerate(free[0])]
@@ -832,7 +834,8 @@ def test_reinforce_step_samples_and_rewards_what_an_unrecorded_rollout_does(monk
     assert taped[1].requires_grad
     # the step rolls out k copies over one memory per image, sample-major:
     # row j * 2 + i is sample j of image i, the tiled rollout's row i * k + j
-    assert args[1].shape[0] == 2 and args[-1] == k
+    assert args[1].entries.shape[0] == 2
+    assert np.array_equal(args[1].mem_rows, np.tile(np.arange(2), k))
     assert np.array_equal(taped[0][np.arange(2 * k).reshape(k, 2).T.reshape(-1)], free[0])
     # a row's place in a matmul call can move its logits' last bits, and
     # the layouts place rows differently; the samples drawn are the same
@@ -946,6 +949,26 @@ def test_train_runs_are_bit_identical(corpus, tmp_path):
         assert (outs[0] / ckpt).read_bytes() == (outs[1] / ckpt).read_bytes()
 
 
+def test_a_run_saves_last_ckpt_once_per_validation(corpus, tmp_path, monkeypatch):
+    saved = []
+    real_save = model_module.save_checkpoint
+
+    def save_spy(path, meta, *rest):
+        saved.append((os.path.relpath(path, tmp_path), meta["step"]))
+        return real_save(path, meta, *rest)
+
+    monkeypatch.setattr(model_module, "save_checkpoint", save_spy)
+    args = (corpus["manifest"], corpus["manifest"], corpus["buckets"])
+    first = train(tiny_cfg(steps=4, validate_every=2), *args, str(tmp_path / "a"))
+    last = [step for path, step in saved if path == os.path.join("a", "last.ckpt")]
+    assert last == [2, 4]
+    # a resume at `steps` runs no step, so it saves both files once, after the loop
+    saved.clear()
+    train(tiny_cfg(steps=4), *args, str(tmp_path / "b"), resume=first.last_path)
+    assert sorted(saved) == [(os.path.join("b", "best.ckpt"), 4),
+                             (os.path.join("b", "last.ckpt"), 4)]
+
+
 @pytest.fixture(scope="module")
 def two_bucket_corpus(tmp_path_factory):
     """Seven images: three for a 24x16 bucket, three for a 40x24 one and
@@ -966,16 +989,16 @@ def test_training_steps_on_the_epochs_batches_padding_one_per_step(two_bucket_co
                                                                    tmp_path, monkeypatch):
     c = two_bucket_corpus
     cfg = tiny_cfg(steps=8, batch_size=2, validate_every=4)
-    # the reference materialises each epoch: bucket_and_pad over all of its
-    # examples, in the epoch's shuffled order
+    # the reference materialises each epoch: every batch of its plan, in
+    # the epoch's shuffled order, padded
     examples, buckets = load_dataset(c["manifest"]), load_buckets(c["buckets"])
     vocab = build_vocab([c["manifest"]])
     want = []
     for epoch in range(2):
         order = derive_rng(cfg["seed"], RNG_SHUFFLE, epoch).permutation(len(examples))
-        batches, dropped = bucket_and_pad([examples[i] for i in order], buckets, 2, vocab)
-        assert dropped == 1 and len(batches) == 4
-        want.extend(batches)
+        plan, dropped = plan_batches([examples[i] for i in order], buckets, 2)
+        assert dropped == 1 and len(plan) == 4
+        want.extend(bucket_and_pad(planned, buckets, vocab) for planned in plan)
 
     stepped, pads, pads_at_line = [], [0], []
     real_loss, real_pad = training.mle_loss, data.pad_for_model
@@ -1210,6 +1233,24 @@ def test_rl_training_fails_on_a_misfed_rollout(corpus, tmp_path, monkeypatch):
     with pytest.raises(TrainError, match=r"input-feed audit failed at step 1: [1-9]\d* of"):
         train(tiny_cfg(steps=2), corpus["manifest"], corpus["manifest"],
               corpus["buckets"], str(tmp_path / "rl"), phase="rl", init=base.last_path)
+
+
+def test_a_resume_whose_first_step_fails_the_audit_leaves_its_log_uncut(corpus, tmp_path,
+                                                                        monkeypatch):
+    args = (corpus["manifest"], corpus["manifest"], corpus["buckets"])
+    base = train(tiny_cfg(steps=1), *args, str(tmp_path / "mle"))
+    out = tmp_path / "rl"
+    train(tiny_cfg(steps=1), *args, str(out), phase="rl", init=base.last_path)
+    step1 = tmp_path / "step1.ckpt"
+    step1.write_bytes((out / "last.ckpt").read_bytes())
+    train(tiny_cfg(steps=2), *args, str(out), phase="rl", resume=str(step1))
+    # resuming step1 again would cut the log's step-2 row, but the audit
+    # refuses the step first
+    before = tree(tmp_path)
+    misfeed_rollouts(monkeypatch)
+    with pytest.raises(TrainError, match="input-feed audit failed at step 2"):
+        train(tiny_cfg(steps=2), *args, str(out), phase="rl", resume=str(step1))
+    assert tree(tmp_path) == before
 
 
 def test_rl_audit_leaves_a_clean_run_unchanged(corpus, tmp_path, monkeypatch):
