@@ -23,6 +23,7 @@ from .encoder import DOWNSAMPLE, positional_encoding
 from .metrics import MetricError, MetricReport, bleu4, check_threshold, evaluate_pair
 from .model import Model
 from .synth import MINIMUMS, GrammarConfig, ParseError, SynthError, rasterize, synth_generate
+from .tensor import no_grad
 from .training import DivergenceError, TrainError, train
 
 EXIT_OK = 0
@@ -222,7 +223,8 @@ def cmd_inspect(args) -> int:
             write_pgm(os.path.join(args.out, f"pe_{c:03d}.pgm"),
                       (pe[c] + 1.0) / 2.0)
     if args.dump_features:
-        feats = model.encoder.encode(image[None, None]).data[0].reshape(h_prime, w_prime, -1)
+        with no_grad():
+            feats = model.encoder.encode(image[None, None]).data[0].reshape(h_prime, w_prime, -1)
         for c in range(feats.shape[2]):
             fmap = feats[:, :, c]
             span = fmap.max() - fmap.min()

@@ -15,6 +15,12 @@ function of a ReLU ahead of the pool, at a half or a quarter of the
 ReLU's work.  In backward, both orders route a window's gradient to the
 same element when the window's max is positive; otherwise every element
 of the window gets a zero in both orders, whose sign alone may differ.
+
+A layer is one tape record (`tensor.conv_layer`), bit-equal to the four
+ops it fuses.  Until backward it keeps the layer's output, batch norm's
+xhat and inv_std, and one uint8 pool winner per output cell; the conv
+output of a normalised or pooled layer and the pre-ReLU pool output are
+dropped as soon as the next stage has read them.
 """
 from __future__ import annotations
 
@@ -64,7 +70,8 @@ def positional_encoding(height: int, width: int, d: int, timescale: float) -> np
 
 # (out_channels as a fraction of d, batchnorm?) per conv, and the pool
 # that follows each stage; pools are (kh, kw) with stride = kernel, and
-# every conv is 3x3 with stride 1 and padding 1 (tensor.conv2d).
+# every conv is 3x3 with stride 1 and padding 1 (tensor.conv2d, run by
+# tensor.conv_layer).
 _CONV_PLAN = [
     # (in_frac, out_frac, has_bn, pool_after)
     (None, 8, False, (2, 2)),   # 1 -> d/8
@@ -117,7 +124,8 @@ class Encoder:
             self.layers.append((w, b, bn, pool))
 
     def cnn_forward(self, x: Tensor, train: bool = False) -> Tensor:
-        """(B, 1, H, W) -> (B, d, H/8, W/8); H and W must be multiples of 8."""
+        """(B, 1, H, W) -> (B, d, H/8, W/8); H and W must be multiples of 8.
+        One `tensor.conv_layer` call, so one tape record, per layer."""
         if x.ndim != 4 or x.shape[1] != 1:
             raise TensorError(f"encoder input must be (B, 1, H, W), got {x.shape}")
         _, _, h, w = x.shape
@@ -128,13 +136,8 @@ class Encoder:
             )
         out = x
         for w, b, bn, pool in self.layers:
-            out = T.conv2d(out, w, b)
-            if bn is not None:
-                out = T.batchnorm2d(out, *bn, momentum=self.config.bn_momentum, eps=BN_EPS,
-                                    train=train)
-            if pool is not None:
-                out = T.maxpool2d(out, pool)
-            out = T.relu(out)
+            out = T.conv_layer(out, w, b, bn, pool, momentum=self.config.bn_momentum,
+                               eps=BN_EPS, train=train)
         return out
 
     def encode(self, images: np.ndarray, train: bool = False) -> Tensor:

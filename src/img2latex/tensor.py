@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff engine on top of numpy.
 
 Every differentiable operation the model needs lives here: elementwise
-arithmetic, matmul, conv2d/maxpool2d/batchnorm2d, activations, softmax,
-embedding lookup, dropout, cross entropy, and the decoder's fused LSTM
-layer and attention scoring.  Each op records itself on
-the implicit tape (one `_OpRecord` per executed op, in execution order);
+arithmetic, matmul, conv2d/maxpool2d/batchnorm2d and the encoder layer
+that fuses them with a ReLU, activations, softmax, embedding lookup,
+dropout, cross entropy, and the decoder's fused LSTM layer and attention
+scoring.  Each op records itself on the implicit tape (one `_OpRecord`
+per executed op, in execution order);
 `backward()` replays the records in reverse and accumulates gradients
 into every tensor that requires them.
 
@@ -263,8 +264,13 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _recording(inputs) -> bool:
+    """Whether `_record` puts an op over these inputs on the tape."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _record(name, out: Tensor, inputs, backward_fn) -> Tensor:
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         out._op = _OpRecord(name, tuple(inputs), out, backward_fn)
         if _profile is not None:
@@ -466,10 +472,18 @@ def reduce_mean(a: Tensor, axis: int) -> Tensor:
 # activations and probability ops
 # ---------------------------------------------------------------------
 
+def _relu(xd: np.ndarray):
+    """ReLU of xd, and the VJP that maps dy to dx.  The VJP keeps only the
+    output y: y > 0 exactly where xd > 0 (NaN and -0.0 included)."""
+    y = np.maximum(xd, 0)
+    return y, lambda g: g * (y > 0)
+
+
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    mask = a.data > 0
-    return _record("relu", out, (a,), lambda g: (g * mask,))
+    """max(a, 0).  The record keeps its output and no mask; the VJP
+    rebuilds the mask as out > 0."""
+    y, vjp = _relu(a.data)
+    return _record("relu", Tensor(y), (a,), lambda g: (vjp(g),))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -784,6 +798,54 @@ def _im2col(xd: np.ndarray, blocks):
         yield b, cols
 
 
+def _conv2d(xd: np.ndarray, kd: np.ndarray, bd: np.ndarray, need_dx: bool):
+    """`conv2d`'s kernel on arrays: the output and the VJP that maps dy to
+    (dx, dk, db), with dx None unless need_dx.  The VJP keeps xd, the
+    kernel matrix and the block table, not the output."""
+    if xd.ndim != 4 or kd.ndim != 4 or kd.shape[2:] != (3, 3):
+        raise ShapeError(f"conv2d: expects a 4-D input and an (O, C, 3, 3) kernel, "
+                         f"got {xd.shape} and {kd.shape}")
+    B, C, H, W = xd.shape
+    O, Ck = kd.shape[:2]
+    if C != Ck:
+        raise ShapeError(f"conv2d: input channels {C} != kernel channels {Ck}")
+    if bd.shape != (O,):
+        raise ShapeError(f"conv2d: bias must be ({O},), got {bd.shape}")
+    blocks = _conv_blocks(H, W)
+    wmat = kd.reshape(O, C * 9)
+    y = np.empty((B, O, H * W), dtype=np.result_type(wmat, xd))
+    for b, cols in _im2col(xd, blocks):
+        np.matmul(wmat, cols, out=y[b])
+    y += bd[:, None]
+
+    def vjp(g):
+        g3 = g.reshape(B, O, H * W)
+        dx = None
+        if need_dx:
+            # col2im: every dx element sums its windows in (i, j) order,
+            # starting from +0.0
+            dx = np.zeros((B, C, H, W), dtype=xd.dtype)
+            dcols = np.empty((C * 9, H * W), dtype=xd.dtype)
+            planes = dcols.reshape(C, 3, 3, H, W)
+        dk = np.zeros((O, C * 9), dtype=np.result_type(g, xd))    # an empty batch's sum
+        prod = np.empty_like(dk)
+        for b, cols in _im2col(xd, blocks):
+            if b == 0:
+                np.matmul(g3[0], cols.T, out=dk)
+            else:
+                np.matmul(g3[b], cols.T, out=prod)
+                dk += prod
+            if dx is not None:
+                np.matmul(wmat.T, g3[b], out=dcols)
+                for (i, j), block in blocks:
+                    if block is not None:
+                        rows, cs, xrows, xcs = block
+                        dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]
+        return dx, dk.reshape(O, C, 3, 3), g.sum(axis=(0, 2, 3))
+
+    return y.reshape(B, O, H, W), vjp
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """The encoder's convolution: (B, C, H, W) with an (O, C, 3, 3) kernel
     and an (O,) bias, stride 1 and zero padding 1, so the output is
@@ -812,50 +874,60 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     OPENBLAS_NUM_THREADS.  The forward pass does not: predict and
     evaluate are byte-identical at 1 and 2 threads (tested).
     """
-    if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
-        raise ShapeError(f"conv2d: expects a 4-D input and an (O, C, 3, 3) kernel, "
-                         f"got {x.shape} and {kernel.shape}")
-    B, C, H, W = x.shape
-    O, Ck = kernel.shape[:2]
-    if C != Ck:
-        raise ShapeError(f"conv2d: input channels {C} != kernel channels {Ck}")
-    if bias.shape != (O,):
-        raise ShapeError(f"conv2d: bias must be ({O},), got {bias.shape}")
-    blocks = _conv_blocks(H, W)
-    xd = x.data
-    wmat = kernel.data.reshape(O, C * 9)
-    y = np.empty((B, O, H * W), dtype=np.result_type(wmat, xd))
-    for b, cols in _im2col(xd, blocks):
-        np.matmul(wmat, cols, out=y[b])
-    y += bias.data[:, None]
-    out = Tensor(y.reshape(B, O, H, W))
+    y, vjp = _conv2d(x.data, kernel.data, bias.data, x.requires_grad)
+    return _record("conv2d", Tensor(y), (x, kernel, bias), vjp)
 
-    def bwd(g):
-        g3 = g.reshape(B, O, H * W)
-        dx = None
-        if x.requires_grad:
-            # col2im: every dx element sums its windows in (i, j) order,
-            # starting from +0.0
-            dx = np.zeros((B, C, H, W), dtype=x.dtype)
-            dcols = np.empty((C * 9, H * W), dtype=x.dtype)
-            planes = dcols.reshape(C, 3, 3, H, W)
-        dk = np.zeros((O, C * 9), dtype=np.result_type(g, xd))    # an empty batch's sum
-        prod = np.empty_like(dk)
-        for b, cols in _im2col(xd, blocks):
-            if b == 0:
-                np.matmul(g3[0], cols.T, out=dk)
-            else:
-                np.matmul(g3[b], cols.T, out=prod)
-                dk += prod
-            if dx is not None:
-                np.matmul(wmat.T, g3[b], out=dcols)
-                for (i, j), block in blocks:
-                    if block is not None:
-                        rows, cs, xrows, xcs = block
-                        dx[b, :, xrows, xcs] += planes[:, i, j, rows, cs]
-        return dx, dk.reshape(O, C, 3, 3), g.sum(axis=(0, 2, 3))
 
-    return _record("conv2d", out, (x, kernel, bias), bwd)
+def _pool_winner(xd: np.ndarray, y: np.ndarray, offsets) -> np.ndarray:
+    """Per cell of the pooled y, as uint8, the first window offset n, in
+    (i, j) order, whose element of xd equals the max, or len(offsets)
+    where none does (a window holding a NaN)."""
+    win = np.zeros(y.shape, dtype=np.uint8)
+    free = np.ones(y.shape, dtype=bool)         # no offset has matched yet
+    hit = np.empty(y.shape, dtype=bool)
+    for n, (rows, cols) in enumerate(offsets):
+        np.equal(xd[:, :, rows, cols], y, out=hit)
+        hit &= free
+        free ^= hit
+        if n:
+            win += hit.view(np.uint8) * np.uint8(n)
+    win += free.view(np.uint8) * np.uint8(len(offsets))
+    return win
+
+
+def _maxpool2d(xd: np.ndarray, kernel: tuple[int, int], keep: bool):
+    """`maxpool2d`'s kernel on arrays: the output and, when keep, the VJP
+    that maps dy to dx (None otherwise).  Only a kept VJP costs the
+    winner index (`_pool_winner`), which is all it keeps of xd."""
+    if xd.ndim != 4:
+        raise ShapeError(f"maxpool2d: expects 4-D input, got {xd.shape}")
+    kh, kw = kernel
+    B, C, H, W = xd.shape
+    Ho, Wo = H // kh, W // kw
+    if Ho < 1 or Wo < 1:
+        raise ShapeError(f"maxpool2d: input {H}x{W} too small for k=({kh},{kw})")
+    # (rows, cols) slices that pick offset (i, j) of every window from x
+    offsets = [(slice(i, kh * Ho, kh), slice(j, kw * Wo, kw))
+               for i in range(kh) for j in range(kw)]
+    rows, cols = offsets[0]
+    y = xd[:, :, rows, cols].copy()
+    for rows, cols in offsets[1:]:
+        np.maximum(y, xd[:, :, rows, cols], out=y)
+    if not keep:
+        return y, None
+    win = _pool_winner(xd, y, offsets)
+    shape, dtype = xd.shape, xd.dtype
+
+    def vjp(g):
+        dx = np.zeros(shape, dtype=dtype)
+        for n, (rows, cols) in enumerate(offsets):
+            np.multiply(g, win == n, out=dx[:, :, rows, cols])
+        # g * False is -0.0 where g < 0; adding +0.0 makes it +0.0, so dx
+        # is bit-equal to summing the routed gradients into zeros
+        dx += 0.0
+        return dx
+
+    return y, vjp
 
 
 def maxpool2d(x: Tensor, kernel: tuple[int, int]) -> Tensor:
@@ -868,61 +940,29 @@ def maxpool2d(x: Tensor, kernel: tuple[int, int]) -> Tensor:
     is copied, and the output is C-contiguous NCHW.  The backward pass
     routes each window's gradient to its first maximal element in (i, j)
     order, the tie-break of an argmax over the window.
+
+    The record keeps its output and one uint8 winner per output cell,
+    not x: the offset that gets the cell's gradient, or none for a window
+    holding a NaN.  The winner is found only when the op records.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d: expects 4-D input, got {x.shape}")
-    kh, kw = kernel
-    B, C, H, W = x.shape
-    Ho, Wo = H // kh, W // kw
-    if Ho < 1 or Wo < 1:
-        raise ShapeError(f"maxpool2d: input {H}x{W} too small for k=({kh},{kw})")
-    xd = x.data
-    # (rows, cols) slices that pick offset (i, j) of every window from x
-    offsets = [(slice(i, kh * Ho, kh), slice(j, kw * Wo, kw))
-               for i in range(kh) for j in range(kw)]
-    rows, cols = offsets[0]
-    y = xd[:, :, rows, cols].copy()
-    for rows, cols in offsets[1:]:
-        np.maximum(y, xd[:, :, rows, cols], out=y)
-    out = Tensor(y)
-
-    def bwd(g):
-        dx = np.zeros_like(xd)
-        last = len(offsets) - 1
-        for n, (rows, cols) in enumerate(offsets):
-            hit = xd[:, :, rows, cols] == y
-            if n == 0:
-                free = ~hit                     # window's max not yet taken
-            else:
-                hit &= free
-                if n < last:
-                    free ^= hit
-            np.multiply(g, hit, out=dx[:, :, rows, cols])
-        # g * False is -0.0 where g < 0; adding +0.0 makes it +0.0, so dx
-        # is bit-equal to summing the routed gradients into zeros
-        dx += 0.0
-        return (dx,)
-
-    return _record("maxpool2d", out, (x,), bwd)
+    y, vjp = _maxpool2d(x.data, kernel, _recording((x,)))
+    return _record("maxpool2d", Tensor(y), (x,), lambda g: (vjp(g),))
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
-                running_mean: np.ndarray, running_var: np.ndarray,
-                momentum: float = 0.1, eps: float = 1e-5, train: bool = True) -> Tensor:
-    """Per-channel batch norm over (B, H, W); eval uses running statistics.
-
-    running_mean/running_var are plain arrays mutated in place during
-    training (model buffers, saved with checkpoints).
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm2d: expects 4-D input, got {x.shape}")
-    C = x.shape[1]
-    if gamma.shape != (C,) or beta.shape != (C,):
-        raise ShapeError(f"batchnorm2d: gamma/beta must be ({C},), got {gamma.shape}/{beta.shape}")
+def _batchnorm2d(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray,
+                 running_mean: np.ndarray, running_var: np.ndarray,
+                 momentum: float, eps: float, train: bool):
+    """`batchnorm2d`'s kernel on arrays: the output and the VJP that maps
+    dy to (dx, dgamma, dbeta), which keeps xhat and inv_std, not xd."""
+    if xd.ndim != 4:
+        raise ShapeError(f"batchnorm2d: expects 4-D input, got {xd.shape}")
+    C = xd.shape[1]
+    if gd.shape != (C,) or bd.shape != (C,):
+        raise ShapeError(f"batchnorm2d: gamma/beta must be ({C},), got {gd.shape}/{bd.shape}")
     axes = (0, 2, 3)
     if train:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -930,16 +970,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         # buffers stay float64 for accumulation accuracy; normalize in
         # the input dtype so float32 models do not promote downstream
-        mean = running_mean.astype(x.dtype, copy=False)
-        var = running_var.astype(x.dtype, copy=False)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+        mean = running_mean.astype(xd.dtype, copy=False)
+        var = running_var.astype(xd.dtype, copy=False)
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(xd.dtype, copy=False)
+    xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    y = gd[None, :, None, None] * xhat + bd[None, :, None, None]
 
-    def bwd(g):
+    def vjp(g):
         dgamma = (g * xhat).sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        gs = g * gamma.data[None, :, None, None]
+        gs = g * gd[None, :, None, None]
         if train:
             mg = gs.mean(axis=axes)
             mgx = (gs * xhat).mean(axis=axes)
@@ -950,7 +990,64 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             dx = gs * inv_std[None, :, None, None]
         return dx, dgamma, dbeta
 
-    return _record("batchnorm2d", out, (x, gamma, beta), bwd)
+    return y, vjp
+
+
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
+                running_mean: np.ndarray, running_var: np.ndarray,
+                momentum: float = 0.1, eps: float = 1e-5, train: bool = True) -> Tensor:
+    """Per-channel batch norm over (B, H, W); eval uses running statistics.
+
+    running_mean/running_var are plain arrays mutated in place during
+    training (model buffers, saved with checkpoints).
+    """
+    y, vjp = _batchnorm2d(x.data, gamma.data, beta.data, running_mean, running_var,
+                          momentum, eps, train)
+    return _record("batchnorm2d", Tensor(y), (x, gamma, beta), vjp)
+
+
+def conv_layer(x: Tensor, kernel: Tensor, bias: Tensor, bn=None, pool=None,
+               momentum: float = 0.1, eps: float = 1e-5, train: bool = True) -> Tensor:
+    """One encoder layer as one tape record: conv2d, then batchnorm2d when
+    bn = (gamma, beta, running_mean, running_var) is given, then
+    maxpool2d when pool = (kh, kw) is, then relu.  The inputs are x,
+    kernel and bias, then gamma and beta.
+
+    It composes the kernels of those four ops (`_conv2d`, `_batchnorm2d`,
+    `_maxpool2d`, `_relu`) in the chain's order, forward and back, so the
+    output, every gradient and the running statistics are bit-equal to
+    the four records'.  Each intermediate of the chain had one consumer
+    and got one gradient, so no sum changes order either.
+
+    Memory: the record keeps x (the previous layer's output, alive
+    anyway), batch norm's xhat and inv_std, the pool's uint8 winner per
+    output cell, and its output, from which the VJP rebuilds the ReLU
+    mask as out > 0.  The conv output of a normalised or pooled layer,
+    batch norm's output ahead of a pool, and the pool output are dropped
+    in the forward pass.  Under no_grad the forward does the four ops'
+    work and finds no winner.
+    """
+    inputs = (x, kernel, bias) if bn is None else (x, kernel, bias, bn[0], bn[1])
+    y, conv_vjp = _conv2d(x.data, kernel.data, bias.data, x.requires_grad)
+    bn_vjp = pool_vjp = None
+    if bn is not None:
+        gamma, beta, running_mean, running_var = bn
+        y, bn_vjp = _batchnorm2d(y, gamma.data, beta.data, running_mean, running_var,
+                                 momentum, eps, train)
+    if pool is not None:
+        y, pool_vjp = _maxpool2d(y, pool, _recording(inputs))
+    y, relu_vjp = _relu(y)
+
+    def bwd(g):
+        g = relu_vjp(g)
+        if pool_vjp is not None:
+            g = pool_vjp(g)
+        if bn_vjp is None:
+            return conv_vjp(g)
+        g, dgamma, dbeta = bn_vjp(g)
+        return conv_vjp(g) + (dgamma, dbeta)
+
+    return _record("conv_layer", Tensor(y), inputs, bwd)
 
 
 # ---------------------------------------------------------------------

@@ -14,8 +14,10 @@ The script runs, in WORKDIR and with relative paths only: gen-data; an
 MLE train with validation and dropout; a same-phase --resume of it; an
 RL train --init from it with leave_one_out; predict greedy, beam 5 and
 beam 5 with --length-normalize; evaluate; inspect with --dump-pe and
---dump-features; and a one-step train whose --config is the MLE run's
-effective.cfg.  Every file written is hashed, and so is each command's
+--dump-features; a one-step train whose --config is the MLE run's
+effective.cfg; and gen-data, a 30-step train and evaluate on one-token
+formulas, whose predictions render, so evaluate's image metrics run.
+Every file written is hashed, and so is each command's
 stdout.  train_log.tsv loses its wall-time column first, and every
 occurrence of WORKDIR's absolute path is cut from text before hashing.
 Training checkpoints depend on the BLAS thread count, so run it with
@@ -72,6 +74,16 @@ SCRIPT = [
     ("train-config", ["train", "--config", "mle/effective.cfg",
                       "--train-manifest", "data/manifest.tsv", "--buckets", "data/buckets.txt",
                       "--out", "config", "--set", "steps=1"]),
+    # one-token formulas, which 30 steps learn well enough that every
+    # prediction renders, so evaluate compares images
+    ("gen-data-single", ["gen-data", "--out", "single", "--count", "12", "--seed", "5",
+                         "--max-depth", "0", "--max-terms", "1", "--formula-max-len", "1"]),
+    ("train-single", ["train", "--train-manifest", "single/manifest.tsv",
+                      "--buckets", "single/buckets.txt", "--out", "single_mle",
+                      "--set", "steps=30"] + MODEL + ["--set", "lr=0.03"]),
+    ("evaluate-single", ["evaluate", "--checkpoint", "single_mle/last.ckpt",
+                         "--manifest", "single/manifest.tsv", "--out", "evaluate_single.tsv",
+                         "--beam", "5", "--buckets", "single/buckets.txt", "--max-len", "20"]),
 ]
 
 

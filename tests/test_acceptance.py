@@ -141,6 +141,7 @@ def test_criterion_1_gradient_suite():
         tg.test_reduce_sum_mean, tg.test_relu, tg.test_sigmoid_tanh,
         tg.test_softmax, tg.test_embedding_lookup, tg.test_dropout,
         tg.test_cross_entropy, tg.test_conv2d, tg.test_maxpool2d,
+        tg.test_conv_layer,
     ]
     for op in per_seed_ops:
         for seed in range(10):

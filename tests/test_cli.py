@@ -195,7 +195,7 @@ def test_train_profile_writes_the_first_steps_ops_and_changes_no_output(ws, tmp_
         assert (plain / name).read_bytes() == (two / name).read_bytes(), name
     assert without_wall_time(plain / "train_log.tsv") == without_wall_time(two / "train_log.tsv")
     table = profile_table(tmp_path / "two.tsv")
-    assert {"attention_scores", "attention_context", "lstm_cell", "conv2d",
+    assert {"attention_scores", "attention_context", "lstm_cell", "conv_layer",
             "cross_entropy"} <= set(table)
     assert all(n > 0 and nbytes > 0 and secs >= 0.0 for n, nbytes, secs in table.values())
     secs = [s for _, _, s in table.values()]

@@ -1,5 +1,6 @@
 """Encoder shape law, positional-encoding values, memory-entry layout."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,63 @@ def test_train_mode_updates_bn_buffers_eval_does_not():
     enc.encode(np.random.default_rng(7).random((1, 1, 16, 16)), train=True)
     changed = sum(not np.array_equal(enc.buffers[k], before[k]) for k in before)
     assert changed == len(before)
+
+
+def test_a_recorded_encode_makes_one_record_per_layer_and_only_it_finds_pool_winners(
+        monkeypatch):
+    enc = make_encoder(d=8)
+    images = np.random.default_rng(8).random((2, 1, 16, 24))
+    calls = []
+    winner = T._pool_winner
+    monkeypatch.setattr(T, "_pool_winner", lambda *a: calls.append(1) or winner(*a))
+    for train in (True, False):
+        with T.no_grad():
+            enc.encode(images, train=train)
+    assert calls == []
+    with T.profile() as prof:
+        enc.encode(images, train=True)
+    assert prof.records == {"conv_layer": len(_CONV_PLAN), "add": 1, "transpose": 1,
+                            "reshape": 1}
+    assert len(calls) == sum(pool is not None for *_, pool in _CONV_PLAN)
+
+
+def kept_bytes(enc, batch, h, w):
+    """Bytes of the arrays a recorded encode of a (batch, 1, h, w) image
+    batch keeps until backward: the image, then per layer batch norm's
+    xhat and inv_std, one uint8 pool winner per output cell and the
+    output, then the positional signal and the output plus it (the
+    flattened memory is a view of that sum)."""
+    size = np.dtype(enc.config.np_dtype()).itemsize
+    kept = batch * h * w * size
+    for kernel, _, bn, pool in enc.layers:
+        c = kernel.shape[0]
+        if bn is not None:
+            kept += (batch * c * h * w + c) * size
+        if pool is not None:
+            h, w = h // pool[0], w // pool[1]
+            kept += batch * c * h * w
+        kept += batch * c * h * w * size
+    return kept + (1 + batch) * c * h * w * size
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_a_recorded_encode_keeps_only_what_its_layers_backward_reads(dtype):
+    # the records' Python objects take about 20 kB here; the four-op chain
+    # per layer, which keeps every conv, batch-norm and pool output and a
+    # ReLU mask, held 2.6 times the bound
+    enc = make_encoder(d=32, dtype=dtype)
+    images = np.random.default_rng(9).random((4, 1, 32, 96))
+    enc.encode(images, train=True)          # fill the conv block tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = enc.encode(images, train=True)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert entries._op is not None
+    bound = kept_bytes(enc, 4, 32, 96) + 32 * 1024
+    assert live <= bound, (live, bound)
 
 
 def test_channel_plan_scales_with_d():

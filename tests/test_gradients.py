@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from img2latex import tensor as T
+from img2latex.encoder import _CONV_PLAN
 from gradcheck import assert_grads_close, fd_grad
 
 SEEDS = range(10)
@@ -340,6 +341,103 @@ def test_batchnorm2d(seed, train):
     _check(build, [x, gamma, beta], f"batchnorm train={train} seed={seed}")
 
 
+# conv_layer's batch-norm modes and pools: none, and each pool kernel of
+# the encoder; 5x7 inputs are floored by every kernel
+LAYER_BN = [None, "train", "eval"]
+LAYER_POOLS = [None, (2, 2), (1, 2), (2, 1)]
+
+
+def test_the_layer_pools_cover_the_encoder():
+    assert {pool for *_, pool in _CONV_PLAN} <= set(LAYER_POOLS)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conv_layer(seed):
+    rng = np.random.default_rng(seed)
+    for bn in LAYER_BN:
+        for pool in LAYER_POOLS:
+            kh, kw = pool or (1, 1)
+            x = rng.standard_normal((2, 2, 5, 7))
+            k = rng.standard_normal((3, 2, 3, 3))
+            b = rng.standard_normal(3)
+            gamma = rng.standard_normal(3) + 1.0
+            beta = rng.standard_normal(3)
+            rm0, rv0 = rng.standard_normal(3) * 0.1, rng.random(3) + 0.5
+            loss = _proj(rng, (2, 3, 5 // kh, 7 // kw))
+
+            def build(xx, kk, *rest, bn=bn, pool=pool, loss=loss, b=b, rm0=rm0, rv0=rv0):
+                # fresh running stats per evaluation: the op mutates them;
+                # batch statistics cancel the bias, whose gradient, exactly
+                # 0, is below what a finite difference resolves
+                bb, norm = (T.Tensor(b), rest) if bn == "train" else (rest[0], rest[1:])
+                stats = norm + (rm0.copy(), rv0.copy()) if bn else None
+                return loss(T.conv_layer(xx, kk, bb, stats, pool, train=bn == "train"))
+
+            arrays = [x, k] + ([] if bn == "train" else [b]) + ([gamma, beta] if bn else [])
+            _check(build, arrays, f"conv_layer bn={bn} pool={pool} seed={seed}")
+
+
+def _chain_layer(x, k, b, bn, pool, train):
+    """conv_layer's reference: the four ops, one record each."""
+    out = T.conv2d(x, k, b)
+    if bn is not None:
+        out = T.batchnorm2d(out, *bn, train=train)
+    if pool is not None:
+        out = T.maxpool2d(out, pool)
+    return T.relu(out)
+
+
+def _layer_bytes(layer, arrays, bn, pool, r, x_grad):
+    """Run layer on fresh copies of arrays and backpropagate sum(out * r):
+    the output, the gradients of x (None unless x_grad), kernel, bias,
+    gamma and beta, and the running statistics."""
+    x, k, b, gamma, beta, rm, rv = (a.copy() for a in arrays)
+    tensors = [T.Tensor(x, requires_grad=x_grad)] + [
+        T.Tensor(a, requires_grad=True) for a in ((k, b, gamma, beta) if bn else (k, b))]
+    norm = (tensors[3], tensors[4], rm, rv) if bn else None
+    out = layer(*tensors[:3], norm, pool, train=bn != "eval")
+    T.reduce_sum(out * T.Tensor(r)).backward()
+    return [out.data] + [t.grad for t in tensors] + [rm, rv]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bn", LAYER_BN)
+@pytest.mark.parametrize("pool", LAYER_POOLS, ids=lambda p: "x".join(map(str, p or ["none"])))
+def test_conv_layer_is_byte_equal_to_the_four_op_chain(dtype, bn, pool):
+    # few distinct values, so conv outputs tie inside pool windows;
+    # channel 0 is negative everywhere (without batch norm a bias of -10,
+    # below the 18 taps' largest sum of 9; with it gamma 0 and beta -1),
+    # so its windows are all zero after the ReLU; the cotangent holds
+    # -0.0 and +0.0
+    kh, kw = pool or (1, 1)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        values = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        x = rng.choice(values, size=(3, 2, 5, 7))
+        k = rng.integers(-1, 2, size=(4, 2, 3, 3)) * 0.5
+        b = rng.integers(-1, 2, size=4) * 0.5
+        b[0] = -10.0
+        gamma, beta = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
+        gamma[0], beta[0] = 0.0, -1.0
+        rm, rv = rng.standard_normal(4) * 0.1, rng.random(4) + 0.5
+        r = rng.standard_normal((3, 4, 5 // kh, 7 // kw))
+        r[rng.random(r.shape) < 0.2] = -0.0
+        r[rng.random(r.shape) < 0.1] = 0.0
+        arrays = [a.astype(dtype) for a in (x, k, b, gamma, beta)] + [rm, rv]
+        nan_x = arrays[0].copy()
+        nan_x[1, 1, 2, 3] = np.nan          # NaN windows route no gradient
+        for xs, x_grad in ((arrays[0], True), (arrays[0], False), (nan_x, True)):
+            case = [xs] + arrays[1:]
+            got = _layer_bytes(T.conv_layer, case, bn, pool, r.astype(dtype), x_grad)
+            want = _layer_bytes(_chain_layer, case, bn, pool, r.astype(dtype), x_grad)
+            for n, (g, w) in enumerate(zip(got, want)):
+                if w is None:
+                    assert g is None, (seed, n)
+                    continue
+                assert g.dtype == w.dtype and g.shape == w.shape, (seed, n)
+                assert g.tobytes() == w.tobytes(), (seed, x_grad, n)
+
+
 def test_second_backward_rejected():
     w = T.Tensor([1.0, 2.0], requires_grad=True)
     loss = (w * w).sum()
@@ -382,6 +480,7 @@ GRADCHECKS = {
     "conv2d": test_conv2d,
     "maxpool2d": test_maxpool2d,
     "batchnorm2d": test_batchnorm2d,
+    "conv_layer": test_conv_layer,
 }
 
 

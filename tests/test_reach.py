@@ -20,23 +20,22 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 PACKAGE = os.path.join(SRC, "img2latex")
 
-_IMAGE_METRIC = "no golden prediction renders, so evaluate never compares images"
 _PERFBENCH = ("no command calls it; perfbench/tracing.py wraps it by name "
               "(ROADMAP items 1 and 10)")
 _PROFILE = ("train --profile writes timings, which a digest cannot hold; "
             "test_train_profile_writes_the_first_steps_ops_and_changes_no_output "
             "in tests/test_cli.py runs it")
 _ERROR = "an error path; tests/test_cli.py runs it"
+_FUSED = (_PERFBENCH + "; the encoder runs its kernel inside tensor.conv_layer, and tests "
+          "use it as the reference chain")
 
 UNREACHED = {
-    "metrics.binarize": _IMAGE_METRIC,
-    "metrics.levenshtein": _IMAGE_METRIC,
-    "metrics._column_bytes": _IMAGE_METRIC,
-    "metrics.edit_distance_score": _IMAGE_METRIC,
-    "metrics.strip_whitespace_columns": _IMAGE_METRIC,
-    "metrics.exact_match": _IMAGE_METRIC,
     "synth._frac_box": "no golden formula has a fraction",
     "tensor.negative": _PERFBENCH,
+    "tensor.conv2d": _FUSED,
+    "tensor.batchnorm2d": _FUSED,
+    "tensor.maxpool2d": _FUSED,
+    "tensor.relu": _FUSED,
     "tensor.sigmoid": _PERFBENCH,
     "tensor.softmax": _PERFBENCH,
     "tensor.repeat_rows": _PERFBENCH + "; tests use it as the tiled-memory reference",

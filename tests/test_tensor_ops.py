@@ -455,14 +455,15 @@ def test_maxpool2d_matches_loop_reference(kernel):
 def test_maxpool2d_ties_route_gradient_to_first_max():
     # the left window is all zero, as after a ReLU; the right one has two
     # equal maxima, at (0, 1) and (1, 0).  Each window's gradient goes to
-    # its first maximal element in (i, j) order.
+    # its first maximal element in (i, j) order; the others get +0.0, also
+    # under a negative gradient
     x = np.array([[[[0.0, 0.0, 1.0, 3.0],
                     [0.0, 0.0, 3.0, 2.0]]]])
     out = T.maxpool2d(Tensor(x, requires_grad=True), (2, 2))
-    (dx,) = out._op.backward_fn(np.array([[[[5.0, 7.0]]]]))
+    (dx,) = out._op.backward_fn(np.array([[[[-5.0, 7.0]]]]))
     assert np.array_equal(out.data, [[[[0.0, 3.0]]]])
-    assert np.array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0],
-                                 [0.0, 0.0, 0.0, 0.0]]]])
+    assert dx.tobytes() == np.array([[[[-5.0, 0.0, 0.0, 7.0],
+                                       [0.0, 0.0, 0.0, 0.0]]]]).tobytes()
 
 
 def relu_pool_pair(x, kernel, r):
